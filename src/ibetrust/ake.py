@@ -117,7 +117,7 @@ def respond(params: PublicParams, sk_b: PrivateKey, msg: AkeMessage) -> SessionK
     """
     curve = params.curve
     R = msg.big_r
-    if R is None or not curve.contains(R) or curve.mul(params.q, R) is not None:
+    if not curve.in_subgroup(R):
         raise Reject("off_curve")
     if msg.receiver != sk_b.identity:
         raise Reject("wrong_receiver")

@@ -1,17 +1,12 @@
-"""Wire formats: 127-byte frames, the authenticated payload, fragmentation.
+"""Wire formats: 127-byte frames, the record MAC, fragmentation.
 
 A frame is a 21-byte header followed by at most 106 payload bytes.  The
 header models the fields the simulator needs (destination, source,
 sequence number, flags) and pads the rest to the fixed 21 bytes a real
-802.15.4-style stack would occupy.  Application records that fit one
-frame travel in the payload codec layout
-
-    sender(2, big-endian) | nonce(2) | message(<=98) | mac(4)
-
-where the mac is a truncated unkeyed SHA-256 over the preceding bytes.
-Larger blobs (serialized ciphertexts, trust lists) are fragmented into
-raw 106-byte chunks with consecutive sequence numbers; the MORE flag
-marks every chunk but the last.
+802.15.4-style stack would occupy.  Blobs (serialized ciphertexts, trust
+lists) are fragmented into raw 106-byte chunks with consecutive
+sequence numbers; the MORE flag marks every chunk but the last.  Each
+protocol record carries its own truncated_mac.
 """
 
 from __future__ import annotations
@@ -19,14 +14,10 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .errors import Reject
-
 HEADER_SIZE = 21
 MAX_FRAME = 127
 MAX_PAYLOAD = MAX_FRAME - HEADER_SIZE  # 106
-MAX_MESSAGE = MAX_PAYLOAD - 2 - 2 - 4  # 98
 MAC_SIZE = 4
-NONCE_SIZE = 2
 
 FLAG_MORE = 0x01
 
@@ -90,28 +81,6 @@ def decode_frame(data: bytes) -> Frame:
         flags=data[6],
         payload=data[HEADER_SIZE:],
     )
-
-
-def encode_payload(sender: int, nonce: bytes, message: bytes) -> bytes:
-    if not 0 <= sender <= 0xFFFF:
-        raise ValueError("sender id out of range")
-    if len(nonce) != NONCE_SIZE:
-        raise ValueError("nonce must be 2 bytes")
-    if len(message) > MAX_MESSAGE:
-        raise ValueError(f"message over {MAX_MESSAGE} bytes")
-    body = sender.to_bytes(2, "big") + nonce + message
-    return body + truncated_mac(body)
-
-
-def decode_payload(data: bytes) -> tuple[int, bytes, bytes]:
-    """Returns (sender, nonce, message); raises Reject on a bad mac."""
-    if len(data) < 2 + NONCE_SIZE + MAC_SIZE or len(data) > MAX_PAYLOAD:
-        raise ValueError("payload size out of range")
-    body, mac = data[:-MAC_SIZE], data[-MAC_SIZE:]
-    if truncated_mac(body) != mac:
-        raise Reject("mac_mismatch")
-    sender = int.from_bytes(body[0:2], "big")
-    return sender, body[2 : 2 + NONCE_SIZE], body[2 + NONCE_SIZE :]
 
 
 def fragment(dst: int, src: int, blob: bytes, first_seq: int = 0) -> list[Frame]:

@@ -60,8 +60,12 @@ class EnergyConstants:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ConfigError(f"{f.name} must be non-negative")
+            v = getattr(self, f.name)
+            # bool is an int subclass; NaN fails the range test
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 <= v < math.inf:
+                raise ConfigError(f"{f.name} must be a finite non-negative number")
+        if self.battery_j == 0:
+            raise ConfigError("battery_j must be positive (reports divide by it)")
 
     @property
     def power_w(self) -> float:

@@ -234,11 +234,7 @@ def decrypt(params: PublicParams, key: PrivateKey, ct: Ciphertext) -> bytes:
     """Decrypt one block; raises Reject unless the ciphertext re-encrypts
     to itself under the recovered seed."""
     curve = params.curve
-    if (
-        ct.u is None
-        or not curve.contains(ct.u)
-        or curve.mul(params.q, ct.u) is not None
-    ):
+    if not curve.in_subgroup(ct.u):
         raise Reject("malformed_point")
     if len(ct.v) != params.block_bytes or len(ct.w) > params.block_bytes:
         raise Reject("malformed_ciphertext")
@@ -283,8 +279,8 @@ def point_from_bytes(params: PublicParams, data: bytes) -> Point:
     if len(data) != 2 * w:
         raise ValueError(f"point encoding must be {2 * w} bytes")
     P = (int.from_bytes(data[:w], "big"), int.from_bytes(data[w:], "big"))
-    if not params.curve.contains(P):
-        raise ValueError("point not on curve")
+    if not params.curve.in_subgroup(P):
+        raise ValueError("point not in the order-q subgroup")
     return P
 
 
@@ -345,10 +341,8 @@ def params_from_bytes(data: bytes) -> PublicParams:
     if not r.done():
         raise ValueError("trailing bytes in params blob")
     params = PublicParams(p=p, q=q, n=n, generator=gen, master_pub=mpub)
-    curve = params.curve
-    for pt in (gen, mpub):
-        if not curve.contains(pt) or curve.mul(q, pt) is not None:
-            raise ValueError("params point invalid")
+    if not (params.curve.in_subgroup(gen) and params.curve.in_subgroup(mpub)):
+        raise ValueError("params point invalid")
     return params
 
 
@@ -375,8 +369,13 @@ def private_key_from_bytes(params: PublicParams, data: bytes) -> PrivateKey:
     pt = (r.lp_int(), r.lp_int())
     if not r.done():
         raise ValueError("trailing bytes in key blob")
-    if not params.curve.contains(pt):
-        raise ValueError("key point not on curve")
+    curve = params.curve
+    if not curve.in_subgroup(pt):
+        raise ValueError("key point not in the order-q subgroup")
+    # d = s*Q_id exactly when e(d, P) = e(Q_id, sP)
+    if curve.pairing(pt, params.generator) != curve.pairing(
+            hash_to_point(params, identity), params.master_pub):
+        raise ValueError("key does not match identity and parameters")
     return PrivateKey(identity=identity, point=pt)
 
 

@@ -109,8 +109,11 @@ def decode_ta_record(data: bytes) -> tuple[int, str, bytes]:
     body, mac = data[:-4], data[-4:]
     if not hmac.compare_digest(mac, codec.truncated_mac(body)):
         raise Reject("mac_mismatch", "trust record mac")
-    wire = int.from_bytes(body[0:2], "big")
-    return wire, body[2:10].decode("ascii"), body[10:12]
+    try:
+        value = body[2:10].decode("ascii")
+    except UnicodeDecodeError:
+        raise Reject("malformed_record", "non-ascii trust value") from None
+    return int.from_bytes(body[0:2], "big"), value, body[10:12]
 
 
 def trust_list_bytes(wire_ids) -> bytes:
@@ -301,7 +304,6 @@ class Node:
         self.phase = DP
         self.chain: BootChain | None = None
         self.trust_value: str | None = None      # fresh value from the last boot
-        self.registered_value: str | None = None # what the BS has on file
         self.trust_list: tuple[str, ...] = ()
         self.pending_nonce: bytes | None = None
         self.sessions: dict[str, ake_mod.SessionKey] = {}
@@ -425,7 +427,6 @@ def pdp_register(bs: BaseStation, node: Node) -> None:
         node.phase = HALTED
         raise Reject("boot_failure", f"level {result.failed_level}")
     bs.db.register(node.identity, node.wire_id, result.trust_value)
-    node.registered_value = result.trust_value
     node.trust_value = result.trust_value
     node.phase = PDP
 
@@ -462,9 +463,10 @@ def bs_handle_ta(bs: BaseStation, frames, rng) -> list[codec.Frame]:
 
     Every failure raises Reject with a distinct reason and is logged:
     decrypt_failure, mac_mismatch, unknown_id, trust_mismatch,
-    nonce_replay (plus malformed_record for impossible-by-construction
-    plaintexts).  A terminated node that reports a matching trust value
-    is re-admitted, covering the reboot-and-re-authenticate path.
+    nonce_replay, and malformed_record for a plaintext of the wrong
+    shape (anyone can encrypt one to the BS).  A terminated node that
+    reports a matching trust value is re-admitted, covering the
+    reboot-and-re-authenticate path.
     """
     try:
         try:

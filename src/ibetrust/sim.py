@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import random
 from dataclasses import dataclass
 from importlib import resources
@@ -85,6 +86,15 @@ def _check_keys(problems, where, obj, allowed):
             problems.append(f"{where}: unknown key {key!r}")
 
 
+def _is_int(v) -> bool:
+    # JSON true/false arrive as bool, which is a subclass of int
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
+
+
 def parse_scenario(text: str, name: str = "<memory>") -> Scenario:
     """Parse and validate scenario text, reporting every problem at once."""
     try:
@@ -103,7 +113,7 @@ def parse_scenario(text: str, name: str = "<memory>") -> Scenario:
     if profile not in ibe.PROFILES:
         problems.append(f"profile must be one of {sorted(ibe.PROFILES)}, got {profile!r}")
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         problems.append("seed must be a non-negative integer")
         seed = 0
 
@@ -115,10 +125,10 @@ def parse_scenario(text: str, name: str = "<memory>") -> Scenario:
         _check_keys(problems, "bs", bs_cfg, {"master_seed", "trust_offset"})
         master_seed = bs_cfg.get("master_seed", 0)
         trust_offset = bs_cfg.get("trust_offset", DEFAULT_TRUST_OFFSET)
-        if not isinstance(master_seed, int) or master_seed < 0:
+        if not _is_int(master_seed) or master_seed < 0:
             problems.append("bs.master_seed must be a non-negative integer")
             master_seed = 0
-        if not isinstance(trust_offset, int) or not 0 <= trust_offset <= 56:
+        if not _is_int(trust_offset) or not 0 <= trust_offset <= 56:
             problems.append("bs.trust_offset must be an integer in [0, 56]")
             trust_offset = DEFAULT_TRUST_OFFSET
 
@@ -150,7 +160,7 @@ def parse_scenario(text: str, name: str = "<memory>") -> Scenario:
             images = ["?"]
         tamper = entry.get("tamper_level")
         if tamper is not None and (
-                not isinstance(tamper, int) or not 1 <= tamper <= len(images)):
+                not _is_int(tamper) or not 1 <= tamper <= len(images)):
             problems.append(f"{where}: tamper_level must be in [1, {len(images)}]")
             tamper = None
         nodes.append(NodeSpec(nid, list(images), tamper))
@@ -163,7 +173,7 @@ def parse_scenario(text: str, name: str = "<memory>") -> Scenario:
         _check_keys(problems, "channel", channel, {"loss", "adversary_taps"})
         loss = channel.get("loss", 0.0)
         taps = channel.get("adversary_taps", True)
-        if not isinstance(loss, (int, float)) or not 0 <= loss <= 1:
+        if not _is_real(loss) or not 0 <= loss <= 1:
             problems.append("channel.loss must be a number in [0, 1]")
             loss = 0.0
         if not isinstance(taps, bool):
@@ -182,7 +192,7 @@ def parse_scenario(text: str, name: str = "<memory>") -> Scenario:
             problems.append(f"{where}: must be an object")
             continue
         t = entry.get("time")
-        if not isinstance(t, (int, float)) or t < 0:
+        if not _is_real(t) or t < 0:
             problems.append(f"{where}: time must be a non-negative number")
             t = 0.0
         if last_time is not None and t < last_time:
@@ -231,16 +241,16 @@ def parse_scenario(text: str, name: str = "<memory>") -> Scenario:
                                     f"{protocol.BS_IDENTITY!r}")
                 if akind == "replay":
                     atk.occurrence = spec.get("occurrence", 1)
-                    if not isinstance(atk.occurrence, int) or atk.occurrence < 1:
+                    if not _is_int(atk.occurrence) or atk.occurrence < 1:
                         problems.append(f"{where}: attack.occurrence must be >= 1")
                 else:
                     atk.bit = spec.get("bit", 0)
-                    if not isinstance(atk.bit, int) or atk.bit < 0:
+                    if not _is_int(atk.bit) or atk.bit < 0:
                         problems.append(f"{where}: attack.bit must be >= 0")
             elif akind == "fake_node":
                 _check_keys(problems, where, spec, {"kind", "claimed_wire"})
                 atk.claimed_wire = spec.get("claimed_wire", 0xFFFF)
-                if not isinstance(atk.claimed_wire, int) or not 1 <= atk.claimed_wire <= 0xFFFF:
+                if not _is_int(atk.claimed_wire) or not 1 <= atk.claimed_wire <= 0xFFFF:
                     problems.append(f"{where}: attack.claimed_wire must be in [1, 65535]")
             else:  # impersonate
                 _check_keys(problems, where, spec, {"kind", "claimed", "target"})
@@ -377,6 +387,13 @@ class SimReport:
 
     def render_text(self) -> str:
         return render_report_dict(self.to_dict())
+
+
+# the keys render_report_dict reads; a saved report must hold all of them
+REPORT_KEYS = frozenset({
+    "scenario", "profile", "seed", "final_phases", "trust_snapshots", "rejections",
+    "rejection_counts", "attacks", "event_log", "energy_text",
+})
 
 
 def render_report_dict(d: dict) -> str:

@@ -131,6 +131,14 @@ class TestReport:
         assert rc == 2
         assert "not a report file" in capsys.readouterr().err
 
+    def test_missing_rendered_key(self, tmp_path, capsys):
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps({"scenario": "demo", "final_phases": {},
+                                    "event_log": [], "energy_text": ""}))
+        rc = run_cli(["report", "--in", str(path)])
+        assert rc == 2
+        assert "not a report file" in capsys.readouterr().err
+
 
 class TestUsage:
     def test_no_subcommand(self):

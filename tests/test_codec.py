@@ -1,67 +1,10 @@
-"""Frame and payload codec behavior, fragmentation, MAC detection."""
+"""Frame codec behavior and fragmentation."""
 
 import random
 
 import pytest
 
 from ibetrust import codec
-from ibetrust.errors import Reject
-
-
-class TestPayloadCodec:
-    def test_known_layout(self):
-        payload = codec.encode_payload(0x0001, b"\x00\xff", b"hi")
-        assert len(payload) == 10
-        assert payload[:2] == b"\x00\x01"
-        assert payload[2:4] == b"\x00\xff"
-        assert payload[4:6] == b"hi"
-        sender, nonce, message = codec.decode_payload(payload)
-        assert (sender, nonce, message) == (1, b"\x00\xff", b"hi")
-
-    def test_roundtrip_fuzz(self):
-        rng = random.Random(10)
-        for _ in range(200):
-            sender = rng.randrange(0x10000)
-            nonce = rng.randbytes(2)
-            message = rng.randbytes(rng.randrange(0, codec.MAX_MESSAGE + 1))
-            out = codec.decode_payload(codec.encode_payload(sender, nonce, message))
-            assert out == (sender, nonce, message)
-
-    def test_every_bit_flip_detected_small(self):
-        payload = codec.encode_payload(1, b"\x00\xff", b"hi")
-        for pos in range(len(payload) * 8):
-            bad = bytearray(payload)
-            bad[pos // 8] ^= 1 << (pos % 8)
-            with pytest.raises(Reject, match="mac_mismatch"):
-                codec.decode_payload(bytes(bad))
-
-    def test_no_false_accepts_in_100k_flips(self):
-        rng = random.Random(11)
-        for _ in range(100_000):
-            message = rng.randbytes(rng.randrange(0, 20))
-            payload = codec.encode_payload(
-                rng.randrange(0x10000), rng.randbytes(2), message
-            )
-            bad = bytearray(payload)
-            pos = rng.randrange(len(payload) * 8)
-            bad[pos // 8] ^= 1 << (pos % 8)
-            with pytest.raises(Reject):
-                codec.decode_payload(bytes(bad))
-
-    def test_message_size_boundary(self):
-        codec.encode_payload(1, b"\x00\x00", b"x" * 98)  # exactly fills 106
-        with pytest.raises(ValueError):
-            codec.encode_payload(1, b"\x00\x00", b"x" * 99)
-
-    def test_bad_nonce_and_sender(self):
-        with pytest.raises(ValueError):
-            codec.encode_payload(1, b"\x00", b"")
-        with pytest.raises(ValueError):
-            codec.encode_payload(0x10000, b"\x00\x00", b"")
-
-    def test_undersized_payload(self):
-        with pytest.raises(ValueError):
-            codec.decode_payload(b"\x00" * 7)
 
 
 class TestFrameCodec:

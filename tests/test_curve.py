@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 import vectors
+from ibetrust import ibe
 from ibetrust.curve import GT_ONE, Curve, is_probable_prime
 
 TOY_P, TOY_Q = 227, 19
@@ -19,6 +20,22 @@ def toy():
 @pytest.fixture(scope="module")
 def gen(toy):
     return vectors.TOY_GENERATOR
+
+
+def assert_loaders_reject(gen, bad):
+    params = ibe.PublicParams(p=TOY_P, q=TOY_Q, n=128, generator=gen,
+                              master_pub=vectors.TOY_MASTER_PUB)
+    with pytest.raises(ValueError):
+        ibe.point_from_bytes(params, ibe.point_to_bytes(params, bad))
+    for blob in (
+        ibe.params_to_bytes(ibe.PublicParams(TOY_P, TOY_Q, 128, bad, params.master_pub)),
+        ibe.params_to_bytes(ibe.PublicParams(TOY_P, TOY_Q, 128, gen, bad)),
+    ):
+        with pytest.raises(ValueError):
+            ibe.params_from_bytes(blob)
+    key = ibe.PrivateKey("node-001", bad)
+    with pytest.raises(ValueError):
+        ibe.private_key_from_bytes(params, ibe.private_key_to_bytes(params, key))
 
 
 class TestPrimality:
@@ -160,11 +177,15 @@ class TestPairing:
         assert toy.pairing(gen, None) == GT_ONE
         assert toy.pairing(None, None) == GT_ONE
 
+    # pairing() trusts its inputs; in_subgroup is the one check, run
+    # where points enter: the loaders (assert_loaders_reject), ibe.decrypt
+    # and ake.respond
+
     def test_rejects_off_curve(self, toy, gen):
-        with pytest.raises(ValueError):
-            toy.pairing((1, 1), gen)
-        with pytest.raises(ValueError):
-            toy.pairing(gen, (1, 1))
+        assert toy.in_subgroup(gen)
+        assert not toy.in_subgroup((1, 1))
+        assert not toy.in_subgroup(None)
+        assert_loaders_reject(gen, (1, 1))
 
     def test_rejects_wrong_order(self, toy, gen):
         # find a curve point outside the order-q subgroup
@@ -172,8 +193,8 @@ class TestPairing:
             P = toy.point_from_y(y)
             if toy.mul(TOY_Q, P) is not None:
                 break
-        with pytest.raises(ValueError):
-            toy.pairing(P, gen)
+        assert toy.contains(P) and not toy.in_subgroup(P)
+        assert_loaders_reject(gen, P)
 
     def test_gt_inverse(self, toy, gen):
         e = toy.pairing(gen, gen)

@@ -25,6 +25,16 @@ class TestConstants:
         with pytest.raises(ConfigError):
             energy.EnergyConstants(boot_s=-1)
 
+    def test_non_numbers_and_non_finite_rejected(self, tmp_path):
+        path = tmp_path / "constants.json"
+        for text in ('{"voltage": "3.6"}', '{"voltage": true}', '{"current": NaN}',
+                     '{"battery_j": Infinity}', '{"pairing_s": -Infinity}'):
+            path.write_text(text)
+            with pytest.raises(ConfigError, match="finite non-negative number"):
+                energy.EnergyConstants.from_file(path)
+        with pytest.raises(ConfigError, match="battery_j must be positive"):
+            energy.EnergyConstants(battery_j=0)
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "constants.json"
         path.write_text(json.dumps({"current": 0.030, "battery_j": 500}))

@@ -303,6 +303,13 @@ class TestSerialization:
         back = ibe.private_key_from_bytes(params, blob)
         assert back == key
 
+    def test_key_for_other_identity_rejected(self, params, master):
+        # a subgroup point that is not s*Q_id fails the pairing check
+        key = ibe.extract(params, master, "node-001")
+        forged = ibe.PrivateKey("node-002", key.point)
+        with pytest.raises(ValueError, match="does not match"):
+            ibe.private_key_from_bytes(params, ibe.private_key_to_bytes(params, forged))
+
     def test_point_roundtrip(self, params):
         P = vectors.H1_NODE_001
         assert ibe.point_from_bytes(params, ibe.point_to_bytes(params, P)) == P

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ibetrust import ibe, protocol
+from ibetrust import codec, ibe, protocol
 from ibetrust.boot import BootChain
 from ibetrust.errors import AccessViolation, Reject
 
@@ -359,6 +359,19 @@ class TestTrustedAuthentication:
         with pytest.raises(Reject) as e:
             protocol.bs_handle_ta(bs, node.send(0, blob), rng)
         assert e.value.reason == "mac_mismatch"
+
+    def test_non_ascii_trust_value_rejected(self, toy_params):
+        # the record mac is unkeyed and anyone can encrypt to the BS, so
+        # a record with a valid mac can carry any trust-value bytes
+        bs = make_bs(toy_params)
+        node = provision_ready(bs, "node-001")
+        rng = random.Random(16)
+        body = node.wire_id.to_bytes(2, "big") + b"\xff" * 8 + b"qq"
+        blob = protocol.encrypt_message(bs.params, "bs", body + codec.truncated_mac(body), rng)
+        with pytest.raises(Reject) as e:
+            protocol.bs_handle_ta(bs, node.send(0, blob), rng)
+        assert e.value.reason == "malformed_record"
+        assert ("malformed_record", "non-ascii trust value") in bs.rejections
 
     def test_stale_ack_discarded(self, toy_params):
         bs = make_bs(toy_params)

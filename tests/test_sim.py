@@ -107,6 +107,27 @@ class TestScenarioParsing:
             with pytest.raises(ConfigError, match=fragment):
                 scenario_from(bad)
 
+    def test_bools_and_non_finite_numbers_rejected(self):
+        bad = dict(
+            MINIMAL, seed=True, bs={"master_seed": False, "trust_offset": True},
+            nodes=[{"id": "n1", "images": ["a", "b"], "tamper_level": True}],
+            channel={"loss": float("inf")},
+            events=[
+                {"time": float("nan"), "kind": "boot", "node": "n1"},
+                {"time": 1, "kind": "attack", "attack": {
+                    "kind": "replay", "label": "ake", "source": "n1", "occurrence": True}},
+                {"time": 2, "kind": "attack", "attack": {
+                    "kind": "modify", "label": "ake", "source": "n1", "bit": False}},
+                {"time": 3, "kind": "attack", "attack": {
+                    "kind": "fake_node", "claimed_wire": True}},
+            ])
+        with pytest.raises(ConfigError) as e:
+            scenario_from(bad)
+        text = str(e.value)
+        for fragment in (": seed must", "master_seed", "trust_offset", "tamper_level", "loss",
+                         "events[0]: time", "occurrence", "bit", "claimed_wire"):
+            assert fragment in text
+
     def test_bundled_names(self):
         names = sim.bundled_scenarios()
         assert "demo" in names and "attacks" in names
