@@ -109,7 +109,7 @@ def _cmd_report(args) -> int:
         data = json.loads(args.infile.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{args.infile}: not a report file ({exc.msg})") from exc
-    if not isinstance(data, dict) or not sim.REPORT_KEYS <= set(data):
+    if not sim.is_report_dict(data):
         raise ConfigError(f"{args.infile}: not a report file")
     print(sim.render_report_dict(data))
     return 0

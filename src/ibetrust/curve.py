@@ -12,6 +12,19 @@ With that representation the distortion map (x, y) -> (z*x, y) sends a
 curve point over F_p to a point over F_p^2 that is linearly independent
 of it, which is what turns the Tate pairing into a symmetric map on the
 order-q subgroup.
+
+A modular inversion costs as much as dozens of multiplications, so the
+inner loops avoid it (Cohen-Miyaji-Ono, ASIACRYPT 1998).  Scalar
+multiplication and the Miller loop keep their running point in Jacobian
+coordinates, (X, Y, Z) standing for (X/Z^2, Y/Z^3): a doubling or an
+addition of an affine point is a handful of multiplications, and mul
+inverts once at the end to return an affine point.  The Miller loop
+evaluates each line times an F_p factor that clears its denominators;
+the pairing's final exponentiation maps every F_p factor to 1, so the
+value is the same as with affine lines.  That exponentiation starts
+with the Frobenius map, which is the conjugation (a + bz)^p =
+(a - b) - bz here (Barreto-Kim-Lynn-Scott, CRYPTO 2002).  Curve.add,
+used outside the loops, stays affine.
 """
 
 from __future__ import annotations
@@ -20,6 +33,7 @@ import random
 
 Fp2 = tuple[int, int]
 Point = tuple[int, int] | None
+Jacobian = tuple[int, int, int]
 
 GT_ONE: Fp2 = (1, 0)
 
@@ -108,35 +122,74 @@ class Curve:
             return Q
         if Q is None:
             return P
-        return self._chord_tangent(P, Q)[1]
-
-    def _chord_tangent(self, P: tuple[int, int], Q: tuple[int, int]) -> tuple[int | None, Point]:
-        """Slope of the line through finite P and Q (the tangent when they
-        are equal), and P + Q.  The slope is None for a vertical line,
-        where P + Q is infinity."""
         p = self.p
         x1, y1 = P
         x2, y2 = Q
         if x1 == x2:
             if (y1 + y2) % p == 0:
-                return None, None
+                return None
             lam = 3 * x1 * x1 * pow(2 * y1, -1, p) % p
         else:
             lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
         x3 = (lam * lam - x1 - x2) % p
-        return lam, (x3, (lam * (x1 - x3) - y1) % p)
+        return (x3, (lam * (x1 - x3) - y1) % p)
+
+    # Jacobian (X, Y, Z) stands for the affine (X/Z^2, Y/Z^3); any Z = 0
+    # is infinity.  Neither step inverts.
+
+    def _double(self, T: Jacobian) -> tuple[Jacobian, int]:
+        """2T by the a = 0 doubling, and 3X^2, the numerator of the
+        tangent slope 3X^2 / (2YZ).  Y = 0 (order 2) gives Z = 0."""
+        p = self.p
+        X, Y, Z = T
+        XX = X * X % p
+        YY = Y * Y % p
+        YYYY = YY * YY % p
+        D = 2 * ((X + YY) ** 2 - XX - YYYY) % p
+        E = 3 * XX % p
+        X3 = (E * E - 2 * D) % p
+        return (X3, (E * (D - X3) - 8 * YYYY) % p, 2 * Y * Z % p), E
+
+    def _add_affine(self, T: Jacobian, A: tuple[int, int]) -> tuple[Jacobian, int]:
+        """T + A for finite affine A (mixed addition), and r, the numerator
+        of the chord slope r / Z3.  T = -A gives infinity."""
+        p = self.p
+        X, Y, Z = T
+        x, y = A
+        if Z == 0:
+            return (x, y, 1), 0
+        ZZ = Z * Z % p
+        H = (x * ZZ - X) % p
+        r = (y * Z * ZZ - Y) % p
+        if H == 0:
+            if r == 0:
+                return self._double(T)[0], 0
+            return (1, 1, 0), r
+        HH = H * H % p
+        HHH = H * HH % p
+        V = X * HH % p
+        X3 = (r * r - HHH - 2 * V) % p
+        return (X3, (r * (V - X3) - Y * HHH) % p, Z * H % p), r
 
     def mul(self, k: int, P: Point) -> Point:
+        """kP by left-to-right double-and-add in Jacobian coordinates,
+        with one inversion to return to affine."""
         if k < 0:
-            return self.mul(-k, self.neg(P))
-        R: Point = None
-        A = P
-        while k:
-            if k & 1:
-                R = self.add(R, A)
-            A = self.add(A, A)
-            k >>= 1
-        return R
+            k, P = -k, self.neg(P)
+        if k == 0 or P is None:
+            return None
+        T = (P[0], P[1], 1)
+        for bit in bin(k)[3:]:
+            T = self._double(T)[0]
+            if bit == "1":
+                T = self._add_affine(T, P)[0]
+        X, Y, Z = T
+        if Z == 0:
+            return None
+        p = self.p
+        zi = pow(Z, -1, p)
+        zi2 = zi * zi % p
+        return (X * zi2 % p, Y * zi2 * zi % p)
 
     def point_from_y(self, y0: int) -> Point:
         """The unique affine point with the given y coordinate."""
@@ -190,45 +243,65 @@ class Curve:
 
         Neither input is checked: callers validate points from outside
         with in_subgroup where they enter the program.  Infinity pairs
-        to the identity.  Computes f_{q,A} at the distorted image of B
-        by Miller's algorithm, then raises to (p^2 - 1)/q so the result
-        lands in the order-q subgroup of F_p^2*.  Lines are accumulated
-        as a numerator/denominator pair so only one field inversion is
-        needed at the end.
+        to the identity.
+
+        Miller's algorithm computes f_{q,A} at the distorted image
+        (z*xB, yB) of B, with T kept in Jacobian coordinates so no step
+        inverts.  Each line is evaluated times a nonzero F_p factor that
+        clears its denominators: 2YZ^3 for the tangent at T = (X, Y, Z),
+        the new Z3 for the chord through T and A, and Z3^2 for the
+        vertical at (X3, Y3, Z3).  Dividing by a vertical v is
+        multiplying by its conjugate, since v * conj(v) is the norm, in
+        F_p.  None of this changes the result: the final exponent
+        (p^2 - 1)/q is a multiple of p - 1, and every c in F_p* has
+        c^(p-1) = 1.
+
+        The final exponentiation, to (p^2 - 1)/q, puts the result in the
+        order-q subgroup of F_p^2*.  It splits into (p - 1) and
+        (p + 1)/q.  Because p = 2 (mod 3), z^p = z^2, so the Frobenius
+        map is (a + bz)^p = (a - b) - bz, the conjugate, and
+        f^(p-1) = conj(f)/f costs one inversion.  Only the cofactor
+        (p + 1)/q, 96 bits on the demo profile, is left for
+        square-and-multiply.
         """
         p = self.p
         self.pairing_count += 1
         if A is None or B is None:
             return GT_ONE
 
+        xA, yA = A
         xB, yB = B
-        # distorted image of B is (z*xB, yB): x picks up the cube root
-        # of unity z, so dx - x = (-x, xB) and dy - y = (yB - y, 0)
-
-        def vertical_at(T: Point) -> Fp2:
-            return GT_ONE if T is None else (-T[0] % p, xB)
-
-        def step(T: tuple[int, int], U: tuple[int, int]) -> tuple[Fp2, Point]:
-            # chord/tangent through T and U evaluated at the distorted
-            # image, and T + U
-            lam, S = self._chord_tangent(T, U)
-            if lam is None:
-                return vertical_at(T), S
-            x1, y1 = T
-            # (dy - y1) - lam*(dx - x1)
-            return ((yB - y1 + lam * x1) % p, -lam * xB % p), S
-
-        num = GT_ONE
-        den = GT_ONE
-        T = A
+        f = GT_ONE
+        T = (xA, yA, 1)
+        # T never reaches infinity, 2-torsion or A itself before the
+        # last step, where T = (q - 1)A = -A
         for bit in bin(self.q)[3:]:
-            line, T = step(T, T)
-            num = self.f2_mul(self.f2_mul(num, num), line)
-            den = self.f2_mul(self.f2_mul(den, den), vertical_at(T))
+            X, Y, Z = T
+            T, E = self._double(T)
+            ZZ = Z * Z % p
+            # (y - Y/Z^3) - 3X^2/(2YZ) * (x - X/Z^2), times 2YZ^3 = Z3*Z^2
+            line = ((T[2] * ZZ * yB - 2 * Y * Y + E * X) % p, -E * ZZ * xB % p)
+            f = self.f2_mul(self.f2_mul(self.f2_mul(f, f), line), self._vertical_conj(T, xB))
             if bit == "1":
-                line, T = step(T, A)
-                num = self.f2_mul(num, line)
-                den = self.f2_mul(den, vertical_at(T))
-        assert T is None  # q*A is infinity for A of order q
-        f = self.f2_mul(num, self.f2_inv(den))
-        return self.f2_pow(f, (p * p - 1) // self.q)
+                T, r = self._add_affine(T, A)
+                if T[2]:
+                    # (y - yA) - r/Z3 * (x - xA), times Z3
+                    line = ((T[2] * (yB - yA) + r * xA) % p, -r * xB % p)
+                    f = self.f2_mul(self.f2_mul(f, line), self._vertical_conj(T, xB))
+                else:
+                    # the chord through T = -A is the vertical x = xA, and
+                    # the vertical at T + A = infinity is 1
+                    f = self.f2_mul(f, (-xA % p, xB))
+        assert T[2] == 0  # q*A is infinity for A of order q
+        # Frobenius: f^(p-1) = conj(f) / f
+        a, b = f
+        f = self.f2_mul(((a - b) % p, -b % p), self.f2_inv(f))
+        return self.f2_pow(f, (p + 1) // self.q)
+
+    def _vertical_conj(self, T: Jacobian, xB: int) -> Fp2:
+        """conj of the vertical x - X/Z^2 at the distorted image, times Z^2:
+        conj(-X + Z^2*xB*z) = (-X - Z^2*xB) + (-Z^2*xB)z."""
+        p = self.p
+        X, _, Z = T
+        c = Z * Z * xB % p
+        return ((-X - c) % p, -c % p)

@@ -246,24 +246,6 @@ def decrypt(params: PublicParams, key: PrivateKey, ct: Ciphertext) -> bytes:
     return message
 
 
-# Plain ElGamal-style variant without the re-encryption check.  Kept
-# private: property tests use it to show the masking algebra and the
-# hardening layer are separable concerns.
-
-
-def _basic_encrypt(params: PublicParams, identity: str, message: bytes, r: int):
-    curve = params.curve
-    U = curve.mul(r, params.generator)
-    g = curve.pairing(hash_to_point(params, identity), params.master_pub)
-    mask = _h2(params, curve.gt_pow(g, r))
-    return U, _xor(message, mask[: len(message)])
-
-
-def _basic_decrypt(params: PublicParams, key: PrivateKey, U: Point, V: bytes):
-    mask = _h2(params, params.curve.pairing(key.point, U))
-    return _xor(V, mask[: len(V)])
-
-
 # ---- serialization ----
 
 

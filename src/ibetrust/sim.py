@@ -154,10 +154,11 @@ def parse_scenario(text: str, name: str = "<memory>") -> Scenario:
             problems.append(f"{where}: duplicate id {nid!r}")
         ids.add(nid)
         images = entry.get("images")
-        if (not isinstance(images, list) or not images
+        if (not isinstance(images, list) or len(images) < 2
                 or not all(isinstance(s, str) for s in images)):
-            problems.append(f"{where}: images must be a non-empty list of strings")
-            images = ["?"]
+            # the trust value is read from the level-2 image
+            problems.append(f"{where}: images must be a list of at least two strings")
+            images = ["?", "?"]
         tamper = entry.get("tamper_level")
         if tamper is not None and (
                 not _is_int(tamper) or not 1 <= tamper <= len(images)):
@@ -394,6 +395,35 @@ REPORT_KEYS = frozenset({
     "scenario", "profile", "seed", "final_phases", "trust_snapshots", "rejections",
     "rejection_counts", "attacks", "event_log", "energy_text",
 })
+
+
+def is_report_dict(d) -> bool:
+    """True when d holds every key render_report_dict reads, each with
+    the type SimReport.to_dict gives it."""
+    def strs(v):
+        return isinstance(v, list) and all(isinstance(x, str) for x in v)
+
+    if not isinstance(d, dict) or not REPORT_KEYS <= set(d):
+        return False
+    snapshots, rejections, attacks = d["trust_snapshots"], d["rejections"], d["attacks"]
+    return (
+        all(isinstance(d[k], str) for k in ("scenario", "profile", "energy_text"))
+        and _is_int(d["seed"])
+        and isinstance(d["final_phases"], dict)
+        and all(isinstance(v, str) for v in d["final_phases"].values())
+        and isinstance(snapshots, list)
+        and all(isinstance(s, list) and len(s) == 2 and _is_real(s[0]) and strs(s[1])
+                for s in snapshots)
+        and isinstance(rejections, list)
+        and all(isinstance(r, list) and len(r) == 4 and _is_real(r[0]) and strs(r[1:])
+                for r in rejections)
+        and isinstance(d["rejection_counts"], dict)
+        and all(_is_int(v) for v in d["rejection_counts"].values())
+        and isinstance(attacks, list)
+        and all(isinstance(a, dict) and strs([a.get("kind"), a.get("verdict")])
+                and isinstance(a.get("detail", ""), str) for a in attacks)
+        and strs(d["event_log"])
+    )
 
 
 def render_report_dict(d: dict) -> str:

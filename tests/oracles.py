@@ -53,6 +53,20 @@ def naive_mul(p, k, P):
     return R
 
 
+def double_and_add(p, k, P):
+    """Right-to-left double-and-add over affine add, for fields where
+    naive_mul's k additions are too many."""
+    if k < 0:
+        return double_and_add(p, -k, None if P is None else (P[0], -P[1] % p))
+    R = None
+    while k:
+        if k & 1:
+            R = add(p, R, P)
+        P = add(p, P, P)
+        k >>= 1
+    return R
+
+
 def map_to_point(p, q, identity):
     """Identity to order-q point: sha256 -> y, cube root -> x, clear cofactor."""
     cofactor = (p + 1) // q

@@ -139,6 +139,28 @@ class TestReport:
         assert rc == 2
         assert "not a report file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("final_phases", []),
+        ("trust_snapshots", [1]),
+        ("rejections", [["t", "actor"]]),
+        ("attacks", [{"kind": "replay"}]),
+        ("energy_text", 5),
+        ("event_log", "abc"),
+        ("seed", [1]),
+        ("trust_snapshots", [[1, "xy"]]),
+        ("rejection_counts", {"nonce_replay": "1"}),
+    ])
+    def test_wrong_value_type(self, tmp_path, capsys, key, value):
+        out = tmp_path / "report.json"
+        run_cli(["run", "--scenario", "attacks", "--out", str(out)])
+        capsys.readouterr()
+        data = json.loads(out.read_text())
+        data[key] = value
+        out.write_text(json.dumps(data))
+        rc = run_cli(["report", "--in", str(out)])
+        assert rc == 2
+        assert "not a report file" in capsys.readouterr().err
+
 
 class TestUsage:
     def test_no_subcommand(self):

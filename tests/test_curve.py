@@ -10,6 +10,7 @@ from ibetrust import ibe
 from ibetrust.curve import GT_ONE, Curve, is_probable_prime
 
 TOY_P, TOY_Q = 227, 19
+DEMO_P, DEMO_Q = ibe.PROFILES["demo"]["p"], ibe.PROFILES["demo"]["q"]
 
 
 @pytest.fixture(scope="module")
@@ -199,3 +200,64 @@ class TestPairing:
     def test_gt_inverse(self, toy, gen):
         e = toy.pairing(gen, gen)
         assert toy.gt_mul(e, toy.gt_inv(e)) == GT_ONE
+
+
+class TestDemoKernel:
+    """The demo profile's 256-bit field, against the affine oracles."""
+
+    @pytest.fixture(scope="class")
+    def demo(self):
+        return Curve(DEMO_P, DEMO_Q)
+
+    @pytest.fixture(scope="class")
+    def points(self):
+        # order-q points built without the library: lift a seeded y,
+        # then clear the cofactor with the oracle
+        rng = random.Random(11)
+        cofactor = (DEMO_P + 1) // DEMO_Q
+        out = []
+        while len(out) < 4:
+            y = rng.randrange(DEMO_P)
+            x = pow((y * y - 1) % DEMO_P, (2 * DEMO_P - 1) // 3, DEMO_P)
+            P = oracles.double_and_add(DEMO_P, cofactor, (x, y))
+            if P is not None:
+                out.append(P)
+        return out
+
+    def test_mul_matches_double_and_add(self, demo, points):
+        rng = random.Random(12)
+        q = DEMO_Q
+        ks = [0, 1, 2, q - 1, q, q + 1, 2 * q]
+        ks += [rng.randrange(1, q) for _ in range(4)] + [rng.getrandbits(300)]
+        ks += [-k for k in ks[-5:]]
+        for P in points[:2]:
+            for k in ks:
+                assert demo.mul(k, P) == oracles.double_and_add(DEMO_P, k, P), k
+        assert demo.mul(q, points[0]) is None
+        assert demo.mul(5, None) is None
+
+    def test_mul_outside_subgroup(self, demo):
+        # an uncleared point, and the points of order 2 and 3
+        U = demo.point_from_y(5)
+        for P in (U, (DEMO_P - 1, 0), (0, 1), (0, DEMO_P - 1)):
+            for k in (1, 2, 3, 4, 5, 6, 7, demo.cofactor, DEMO_Q, DEMO_P + 1):
+                assert demo.mul(k, P) == oracles.double_and_add(DEMO_P, k, P), (P, k)
+
+    def test_pairing_matches_divisor_oracle(self, demo, points):
+        for A, B in ((points[0], points[1]), (points[2], points[3])):
+            assert demo.pairing(A, B) == oracles.pairing(DEMO_P, DEMO_Q, A, B)
+
+
+@pytest.mark.parametrize("p, q", [(TOY_P, TOY_Q), (DEMO_P, DEMO_Q)], ids=["toy", "demo"])
+def test_in_subgroup_rejects_small_orders(p, q):
+    curve = Curve(p, q)
+    # a point of order divisible by q and by a cofactor prime
+    for y in range(2, p):
+        U = curve.point_from_y(y)
+        if (oracles.double_and_add(p, q, U) is not None
+                and oracles.double_and_add(p, curve.cofactor, U) is not None):
+            break
+    for bad in ((p - 1, 0), (0, 1), (0, p - 1), U):
+        assert curve.contains(bad)
+        assert not curve.in_subgroup(bad)
+    assert curve.in_subgroup(curve.mul(curve.cofactor, U))

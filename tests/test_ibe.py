@@ -12,6 +12,23 @@ from ibetrust import ibe
 from ibetrust.errors import ConfigError, Reject
 
 
+# Plain ElGamal-style variant without the re-encryption check, to show
+# the masking algebra and the hardening layer are separable concerns.
+
+
+def basic_encrypt(params, identity, message, r):
+    curve = params.curve
+    U = curve.mul(r, params.generator)
+    g = curve.pairing(ibe.hash_to_point(params, identity), params.master_pub)
+    mask = ibe._h2(params, curve.gt_pow(g, r))
+    return U, ibe._xor(message, mask[: len(message)])
+
+
+def basic_decrypt(params, key, U, V):
+    mask = ibe._h2(params, params.curve.pairing(key.point, U))
+    return ibe._xor(V, mask[: len(V)])
+
+
 @pytest.fixture(scope="module")
 def toy_setup():
     cfg = ibe.SecurityConfig.from_profile("toy", seed=vectors.TOY_SEED)
@@ -265,11 +282,11 @@ class TestEncryptDecrypt:
         # the stripped-down variant roundtrips but cannot notice tampering;
         # the re-encryption check is what turns flips into rejects
         key = ibe.extract(params, master, "node-001")
-        U, V = ibe._basic_encrypt(params, "node-001", b"hello", r=7)
-        assert ibe._basic_decrypt(params, key, U, V) == b"hello"
+        U, V = basic_encrypt(params, "node-001", b"hello", r=7)
+        assert basic_decrypt(params, key, U, V) == b"hello"
         bad = bytearray(V)
         bad[0] ^= 0x01
-        out = ibe._basic_decrypt(params, key, U, bytes(bad))
+        out = basic_decrypt(params, key, U, bytes(bad))
         assert out != b"hello"  # silently wrong, not rejected
 
 

@@ -76,6 +76,13 @@ class TestScenarioParsing:
         with pytest.raises(ConfigError, match="duplicate"):
             scenario_from(bad)
 
+    def test_one_image_chain(self):
+        bad = dict(MINIMAL, seed=-1, nodes=[{"id": "n1", "images": ["loader"]}])
+        with pytest.raises(ConfigError) as e:
+            scenario_from(bad)
+        text = str(e.value)
+        assert "at least two strings" in text and "seed" in text
+
     def test_tamper_level_bounds(self):
         bad = dict(MINIMAL, nodes=[{"id": "n1", "images": ["a", "b"], "tamper_level": 3}])
         with pytest.raises(ConfigError, match="tamper_level"):
