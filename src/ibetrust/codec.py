@@ -1,12 +1,12 @@
 """Wire formats: 127-byte frames, the record MAC, fragmentation.
 
-A frame is a 21-byte header followed by at most 106 payload bytes.  The
-header models the fields the simulator needs (destination, source,
-sequence number, flags) and pads the rest to the fixed 21 bytes a real
-802.15.4-style stack would occupy.  Blobs (serialized ciphertexts, trust
-lists) are fragmented into raw 106-byte chunks with consecutive
-sequence numbers; the MORE flag marks every chunk but the last.  Each
-protocol record carries its own truncated_mac.
+A frame is a modelled object, never serialized: it holds the fields the
+simulator needs (destination, source, sequence number, flags) and at
+most 106 payload bytes, and its header is counted as the fixed 21 bytes
+a real 802.15.4-style stack would occupy.  Blobs (serialized
+ciphertexts, trust lists) are fragmented into raw 106-byte chunks with
+consecutive sequence numbers; the MORE flag marks every chunk but the
+last.  Each protocol record carries its own truncated_mac.
 """
 
 from __future__ import annotations
@@ -54,33 +54,6 @@ class Frame:
     @property
     def more(self) -> bool:
         return bool(self.flags & FLAG_MORE)
-
-
-def encode_frame(frame: Frame) -> bytes:
-    header = (
-        frame.dst.to_bytes(2, "big")
-        + frame.src.to_bytes(2, "big")
-        + frame.seq.to_bytes(2, "big")
-        + bytes([frame.flags])
-    )
-    header += b"\x00" * (HEADER_SIZE - len(header))
-    return header + frame.payload
-
-
-def decode_frame(data: bytes) -> Frame:
-    if len(data) < HEADER_SIZE:
-        raise ValueError("short frame")
-    if len(data) > MAX_FRAME:
-        raise ValueError("frame over 127 bytes")
-    if any(data[7:HEADER_SIZE]):
-        raise ValueError("nonzero header padding")
-    return Frame(
-        dst=int.from_bytes(data[0:2], "big"),
-        src=int.from_bytes(data[2:4], "big"),
-        seq=int.from_bytes(data[4:6], "big"),
-        flags=data[6],
-        payload=data[HEADER_SIZE:],
-    )
 
 
 def fragment(dst: int, src: int, blob: bytes, first_seq: int = 0) -> list[Frame]:

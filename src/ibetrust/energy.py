@@ -3,10 +3,10 @@
 The model charges a fixed 72 mW processor (20 mA at 3.6 V) for timed
 processes (boot, encryption, hashing, world switching, pairing), a
 per-bit cost for encryption work, and per-byte radio costs for
-transmit and receive.  Each simulated node owns a ledger of events;
-totals are reduced in a fixed category order so the conservation
-check (sum of events = sum of categories = grand total) holds exactly
-in floating point.
+transmit and receive.  Each simulated node owns a ledger of events.
+Category totals are correctly rounded sums (math.fsum), so they do not
+depend on the order the events arrived in, and together they conserve
+the sum of the ledger's events to within one rounding per category.
 
 The report renders three tables: per-process energies derived from the
 constants, communication legs with both the simulator's true on-air
@@ -33,7 +33,6 @@ NOMINAL_TA_TX_BYTES = 319
 NOMINAL_TA_RX_BYTES = 480
 NOMINAL_AKE_TX_BYTES = 85
 NOMINAL_TA_ENC_BITS = 160  # the reading that makes per-bit cost match the 3.6 mJ row
-NOMINAL_TA_TOTAL_J = 0.027
 
 # published energy totals for comparable schemes, emitted as static
 # reference rows in the comparison table
@@ -187,11 +186,6 @@ class EnergyLedger:
 
     def by_category(self) -> dict[str, float]:
         return {c: self.category_total(c) for c in CATEGORIES}
-
-    def grand_total(self) -> float:
-        # fsum gives the correctly rounded sum, so the conservation
-        # identity (events = categories = total) is order-independent
-        return math.fsum(e.joules for e in self.events)
 
     def totals_by_note(self, category: str) -> dict[str, tuple[float, float]]:
         """note -> (sum of joules, sum of quantity) for one category."""

@@ -68,7 +68,7 @@ class SecurityConfig:
             problems.append("p not prime")
         if not is_probable_prime(self.q):
             problems.append("q not prime")
-        if (self.p + 1) % self.q != 0:
+        if self.q == 0 or (self.p + 1) % self.q != 0:
             problems.append("q does not divide p + 1")
         if self.q == self.p:
             problems.append("q equals p")
@@ -322,6 +322,7 @@ def params_from_bytes(data: bytes) -> PublicParams:
     mpub = (r.lp_int(), r.lp_int())
     if not r.done():
         raise ValueError("trailing bytes in params blob")
+    SecurityConfig("loaded", p, q, n).validate()
     params = PublicParams(p=p, q=q, n=n, generator=gen, master_pub=mpub)
     if not (params.curve.in_subgroup(gen) and params.curve.in_subgroup(mpub)):
         raise ValueError("params point invalid")

@@ -252,7 +252,6 @@ class TrustRecord:
     trust_value: str
     status: str = ST_REGISTERED
     seen_nonces: set = field(default_factory=set)
-    last_nonce: bytes | None = None
 
 
 class TrustDB:
@@ -308,7 +307,6 @@ class Node:
         self.pending_nonce: bytes | None = None
         self.sessions: dict[str, ake_mod.SessionKey] = {}
         self.ake_nonces: dict[str, set] = {}
-        self.rejections: list[tuple[str, str]] = []
         self.next_seq = 0
         self.now = 0.0
         self._billing = False
@@ -361,9 +359,6 @@ class Node:
             self.phase = HALTED
         return result
 
-    def log_reject(self, reason: str, detail: str = ""):
-        self.rejections.append((reason, detail))
-
 
 # ---------------------------------------------------------------------------
 # Base station
@@ -381,9 +376,6 @@ class BaseStation:
         self.key = ibe.extract(params, master, BS_IDENTITY)
         self.registry = Registry()
         self.db = TrustDB()
-        self.roster: list[str] = []
-        self.rejections: list[tuple[str, str]] = []
-        self.warnings: list[str] = []
         self.next_seq = 0
         # Disabled only by the harness mutation test, to show the replay
         # defence is load-bearing.
@@ -393,9 +385,6 @@ class BaseStation:
         frames = codec.fragment(dst_wire, BS_WIRE_ID, blob, first_seq=self.next_seq)
         self.next_seq = (self.next_seq + len(frames)) & 0xFFFF
         return frames
-
-    def log_reject(self, reason: str, detail: str = ""):
-        self.rejections.append((reason, detail))
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +401,6 @@ def dp_provision(bs: BaseStation, identity: str,
     """
     wire = bs.registry.assign(identity)
     key = ibe.extract(bs.params, bs.master, identity)
-    bs.roster.append(identity)
     return Node(identity, wire, bs.params, key, bs.registry, constants)
 
 
@@ -461,35 +449,30 @@ def ta_request(node: Node, rng, time: float = 0.0) -> list[codec.Frame]:
 def bs_handle_ta(bs: BaseStation, frames, rng) -> list[codec.Frame]:
     """Verify a trust report; admit the node and answer with the list.
 
-    Every failure raises Reject with a distinct reason and is logged:
-    decrypt_failure, mac_mismatch, unknown_id, trust_mismatch,
+    Every failure raises Reject with a distinct reason, which the caller
+    records: decrypt_failure, mac_mismatch, unknown_id, trust_mismatch,
     nonce_replay, and malformed_record for a plaintext of the wrong
     shape (anyone can encrypt one to the BS).  A terminated node that
     reports a matching trust value is re-admitted, covering the
     reboot-and-re-authenticate path.
     """
     try:
-        try:
-            blob = codec.reassemble(frames)
-        except ValueError as exc:
-            raise Reject("decrypt_failure", f"reassembly: {exc}") from exc
-        try:
-            record = decrypt_message(bs.params, bs.key, blob)
-        except Reject as exc:
-            raise Reject("decrypt_failure", exc.reason) from exc
-        wire, claimed, nonce = decode_ta_record(record)
-        if wire not in bs.registry or bs.registry.identity(wire) not in bs.db:
-            raise Reject("unknown_id", f"wire id {wire}")
-        rec = bs.db.get(bs.registry.identity(wire))
-        if claimed != rec.trust_value:
-            raise Reject("trust_mismatch", rec.identity)
-        if bs.nonce_check and nonce in rec.seen_nonces:
-            raise Reject("nonce_replay", rec.identity)
+        blob = codec.reassemble(frames)
+    except ValueError as exc:
+        raise Reject("decrypt_failure", f"reassembly: {exc}") from exc
+    try:
+        record = decrypt_message(bs.params, bs.key, blob)
     except Reject as exc:
-        bs.log_reject(exc.reason, exc.detail)
-        raise
+        raise Reject("decrypt_failure", exc.reason) from exc
+    wire, claimed, nonce = decode_ta_record(record)
+    if wire not in bs.registry or bs.registry.identity(wire) not in bs.db:
+        raise Reject("unknown_id", f"wire id {wire}")
+    rec = bs.db.get(bs.registry.identity(wire))
+    if claimed != rec.trust_value:
+        raise Reject("trust_mismatch", rec.identity)
+    if bs.nonce_check and nonce in rec.seen_nonces:
+        raise Reject("nonce_replay", rec.identity)
     rec.seen_nonces.add(nonce)
-    rec.last_nonce = nonce
     rec.status = ST_TRUSTED
     ack = encode_ack_record(nonce, bs.db.trusted_wire_ids())
     blob = encrypt_message(bs.params, rec.identity, ack, rng)
@@ -500,27 +483,23 @@ def node_handle_ack(node: Node, frames, time: float = 0.0) -> None:
     """Decrypt the ack, check the nonce echo, install the trust list."""
     node.now = time
     node.bill_rx(codec.on_air_bytes(frames), "ta-ack")
+    if node.phase != TA or node.pending_nonce is None:
+        raise Reject("not_waiting", f"phase {node.phase!r}")
     try:
-        if node.phase != TA or node.pending_nonce is None:
-            raise Reject("not_waiting", f"phase {node.phase!r}")
-        try:
-            blob = codec.reassemble(frames)
-        except ValueError as exc:
-            raise Reject("decrypt_failure", f"reassembly: {exc}") from exc
-        node.world.switch(SECURE)
-        try:
-            record = decrypt_message(node.params, node.world.access("ibe_private_key"),
-                                     blob)
-        except Reject as exc:
-            raise Reject("decrypt_failure", exc.reason) from exc
-        finally:
-            node.world.switch(NORMAL)
-        nonce, wire_ids = decode_ack_record(record)
-        if nonce != node.pending_nonce:
-            raise Reject("stale_nonce", nonce.hex())
+        blob = codec.reassemble(frames)
+    except ValueError as exc:
+        raise Reject("decrypt_failure", f"reassembly: {exc}") from exc
+    node.world.switch(SECURE)
+    try:
+        record = decrypt_message(node.params, node.world.access("ibe_private_key"),
+                                 blob)
     except Reject as exc:
-        node.log_reject(exc.reason, exc.detail)
-        raise
+        raise Reject("decrypt_failure", exc.reason) from exc
+    finally:
+        node.world.switch(NORMAL)
+    nonce, wire_ids = decode_ack_record(record)
+    if nonce != node.pending_nonce:
+        raise Reject("stale_nonce", nonce.hex())
     node.trust_list = tuple(sorted(
         node.registry.identity(w) for w in wire_ids if w in node.registry
     ))
@@ -529,9 +508,8 @@ def node_handle_ack(node: Node, frames, time: float = 0.0) -> None:
 
 
 def bs_terminate(bs: BaseStation, identity: str) -> bool:
-    """Remove a node from the trust list; unknown ids warn and no-op."""
+    """Remove a node from the trust list; an unknown id is a no-op."""
     if identity not in bs.db:
-        bs.warnings.append(f"terminate: unknown identity {identity!r}")
         return False
     bs.db.get(identity).status = ST_TERMINATED
     return True
@@ -571,18 +549,14 @@ def peer_authenticate(node: Node, msg: ake_mod.AkeMessage, time: float = 0.0,
     """
     node.now = time
     node.bill_rx(rx_bytes, "ake")
-    try:
-        if node.phase != TRUSTED:
-            raise Reject("not_trusted", f"phase {node.phase!r}")
-        if msg.sender not in node.trust_list:
-            raise Reject("not_in_trust_list", msg.sender)
-        seen = node.ake_nonces.setdefault(msg.sender, set())
-        if (msg.nonce, msg.big_r) in seen:
-            raise Reject("nonce_replay", msg.sender)
-        session = ake_mod.respond(node.params, node._private_key, msg)
-    except Reject as exc:
-        node.log_reject(exc.reason, exc.detail)
-        raise
+    if node.phase != TRUSTED:
+        raise Reject("not_trusted", f"phase {node.phase!r}")
+    if msg.sender not in node.trust_list:
+        raise Reject("not_in_trust_list", msg.sender)
+    seen = node.ake_nonces.setdefault(msg.sender, set())
+    if (msg.nonce, msg.big_r) in seen:
+        raise Reject("nonce_replay", msg.sender)
+    session = ake_mod.respond(node.params, node._private_key, msg)
     seen.add((msg.nonce, msg.big_r))
     node.ledger.add(time, "pairing", node.constants.e_pairing, note="ake")
     node.sessions[msg.sender] = session

@@ -1,6 +1,6 @@
 """Scenario-driven discrete-event simulator.
 
-A scenario file declares a node roster, a channel, and a timestamped
+A scenario file declares the nodes, a channel, and a timestamped
 event schedule (boots, trust reports, key exchanges, terminations and
 attack injections).  The run is fully determined by the scenario plus a
 seed: the virtual clock, every frame on the air, every accept/reject
@@ -333,16 +333,6 @@ class Transmission:
         return codec.on_air_bytes(self.frames)
 
 
-class SimReportLog:
-    """Ordered, timestamped run log shared by the simulation pieces."""
-
-    def __init__(self):
-        self.lines: list[str] = []
-
-    def add(self, time: float, text: str):
-        self.lines.append(f"[{time:g}] {text}")
-
-
 # ---------------------------------------------------------------------------
 # Report
 
@@ -364,9 +354,6 @@ class SimReport:
         for _, _, reason, _ in self.rejections:
             counts[reason] = counts.get(reason, 0) + 1
         return dict(sorted(counts.items()))
-
-    def attack_verdicts(self) -> dict[str, str]:
-        return {f"{a['kind']}#{i}": a["verdict"] for i, a in enumerate(self.attacks)}
 
     def to_dict(self) -> dict:
         return {
@@ -487,11 +474,15 @@ class Simulation:
             params, master = ibe.setup(config)
         else:
             params, master = keys
+            profile = ibe.PROFILES[scenario.profile]
+            if (params.p, params.q, params.n) != (profile["p"], profile["q"], profile["n"]):
+                raise ConfigError(f"key material does not match the scenario's "
+                                  f"{scenario.profile!r} profile")
         self.bs = protocol.BaseStation(params, master)
         self.bs.nonce_check = nonce_check
         self.params = params
 
-        self.log = SimReportLog()
+        self.event_log: list[str] = []
         self.queue: list = []
         self._seq = 0
         self.captures: list[Transmission] = []
@@ -509,8 +500,8 @@ class Simulation:
             if spec.tamper_level is not None:
                 image = node.chain.images[spec.tamper_level - 1]
                 image.data += b"\x00tampered"
-                self.log.add(0, f"{spec.id} image at level {spec.tamper_level} "
-                                "tampered in the field")
+                self._note(0, f"{spec.id} image at level {spec.tamper_level} "
+                              "tampered in the field")
             self.nodes[spec.id] = node
         self.by_wire = {n.wire_id: n for n in self.nodes.values()}
 
@@ -520,10 +511,13 @@ class Simulation:
         heapq.heappush(self.queue, (time, self._seq, action, payload))
         self._seq += 1
 
+    def _note(self, time: float, text: str):
+        self.event_log.append(f"[{time:g}] {text}")
+
     def reject(self, time: float, actor: str, exc: Reject):
         self.rejections.append((time, actor, exc.reason, exc.detail))
-        self.log.add(time, f"{actor} reject: {exc.reason}"
-                           + (f" ({exc.detail})" if exc.detail else ""))
+        self._note(time, f"{actor} reject: {exc.reason}"
+                         + (f" ({exc.detail})" if exc.detail else ""))
 
     def entity_name(self, wire: int) -> str:
         if wire == protocol.BS_WIRE_ID:
@@ -534,7 +528,7 @@ class Simulation:
     def snapshot(self, time: float):
         ids = self.bs.db.trusted_identities()
         self.trust_snapshots.append((time, ids))
-        self.log.add(time, f"trust list now [{', '.join(ids)}]")
+        self._note(time, f"trust list now [{', '.join(ids)}]")
 
     # -- channel
 
@@ -550,9 +544,9 @@ class Simulation:
         kept = [f for f in tx.frames if self.rng_channel.random() >= self.scenario.loss]
         lost = len(tx.frames) - len(kept)
         note = f" (attack {tx.attack.spec.kind})" if tx.attack else ""
-        self.log.add(time, f"{tx.origin} -> {self.entity_name(tx.dst_wire)} "
-                           f"{tx.label} {tx.on_air()}B in {len(tx.frames)} frame(s)"
-                           + (f", {lost} lost" if lost else "") + note)
+        self._note(time, f"{tx.origin} -> {self.entity_name(tx.dst_wire)} "
+                         f"{tx.label} {tx.on_air()}B in {len(tx.frames)} frame(s)"
+                         + (f", {lost} lost" if lost else "") + note)
         arrival = time + len(tx.frames)
         self.push(arrival, "deliver",
                   Transmission(tx.time, tx.origin, tx.label, kept, tx.attack))
@@ -572,8 +566,8 @@ class Simulation:
             piece = bytes(flipped[pos : pos + len(f.payload)])
             pos += len(f.payload)
             frames.append(codec.Frame(f.dst, f.src, f.seq, f.flags, piece))
-        self.log.add(time, f"attack modify flips bit {bit} of {tx.label} "
-                           f"from {tx.origin}")
+        self._note(time, f"attack modify flips bit {bit} of {tx.label} "
+                         f"from {tx.origin}")
         return Transmission(tx.time, tx.origin, tx.label, frames, attack)
 
     def resolve(self, attack: Attack | None, verdict: str, detail: str):
@@ -585,7 +579,7 @@ class Simulation:
 
     def deliver(self, time: float, tx: Transmission):
         if not tx.frames:
-            self.log.add(time, f"all frames of {tx.label} from {tx.origin} lost")
+            self._note(time, f"all frames of {tx.label} from {tx.origin} lost")
             self.resolve(tx.attack, NO_OP, "all frames lost")
             return
         if tx.dst_wire == protocol.BS_WIRE_ID:
@@ -593,7 +587,7 @@ class Simulation:
         else:
             node = self.by_wire.get(tx.dst_wire)
             if node is None:
-                self.log.add(time, f"{tx.label} addressed to unknown wire {tx.dst_wire}")
+                self._note(time, f"{tx.label} addressed to unknown wire {tx.dst_wire}")
                 self.resolve(tx.attack, NO_OP, "unknown destination")
             elif tx.label == "ta-ack":
                 self._deliver_ack(time, node, tx)
@@ -608,7 +602,7 @@ class Simulation:
             self.resolve(tx.attack, BLOCKED, exc.reason)
             return
         sender = self.entity_name(tx.src_wire)
-        self.log.add(time, f"bs accepted trust report from {sender}")
+        self._note(time, f"bs accepted trust report from {sender}")
         self.snapshot(time)
         self.resolve(tx.attack, SUCCEEDED, "trust report accepted")
         self.transmit(time, Transmission(time, protocol.BS_IDENTITY, "ta-ack", ack))
@@ -620,8 +614,8 @@ class Simulation:
             self.reject(time, node.identity, exc)
             self.resolve(tx.attack, BLOCKED, exc.reason)
             return
-        self.log.add(time, f"{node.identity} trusted; list "
-                           f"[{', '.join(node.trust_list)}]")
+        self._note(time, f"{node.identity} trusted; list "
+                         f"[{', '.join(node.trust_list)}]")
         self.resolve(tx.attack, SUCCEEDED, "ack accepted")
 
     def _deliver_ake(self, time: float, node: protocol.Node, tx: Transmission):
@@ -646,7 +640,7 @@ class Simulation:
         peer_session = initiator.sessions.get(node.identity) if initiator else None
         if (tx.origin == msg.sender and peer_session is not None
                 and protocol.confirm_tag(peer_session) == protocol.confirm_tag(session)):
-            self.log.add(time, f"session {msg.sender} <-> {node.identity} established")
+            self._note(time, f"session {msg.sender} <-> {node.identity} established")
             self.resolve(tx.attack, SUCCEEDED, "session established")
         else:
             # drop the unconfirmed key, keeping any confirmed session it displaced
@@ -667,7 +661,7 @@ class Simulation:
             result = node.power_on(time=t)
             outcome = (f"deployed (trust {node.trust_value})" if result.ok
                        else f"halted at level {result.failed_level}")
-            self.log.add(t, f"{event.node} boots: {outcome}")
+            self._note(t, f"{event.node} boots: {outcome}")
         elif event.kind == "ta":
             node = self.nodes[event.node]
             try:
@@ -688,10 +682,10 @@ class Simulation:
         elif event.kind == "terminate":
             if protocol.bs_terminate(self.bs, event.node):
                 self.nodes[event.node].phase = protocol.TERMINATED
-                self.log.add(t, f"bs terminates {event.node}")
+                self._note(t, f"bs terminates {event.node}")
                 self.snapshot(t)
             else:
-                self.log.add(t, f"bs terminate: unknown id {event.node}")
+                self._note(t, f"bs terminate: unknown id {event.node}")
         else:
             self.inject(Attack(event.attack, t))
 
@@ -706,17 +700,17 @@ class Simulation:
             if spec.occurrence > len(matches):
                 attack.verdict = NO_OP
                 attack.detail = "selector matched no captured transmission"
-                self.log.add(t, "attack replay: nothing captured to replay")
+                self._note(t, "attack replay: nothing captured to replay")
                 return
             captured = matches[spec.occurrence - 1]
-            self.log.add(t, f"attack replay: re-injecting {spec.label}"
-                            f"#{spec.occurrence} from {spec.source}")
+            self._note(t, f"attack replay: re-injecting {spec.label}"
+                          f"#{spec.occurrence} from {spec.source}")
             self.transmit(t, Transmission(t, captured.origin, captured.label,
                                           list(captured.frames), attack))
         elif spec.kind == "modify":
             self.pending_mods.append(attack)
-            self.log.add(t, f"attack modify: armed for next {spec.label} "
-                            f"from {spec.source}")
+            self._note(t, f"attack modify: armed for next {spec.label} "
+                          f"from {spec.source}")
         elif spec.kind == "fake_node":
             hm = "".join(self.rng_adversary.choice("0123456789abcdef")
                          for _ in range(8))
@@ -725,8 +719,8 @@ class Simulation:
             blob = protocol.encrypt_message(
                 self.params, protocol.BS_IDENTITY, record, self.rng_adversary)
             frames = codec.fragment(protocol.BS_WIRE_ID, spec.claimed_wire, blob)
-            self.log.add(t, f"attack fake_node: wire {spec.claimed_wire} "
-                            f"claims trust value {hm}")
+            self._note(t, f"attack fake_node: wire {spec.claimed_wire} "
+                          f"claims trust value {hm}")
             self.transmit(t, Transmission(t, "adversary", "ta-request", frames, attack))
         else:  # impersonate
             r = self.rng_adversary.randrange(1, self.params.q)
@@ -739,8 +733,8 @@ class Simulation:
             frames = codec.fragment(
                 self.bs.registry.wire_id(spec.target),
                 self.bs.registry.wire_id(spec.claimed), blob)
-            self.log.add(t, f"attack impersonate: claiming {spec.claimed} "
-                            f"towards {spec.target} without its key")
+            self._note(t, f"attack impersonate: claiming {spec.claimed} "
+                          f"towards {spec.target} without its key")
             self.transmit(t, Transmission(t, "adversary", "ake", frames, attack))
 
     # -- run
@@ -772,7 +766,7 @@ class Simulation:
             rejections=self.rejections,
             attacks=[{"kind": a.spec.kind, "verdict": a.verdict, "detail": a.detail}
                      for a in self.attacks],
-            event_log=self.log.lines,
+            event_log=self.event_log,
             energy_report=report,
         )
 

@@ -1,5 +1,9 @@
 import sys
 from pathlib import Path
 
-# make oracles.py / vectors.py importable from any invocation directory
-sys.path.insert(0, str(Path(__file__).resolve().parent))
+# make ibetrust importable from a checkout without an install, and
+# oracles.py / vectors.py from any invocation directory
+HERE = Path(__file__).resolve().parent
+for path in (HERE.parent / "src", HERE):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))

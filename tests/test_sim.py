@@ -328,6 +328,13 @@ class TestReportShape:
                         "event log", "per-process energy"):
             assert section in direct
 
+    def test_each_rejection_logged_once_in_order(self):
+        report = sim.run(sim.load_scenario("attacks"))
+        assert report.rejections
+        expected = [f"[{t:g}] {actor} reject: {reason}" + (f" ({detail})" if detail else "")
+                    for t, actor, reason, detail in report.rejections]
+        assert [line for line in report.event_log if " reject: " in line] == expected
+
     def test_report_counts_consistent(self):
         report = sim.run(sim.load_scenario("attacks"))
         assert sum(report.rejection_counts().values()) == len(report.rejections)
