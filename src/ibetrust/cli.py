@@ -55,6 +55,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_keygen(args) -> int:
+    # each identity names a file in --out-dir, so it must be a plain file name
+    bad = [i for i in args.ids if i in ("", ".", "..") or "\0" in i or Path(i).name != i]
+    if bad:
+        raise ConfigError(f"--ids must be plain file names, got {', '.join(map(repr, bad))}")
     config = ibe.SecurityConfig.from_profile(args.profile, seed=args.seed)
     params, master = ibe.setup(config)
     args.out_dir.mkdir(parents=True, exist_ok=True)

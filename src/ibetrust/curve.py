@@ -23,8 +23,7 @@ evaluates each line times an F_p factor that clears its denominators;
 the pairing's final exponentiation maps every F_p factor to 1, so the
 value is the same as with affine lines.  That exponentiation starts
 with the Frobenius map, which is the conjugation (a + bz)^p =
-(a - b) - bz here (Barreto-Kim-Lynn-Scott, CRYPTO 2002).  Curve.add,
-used outside the loops, stays affine.
+(a - b) - bz here (Barreto-Kim-Lynn-Scott, CRYPTO 2002).
 """
 
 from __future__ import annotations
@@ -122,17 +121,7 @@ class Curve:
             return Q
         if Q is None:
             return P
-        p = self.p
-        x1, y1 = P
-        x2, y2 = Q
-        if x1 == x2:
-            if (y1 + y2) % p == 0:
-                return None
-            lam = 3 * x1 * x1 * pow(2 * y1, -1, p) % p
-        else:
-            lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
-        x3 = (lam * lam - x1 - x2) % p
-        return (x3, (lam * (x1 - x3) - y1) % p)
+        return self._to_affine(self._add_affine((P[0], P[1], 1), Q)[0])
 
     # Jacobian (X, Y, Z) stands for the affine (X/Z^2, Y/Z^3); any Z = 0
     # is infinity.  Neither step inverts.
@@ -183,6 +172,10 @@ class Curve:
             T = self._double(T)[0]
             if bit == "1":
                 T = self._add_affine(T, P)[0]
+        return self._to_affine(T)
+
+    def _to_affine(self, T: Jacobian) -> Point:
+        """(X/Z^2, Y/Z^3) with one inversion; Z = 0 is infinity."""
         X, Y, Z = T
         if Z == 0:
             return None

@@ -233,6 +233,21 @@ def build_report(
         ("world switch", constants.switching_s, constants.e_switch),
         ("tate pairing", constants.pairing_s, constants.e_pairing),
     ]
+    nominal_total = e_total(
+        1, 1, NOMINAL_TA_ENC_BITS, NOMINAL_TA_TX_BYTES, NOMINAL_TA_RX_BYTES, constants
+    )
+    # Finite constants can still multiply or add up past the float range.
+    # Every joule figure in the report is a non-negative part of this sum,
+    # or the battery share of the nominal total, so one check covers them.
+    figures = [e.joules for led in ledgers.values() for e in led.events]
+    figures += [j for _, _, j in process_rows]
+    figures += [nominal_total, nominal_total / constants.battery_j * 100]
+    try:
+        finite = math.isfinite(math.fsum(figures))
+    except OverflowError:  # finite terms whose sum is too large for a float
+        finite = False
+    if not finite:
+        raise ConfigError("energy figures overflow a float; the energy constants are too large")
     comm_rows = []
     per_node = {}
     ta_totals = {}
@@ -254,9 +269,6 @@ def build_report(
         ("ta ack rx", NOMINAL_TA_RX_BYTES, e_comm(0, NOMINAL_TA_RX_BYTES, constants)),
         ("ake tx", NOMINAL_AKE_TX_BYTES, e_comm(NOMINAL_AKE_TX_BYTES, 0, constants)),
     ]
-    nominal_total = e_total(
-        1, 1, NOMINAL_TA_ENC_BITS, NOMINAL_TA_TX_BYTES, NOMINAL_TA_RX_BYTES, constants
-    )
     measured = sorted(ta_totals.values())
     mid = measured[len(measured) // 2] if measured else 0.0
     comparison_rows = list(COMPARISON_REFERENCE) + [

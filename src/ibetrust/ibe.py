@@ -21,14 +21,6 @@ from dataclasses import dataclass
 from .curve import Curve, Point, Fp2, is_probable_prime
 from .errors import ConfigError, Reject
 
-# H1..H4 construction tags, recorded in the params for audit purposes
-HASH_IDS = (
-    "h1:sha256-map-to-point",
-    "h2:sha256-trunc-n",
-    "h3:sha256-zqstar",
-    "h4:sha256-trunc-n",
-)
-
 PROFILES = {
     "toy": {"p": 227, "q": 19, "n": 128},
     "demo": {
@@ -89,7 +81,6 @@ class PublicParams:
     n: int
     generator: Point
     master_pub: Point
-    hash_ids: tuple = HASH_IDS
 
     def __post_init__(self):
         self.curve = Curve(self.p, self.q)
@@ -277,9 +268,20 @@ def _lp_int(v: int) -> bytes:
 
 
 class _Reader:
-    def __init__(self, data: bytes):
+    """Parser of a key-material blob: magic, version byte, then fields.
+
+    kind names the blob in the magic error, short (kind by default) in
+    the version and trailing-bytes errors.
+    """
+
+    def __init__(self, data: bytes, magic: bytes, kind: str, short: str = ""):
         self.data = data
         self.off = 0
+        self.short = short or kind
+        if self.take(4) != magic:
+            raise ValueError(f"not a {kind} blob")
+        if self.take(1)[0] != _FORMAT_VERSION:
+            raise ValueError(f"unsupported {self.short} version")
 
     def take(self, k: int) -> bytes:
         if self.off + k > len(self.data):
@@ -292,8 +294,9 @@ class _Reader:
         w = int.from_bytes(self.take(2), "big")
         return int.from_bytes(self.take(w), "big")
 
-    def done(self) -> bool:
-        return self.off == len(self.data)
+    def end(self) -> None:
+        if self.off != len(self.data):
+            raise ValueError(f"trailing bytes in {self.short} blob")
 
 
 def params_to_bytes(params: PublicParams) -> bytes:
@@ -312,16 +315,11 @@ def params_to_bytes(params: PublicParams) -> bytes:
 
 
 def params_from_bytes(data: bytes) -> PublicParams:
-    r = _Reader(data)
-    if r.take(4) != _PARAMS_MAGIC:
-        raise ValueError("not a params blob")
-    if r.take(1)[0] != _FORMAT_VERSION:
-        raise ValueError("unsupported params version")
+    r = _Reader(data, _PARAMS_MAGIC, "params")
     p, q, n = r.lp_int(), r.lp_int(), r.lp_int()
     gen = (r.lp_int(), r.lp_int())
     mpub = (r.lp_int(), r.lp_int())
-    if not r.done():
-        raise ValueError("trailing bytes in params blob")
+    r.end()
     SecurityConfig("loaded", p, q, n).validate()
     params = PublicParams(p=p, q=q, n=n, generator=gen, master_pub=mpub)
     if not (params.curve.in_subgroup(gen) and params.curve.in_subgroup(mpub)):
@@ -342,16 +340,11 @@ def private_key_to_bytes(params: PublicParams, key: PrivateKey) -> bytes:
 
 
 def private_key_from_bytes(params: PublicParams, data: bytes) -> PrivateKey:
-    r = _Reader(data)
-    if r.take(4) != _KEY_MAGIC:
-        raise ValueError("not a private key blob")
-    if r.take(1)[0] != _FORMAT_VERSION:
-        raise ValueError("unsupported key version")
+    r = _Reader(data, _KEY_MAGIC, "private key", "key")
     idlen = int.from_bytes(r.take(2), "big")
     identity = r.take(idlen).decode("utf-8")
     pt = (r.lp_int(), r.lp_int())
-    if not r.done():
-        raise ValueError("trailing bytes in key blob")
+    r.end()
     curve = params.curve
     if not curve.in_subgroup(pt):
         raise ValueError("key point not in the order-q subgroup")
@@ -367,14 +360,9 @@ def master_key_to_bytes(master: MasterKey) -> bytes:
 
 
 def master_key_from_bytes(params: PublicParams, data: bytes) -> MasterKey:
-    r = _Reader(data)
-    if r.take(4) != _MASTER_MAGIC:
-        raise ValueError("not a master key blob")
-    if r.take(1)[0] != _FORMAT_VERSION:
-        raise ValueError("unsupported master key version")
+    r = _Reader(data, _MASTER_MAGIC, "master key")
     scalar = r.lp_int()
-    if not r.done():
-        raise ValueError("trailing bytes in master key blob")
+    r.end()
     if not 1 <= scalar < params.q:
         raise ValueError("master scalar out of range")
     # the blob must agree with the public parameters it claims to serve

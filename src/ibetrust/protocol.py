@@ -225,11 +225,11 @@ def ake_message_from_bytes(registry: Registry, params: ibe.PublicParams,
                            data: bytes) -> ake_mod.AkeMessage:
     cs = params.curve.coord_size
     if len(data) != 2 + 2 + 2 * cs + 2 + 4:
-        raise ValueError(f"ake message length {len(data)}")
+        raise Reject("malformed_message", f"ake message length {len(data)}")
     sender_wire = int.from_bytes(data[0:2], "big")
     receiver_wire = int.from_bytes(data[2:4], "big")
     if sender_wire not in registry or receiver_wire not in registry:
-        raise ValueError("unknown wire id in ake message")
+        raise Reject("malformed_message", "unknown wire id in ake message")
     x = int.from_bytes(data[4 : 4 + cs], "big")
     y = int.from_bytes(data[4 + cs : 4 + 2 * cs], "big")
     return ake_mod.AkeMessage(

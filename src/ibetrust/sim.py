@@ -109,6 +109,10 @@ def parse_scenario(text: str, name: str = "<memory>") -> Scenario:
     _check_keys(problems, name, raw,
                 {"name", "profile", "seed", "bs", "nodes", "channel", "events"})
 
+    scenario_name = raw.get("name", name)
+    if not isinstance(scenario_name, str) or not scenario_name:
+        # a report names its scenario, and a saved report must hold a string
+        problems.append("name must be a non-empty string")
     profile = raw.get("profile")
     if profile not in ibe.PROFILES:
         problems.append(f"profile must be one of {sorted(ibe.PROFILES)}, got {profile!r}")
@@ -270,7 +274,7 @@ def parse_scenario(text: str, name: str = "<memory>") -> Scenario:
     if problems:
         raise ConfigError(f"{name}: " + "; ".join(problems))
     return Scenario(
-        name=raw.get("name", name),
+        name=scenario_name,
         profile=profile,
         seed=seed,
         master_seed=master_seed,
@@ -554,10 +558,6 @@ class Simulation:
     def _apply_modification(self, time: float, tx: Transmission,
                             attack: Attack) -> Transmission:
         blob = b"".join(f.payload for f in tx.frames)
-        if not blob:
-            attack.verdict = NO_OP
-            attack.detail = "matched an empty transmission"
-            return tx
         bit = attack.spec.bit % (len(blob) * 8)
         flipped = bytearray(blob)
         flipped[bit // 8] ^= 1 << (bit % 8)
@@ -582,112 +582,81 @@ class Simulation:
             self._note(time, f"all frames of {tx.label} from {tx.origin} lost")
             self.resolve(tx.attack, NO_OP, "all frames lost")
             return
-        if tx.dst_wire == protocol.BS_WIRE_ID:
-            self._deliver_to_bs(time, tx)
-        else:
-            node = self.by_wire.get(tx.dst_wire)
-            if node is None:
-                self._note(time, f"{tx.label} addressed to unknown wire {tx.dst_wire}")
-                self.resolve(tx.attack, NO_OP, "unknown destination")
-            elif tx.label == "ta-ack":
-                self._deliver_ack(time, node, tx)
-            else:
-                self._deliver_ake(time, node, tx)
-
-    def _deliver_to_bs(self, time: float, tx: Transmission):
+        node = None if tx.dst_wire == protocol.BS_WIRE_ID else self.by_wire[tx.dst_wire]
         try:
-            ack = protocol.bs_handle_ta(self.bs, tx.frames, self.rng_proto)
+            if node is None:
+                detail = self._deliver_to_bs(time, tx)
+            elif tx.label == "ta-ack":
+                detail = self._deliver_ack(time, node, tx)
+            else:
+                detail = self._deliver_ake(time, node, tx)
         except Reject as exc:
-            self.reject(time, protocol.BS_IDENTITY, exc)
+            self.reject(time, node.identity if node else protocol.BS_IDENTITY, exc)
             self.resolve(tx.attack, BLOCKED, exc.reason)
-            return
+        else:
+            self.resolve(tx.attack, SUCCEEDED, detail)
+
+    def _deliver_to_bs(self, time: float, tx: Transmission) -> str:
+        ack = protocol.bs_handle_ta(self.bs, tx.frames, self.rng_proto)
         sender = self.entity_name(tx.src_wire)
         self._note(time, f"bs accepted trust report from {sender}")
         self.snapshot(time)
-        self.resolve(tx.attack, SUCCEEDED, "trust report accepted")
         self.transmit(time, Transmission(time, protocol.BS_IDENTITY, "ta-ack", ack))
+        return "trust report accepted"
 
-    def _deliver_ack(self, time: float, node: protocol.Node, tx: Transmission):
-        try:
-            protocol.node_handle_ack(node, tx.frames, time=time)
-        except Reject as exc:
-            self.reject(time, node.identity, exc)
-            self.resolve(tx.attack, BLOCKED, exc.reason)
-            return
+    def _deliver_ack(self, time: float, node: protocol.Node, tx: Transmission) -> str:
+        protocol.node_handle_ack(node, tx.frames, time=time)
         self._note(time, f"{node.identity} trusted; list "
                          f"[{', '.join(node.trust_list)}]")
-        self.resolve(tx.attack, SUCCEEDED, "ack accepted")
+        return "ack accepted"
 
-    def _deliver_ake(self, time: float, node: protocol.Node, tx: Transmission):
+    def _deliver_ake(self, time: float, node: protocol.Node, tx: Transmission) -> str:
         blob = b"".join(f.payload for f in tx.frames)
-        try:
-            msg = protocol.ake_message_from_bytes(self.bs.registry, self.params, blob)
-        except ValueError as exc:
-            self.reject(time, node.identity, Reject("malformed_message", str(exc)))
-            self.resolve(tx.attack, BLOCKED, "malformed_message")
-            return
+        msg = protocol.ake_message_from_bytes(self.bs.registry, self.params, blob)
         previous = node.sessions.get(msg.sender)
-        try:
-            session = protocol.peer_authenticate(
-                node, msg, time=time, rx_bytes=tx.on_air())
-        except Reject as exc:
-            self.reject(time, node.identity, exc)
-            self.resolve(tx.attack, BLOCKED, exc.reason)
-            return
+        session = protocol.peer_authenticate(node, msg, time=time, rx_bytes=tx.on_air())
         # Key-confirmation probe: harness-only check that the claimed
         # initiator can actually use the key it should have derived.
         initiator = self.nodes.get(tx.origin)
         peer_session = initiator.sessions.get(node.identity) if initiator else None
-        if (tx.origin == msg.sender and peer_session is not None
-                and protocol.confirm_tag(peer_session) == protocol.confirm_tag(session)):
-            self._note(time, f"session {msg.sender} <-> {node.identity} established")
-            self.resolve(tx.attack, SUCCEEDED, "session established")
-        else:
+        if (tx.origin != msg.sender or peer_session is None
+                or protocol.confirm_tag(peer_session) != protocol.confirm_tag(session)):
             # drop the unconfirmed key, keeping any confirmed session it displaced
             if previous is None:
                 node.sessions.pop(msg.sender, None)
             else:
                 node.sessions[msg.sender] = previous
-            exc = Reject("key_confirm_failed", msg.sender)
-            self.reject(time, node.identity, exc)
-            self.resolve(tx.attack, BLOCKED, exc.reason)
+            raise Reject("key_confirm_failed", msg.sender)
+        self._note(time, f"session {msg.sender} <-> {node.identity} established")
+        return "session established"
 
     # -- scheduled scenario events
 
     def handle_event(self, event: Event):
         t = event.time
-        if event.kind == "boot":
-            node = self.nodes[event.node]
-            result = node.power_on(time=t)
-            outcome = (f"deployed (trust {node.trust_value})" if result.ok
-                       else f"halted at level {result.failed_level}")
-            self._note(t, f"{event.node} boots: {outcome}")
-        elif event.kind == "ta":
-            node = self.nodes[event.node]
-            try:
-                frames = protocol.ta_request(node, self.rng_proto, time=t)
-            except Reject as exc:
-                self.reject(t, event.node, exc)
-                return
-            self.transmit(t, Transmission(t, event.node, "ta-request", frames))
-        elif event.kind == "ake":
-            node = self.nodes[event.initiator]
-            try:
-                frames, _ = protocol.ake_initiate(node, event.peer, self.rng_proto,
-                                                  time=t)
-            except Reject as exc:
-                self.reject(t, event.initiator, exc)
-                return
-            self.transmit(t, Transmission(t, event.initiator, "ake", frames))
-        elif event.kind == "terminate":
-            if protocol.bs_terminate(self.bs, event.node):
+        try:
+            if event.kind == "boot":
+                node = self.nodes[event.node]
+                result = node.power_on(time=t)
+                outcome = (f"deployed (trust {node.trust_value})" if result.ok
+                           else f"halted at level {result.failed_level}")
+                self._note(t, f"{event.node} boots: {outcome}")
+            elif event.kind == "ta":
+                frames = protocol.ta_request(self.nodes[event.node], self.rng_proto, time=t)
+                self.transmit(t, Transmission(t, event.node, "ta-request", frames))
+            elif event.kind == "ake":
+                frames, _ = protocol.ake_initiate(self.nodes[event.initiator], event.peer,
+                                                  self.rng_proto, time=t)
+                self.transmit(t, Transmission(t, event.initiator, "ake", frames))
+            elif event.kind == "terminate":
+                protocol.bs_terminate(self.bs, event.node)
                 self.nodes[event.node].phase = protocol.TERMINATED
                 self._note(t, f"bs terminates {event.node}")
                 self.snapshot(t)
             else:
-                self._note(t, f"bs terminate: unknown id {event.node}")
-        else:
-            self.inject(Attack(event.attack, t))
+                self.inject(Attack(event.attack, t))
+        except Reject as exc:
+            self.reject(t, event.node or event.initiator, exc)
 
     # -- attack injection
 

@@ -32,6 +32,16 @@ class TestKeygen:
         assert ((tmp_path / "a" / "master.bin").read_bytes()
                 == (tmp_path / "b" / "master.bin").read_bytes())
 
+    @pytest.mark.parametrize("identity", ["../x", "a/b", "..", "a\x00b"])
+    def test_ids_that_are_not_file_names_refused(self, tmp_path, capsys, identity):
+        work = tmp_path / "work"
+        work.mkdir()
+        rc = run_cli(["keygen", "--out-dir", str(work / "k"),
+                      "--ids", "node-001", identity])
+        assert rc == 2
+        assert "--ids must be plain file names" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == [work]  # nothing written, no dir made
+
 
 class TestRun:
     def test_bundled_demo(self, tmp_path, capsys):
@@ -104,6 +114,44 @@ class TestRun:
         loud = capsys.readouterr().out
         assert "accepted trust report" not in quiet
         assert "accepted trust report" in loud
+
+    @pytest.mark.parametrize("overrides", [
+        {"voltage": 1e308, "current": 1e308},   # inf process energies
+        {"tx_j_per_byte": 1e306},               # inf transmit totals
+        {"tx_j_per_byte": 1.7e306},             # finite events, sum overflows fsum
+    ], ids=["power", "tx-inf", "tx-fsum"])
+    def test_constants_that_overflow_refused(self, tmp_path, capsys, overrides):
+        consts = tmp_path / "c.json"
+        consts.write_text(json.dumps(overrides))
+        rc = run_cli(["run", "--scenario", "demo", "--constants", str(consts)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "energy figures overflow a float" in captured.err
+        assert captured.out == ""
+
+    def test_non_string_scenario_name_refused(self, tmp_path, capsys):
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps({"name": 5, "profile": "toy", "nodes": [], "events": []}))
+        rc = run_cli(["run", "--scenario", str(path), "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert "name must be a non-empty string" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_custom_name_round_trip(self, tmp_path, capsys):
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps({
+            "name": "custom run",
+            "profile": "toy",
+            "nodes": [{"id": "n1", "images": ["loader", "kernel"]}],
+            "events": [{"time": 0, "kind": "boot", "node": "n1"},
+                       {"time": 1, "kind": "ta", "node": "n1"}],
+        }))
+        out = tmp_path / "r.json"
+        assert run_cli(["run", "--scenario", str(path), "--out", str(out), "--verbose"]) == 0
+        live = capsys.readouterr().out
+        assert "simulation report: custom run" in live
+        assert run_cli(["report", "--in", str(out)]) == 0
+        assert capsys.readouterr().out == live
 
     def test_internal_error_exit_code(self, monkeypatch, capsys):
         def boom(*args, **kwargs):

@@ -68,6 +68,14 @@ class TestScenarioParsing:
         for fragment in ("profile", "reserved", "images", "time", "dance", "mystery"):
             assert fragment in text
 
+    def test_name_must_be_non_empty_string(self):
+        for name in (5, "", None, ["demo"]):
+            with pytest.raises(ConfigError) as e:
+                scenario_from(dict(MINIMAL, name=name, seed=-1))
+            text = str(e.value)
+            assert "name must be a non-empty string" in text and "seed" in text
+        assert scenario_from(dict(MINIMAL, name="custom")).name == "custom"
+
     def test_duplicate_node_id(self):
         bad = dict(MINIMAL, nodes=[
             {"id": "n1", "images": ["a"]},
@@ -316,6 +324,65 @@ class TestAttacks:
             report = sim.run(sim.load_scenario(name))
             assert all(a["verdict"] in ("blocked", "succeeded", "no-op")
                        for a in report.attacks)
+
+
+def trio(extra_events, trusted="abc"):
+    """Toy nodes a, b and c booted at 0; those in `trusted` report in
+    that order (every ten time units), then extra_events run from 40."""
+    return scenario_from({
+        "profile": "toy",
+        "seed": 3,
+        "bs": {"master_seed": 7},
+        "nodes": [{"id": n, "images": ["loader", f"kernel-{n}"]} for n in "abc"],
+        "events": [{"time": 0, "kind": "boot", "node": n} for n in "abc"]
+        + [{"time": 10 * (i + 1), "kind": "ta", "node": n} for i, n in enumerate(trusted)]
+        + extra_events,
+    })
+
+
+class TestVerdictPaths:
+    def test_ake_from_untrusted_node(self):
+        report = sim.run(trio([{"time": 40, "kind": "ake", "initiator": "a", "peer": "b"}],
+                              trusted="bc"))
+        assert report.rejections == [(40, "a", "not_trusted", "phase 'dy'")]
+        assert report.event_log[-1] == "[40] a reject: not_trusted (phase 'dy')"
+        assert report.final_phases["a"] == protocol.DY
+
+    def test_modified_sender_wire_is_malformed(self):
+        report = sim.run(trio([
+            {"time": 40, "kind": "attack",
+             "attack": {"kind": "modify", "label": "ake", "source": "a", "bit": 7}},
+            {"time": 41, "kind": "ake", "initiator": "a", "peer": "b"},
+        ], trusted="bca"))
+        assert report.rejections == [
+            (42, "b", "malformed_message", "unknown wire id in ake message")]
+        assert report.attacks == [
+            {"kind": "modify", "verdict": "blocked", "detail": "malformed_message"}]
+        assert report.event_log[-3:] == [
+            "[41] attack modify flips bit 7 of ake from a",
+            "[41] a -> b ake 33B in 1 frame(s) (attack modify)",
+            "[42] b reject: malformed_message (unknown wire id in ake message)",
+        ]
+
+    def test_impersonation_without_prior_session(self):
+        simulation = sim.Simulation(trio([
+            {"time": 40, "kind": "attack",
+             "attack": {"kind": "impersonate", "claimed": "a", "target": "b"}},
+        ]))
+        report = simulation.run()
+        assert report.rejections == [(41, "b", "key_confirm_failed", "a")]
+        assert report.attacks == [
+            {"kind": "impersonate", "verdict": "blocked", "detail": "key_confirm_failed"}]
+        assert report.event_log[-1] == "[41] b reject: key_confirm_failed (a)"
+        assert "a" not in simulation.nodes["b"].sessions
+
+    def test_terminate(self):
+        report = sim.run(trio([{"time": 40, "kind": "terminate", "node": "c"}]))
+        assert report.final_phases == {"a": protocol.TRUSTED, "b": protocol.TRUSTED,
+                                       "c": protocol.TERMINATED}
+        assert report.trust_snapshots[-1] == (40, ("a", "b"))
+        assert report.event_log[-2:] == ["[40] bs terminates c", "[40] trust list now [a, b]"]
+        assert report.rejections == []
 
 
 class TestReportShape:
