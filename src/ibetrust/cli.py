@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -59,6 +60,11 @@ def _cmd_keygen(args) -> int:
     bad = [i for i in args.ids if i in ("", ".", "..") or "\0" in i or Path(i).name != i]
     if bad:
         raise ConfigError(f"--ids must be plain file names, got {', '.join(map(repr, bad))}")
+    limit = _name_max(args.out_dir)
+    long = [i for i in args.ids if len(os.fsencode(i + ".key")) > limit]
+    if long:
+        raise ConfigError(f"--ids too long for a {limit}-byte file name: "
+                          f"{', '.join(map(repr, long))}")
     config = ibe.SecurityConfig.from_profile(args.profile, seed=args.seed)
     params, master = ibe.setup(config)
     args.out_dir.mkdir(parents=True, exist_ok=True)
@@ -72,6 +78,16 @@ def _cmd_keygen(args) -> int:
         written.append(name)
     print(f"profile {args.profile}: wrote {', '.join(written)} to {args.out_dir}")
     return 0
+
+
+def _name_max(out_dir: Path) -> int:
+    """File-name length limit where out_dir is or will be made (255 if unknown)."""
+    path = out_dir.absolute()
+    try:
+        limit = os.pathconf(next(p for p in (path, *path.parents) if p.exists()), "PC_NAME_MAX")
+    except (AttributeError, OSError, ValueError):  # no pathconf, or no such name
+        limit = -1
+    return limit if limit > 0 else 255  # -1 also means the file system sets no limit
 
 
 def _load_keys(keys_dir: Path) -> tuple[ibe.PublicParams, ibe.MasterKey]:

@@ -3,10 +3,11 @@
 The model charges a fixed 72 mW processor (20 mA at 3.6 V) for timed
 processes (boot, encryption, hashing, world switching, pairing), a
 per-bit cost for encryption work, and per-byte radio costs for
-transmit and receive.  Each simulated node owns a ledger of events.
-Category totals are correctly rounded sums (math.fsum), so they do not
-depend on the order the events arrived in, and together they conserve
-the sum of the ledger's events to within one rounding per category.
+transmit and receive.  Each simulated node owns a ledger of entries
+(category, joules, note, quantity) and no times: the report reads only
+sums.  Category totals are correctly rounded sums (math.fsum), so they
+do not depend on the order of the entries, and together they conserve
+the sum of the ledger's entries to within one rounding per category.
 
 The report renders three tables: per-process energies derived from the
 constants, communication legs with both the simulator's true on-air
@@ -22,6 +23,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields, replace
 
+from .codec import HEADER_SIZE, MAX_FRAME, MAX_PAYLOAD
 from .errors import ConfigError
 
 CATEGORIES = ("boot", "switch", "encrypt", "pairing", "sha2", "tx", "rx")
@@ -137,28 +139,26 @@ def e_total(
 
 
 def fractional_airtime(payload_bytes: float) -> float:
-    """Linear airtime estimate payload/106*127, no per-frame rounding.
+    """Linear airtime payload / MAX_PAYLOAD * MAX_FRAME, no per-frame rounding.
 
     The simulator's true on-air count rounds up to whole frames; this
     estimate is kept because the nominal figures were derived with it.
     """
     if payload_bytes < 0:
         raise ValueError("payload must be non-negative")
-    return payload_bytes / 106 * 127
+    return payload_bytes / MAX_PAYLOAD * MAX_FRAME
 
 
 def framed_airtime(payload_bytes: int) -> int:
-    """True on-air bytes after splitting into 106-byte frames with a
-    21-byte header each."""
+    """True on-air bytes in MAX_PAYLOAD-byte frames with HEADER_SIZE-byte headers."""
     if payload_bytes < 0:
         raise ValueError("payload must be non-negative")
-    frames = max(1, math.ceil(payload_bytes / 106))
-    return payload_bytes + 21 * frames
+    frames = max(1, math.ceil(payload_bytes / MAX_PAYLOAD))
+    return payload_bytes + HEADER_SIZE * frames
 
 
 @dataclass
 class EnergyEvent:
-    time: float
     category: str
     joules: float
     note: str = ""
@@ -168,16 +168,15 @@ class EnergyEvent:
 class EnergyLedger:
     """Append-only per-node energy record."""
 
-    def __init__(self, owner: str = ""):
-        self.owner = owner
+    def __init__(self):
         self.events: list[EnergyEvent] = []
 
-    def add(self, time: float, category: str, amount_j: float, note: str = "", quantity: float = 0.0):
+    def add(self, category: str, amount_j: float, note: str = "", quantity: float = 0.0):
         if category not in CATEGORIES:
             raise ValueError(f"unknown category {category!r}")
         if amount_j < 0:
             raise ValueError("energy must be non-negative")
-        self.events.append(EnergyEvent(time, category, amount_j, note, quantity))
+        self.events.append(EnergyEvent(category, amount_j, note, quantity))
 
     def category_total(self, category: str) -> float:
         if category not in CATEGORIES:

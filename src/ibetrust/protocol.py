@@ -13,8 +13,9 @@ Lifecycle phases for a node:
                                        removal by the BS -> terminated)
 
 Energy is billed on the node side only; the base station is treated as
-mains powered.  Receive energy is charged for messages that were fully
-received, transmit energy at the moment frames are produced.
+mains powered.  Receive energy is charged for the frames of a message
+that arrived, transmit energy at the moment frames are produced.  No
+function here takes a time: the simulator owns the clock.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ TA_RECORD_SIZE = 2 + 8 + 2 + 4  # sender id, trust value, nonce, mac
 
 
 class Registry:
-    """Bidirectional map between string identities and 2-byte wire ids.
+    """The one map between string identities and 2-byte wire ids.
 
     The base station owns the registry; nodes receive a reference to it
     during provisioning, standing in for the identity directory that is
@@ -248,7 +249,6 @@ def ake_message_from_bytes(registry: Registry, params: ibe.PublicParams,
 @dataclass
 class TrustRecord:
     identity: str
-    wire_id: int
     trust_value: str
     status: str = ST_REGISTERED
     seen_nonces: set = field(default_factory=set)
@@ -264,11 +264,11 @@ class TrustDB:
     def get(self, identity: str) -> TrustRecord:
         return self.records[identity]
 
-    def register(self, identity: str, wire_id: int, trust_value: str):
+    def register(self, identity: str, trust_value: str):
         """Store or refresh a registration; replay history survives re-flash."""
         existing = self.records.get(identity)
         if existing is None:
-            self.records[identity] = TrustRecord(identity, wire_id, trust_value)
+            self.records[identity] = TrustRecord(identity, trust_value)
         else:
             existing.trust_value = trust_value
             existing.status = ST_REGISTERED
@@ -276,11 +276,6 @@ class TrustDB:
     def trusted_identities(self) -> tuple[str, ...]:
         return tuple(sorted(
             r.identity for r in self.records.values() if r.status == ST_TRUSTED
-        ))
-
-    def trusted_wire_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(
-            r.wire_id for r in self.records.values() if r.status == ST_TRUSTED
         ))
 
 
@@ -299,7 +294,7 @@ class Node:
         self.params = params
         self.registry = registry
         self.constants = constants
-        self.ledger = EnergyLedger(identity)
+        self.ledger = EnergyLedger()
         self.phase = DP
         self.chain: BootChain | None = None
         self.trust_value: str | None = None      # fresh value from the last boot
@@ -308,33 +303,21 @@ class Node:
         self.sessions: dict[str, ake_mod.SessionKey] = {}
         self.ake_nonces: dict[str, set] = {}
         self.next_seq = 0
-        self.now = 0.0
-        self._billing = False
         self._private_key = key
-        self.world = WorldState(mode=SECURE, on_switch=self._bill_switch)
+        self.world = WorldState(mode=SECURE)
         self.world.put("ibe_private_key", key)
-        self.world.switch(NORMAL)
-        self._billing = True
-
-    def _bill_switch(self):
-        if self._billing:
-            self.ledger.add(self.now, "switch", self.constants.e_switch)
+        self.world.switch(NORMAL)  # provisioning: not billed
+        self.world.on_switch = lambda: self.ledger.add("switch", self.constants.e_switch)
 
     def bill_tx(self, frames, note: str):
         n = codec.on_air_bytes(frames)
-        self.ledger.add(self.now, "tx", n * self.constants.tx_j_per_byte, note, n)
+        self.ledger.add("tx", n * self.constants.tx_j_per_byte, note, n)
 
     def bill_rx(self, nbytes: int, note: str):
         if nbytes:
-            self.ledger.add(self.now, "rx", nbytes * self.constants.rx_j_per_byte,
-                            note, nbytes)
+            self.ledger.add("rx", nbytes * self.constants.rx_j_per_byte, note, nbytes)
 
-    def send(self, dst_wire: int, blob: bytes) -> list[codec.Frame]:
-        frames = codec.fragment(dst_wire, self.wire_id, blob, first_seq=self.next_seq)
-        self.next_seq = (self.next_seq + len(frames)) & 0xFFFF
-        return frames
-
-    def power_on(self, time: float = 0.0, billed: bool = True) -> BootResult:
+    def power_on(self) -> BootResult:
         """Boot through the chain of trust.
 
         A successful boot lands in the deployed phase with a fresh trust
@@ -344,10 +327,8 @@ class Node:
         """
         if self.chain is None:
             raise ValueError("no boot chain installed")
-        self.now = time
         result = boot(self.chain)
-        if billed:
-            self.ledger.add(time, "boot", self.constants.e_boot, note="dy-boot")
+        self.ledger.add("boot", self.constants.e_boot, note="dy-boot")
         self.trust_list = ()
         self.sessions.clear()
         self.pending_nonce = None
@@ -367,7 +348,6 @@ class Node:
 class BaseStation:
     """Trusted authority: key generator, trust database, list distributor."""
 
-    identity = BS_IDENTITY
     wire_id = BS_WIRE_ID
 
     def __init__(self, params: ibe.PublicParams, master: ibe.MasterKey):
@@ -381,10 +361,12 @@ class BaseStation:
         # defence is load-bearing.
         self.nonce_check = True
 
-    def send(self, dst_wire: int, blob: bytes) -> list[codec.Frame]:
-        frames = codec.fragment(dst_wire, BS_WIRE_ID, blob, first_seq=self.next_seq)
-        self.next_seq = (self.next_seq + len(frames)) & 0xFFFF
-        return frames
+
+def send(sender: Node | BaseStation, dst_wire: int, blob: bytes) -> list[codec.Frame]:
+    """Fragment a blob from sender, continuing its frame sequence numbers."""
+    frames = codec.fragment(dst_wire, sender.wire_id, blob, first_seq=sender.next_seq)
+    sender.next_seq = (sender.next_seq + len(frames)) & 0xFFFF
+    return frames
 
 
 # ---------------------------------------------------------------------------
@@ -414,19 +396,18 @@ def pdp_register(bs: BaseStation, node: Node) -> None:
     if not result.ok:
         node.phase = HALTED
         raise Reject("boot_failure", f"level {result.failed_level}")
-    bs.db.register(node.identity, node.wire_id, result.trust_value)
+    bs.db.register(node.identity, result.trust_value)
     node.trust_value = result.trust_value
     node.phase = PDP
 
 
-def ta_request(node: Node, rng, time: float = 0.0) -> list[codec.Frame]:
+def ta_request(node: Node, rng) -> list[codec.Frame]:
     """Build the encrypted trust report for the base station.
 
     The record is assembled and encrypted inside the secure world (two
     switches billed), then fragmented.  Billing: one block encryption
     plus transmit energy for the on-air bytes.
     """
-    node.now = time
     if node.phase != DY:
         raise Reject("not_ready", f"phase {node.phase!r}")
     if node.trust_value is None:
@@ -438,9 +419,9 @@ def ta_request(node: Node, rng, time: float = 0.0) -> list[codec.Frame]:
     blob = encrypt_message(node.params, BS_IDENTITY, record, rng)
     node.world.switch(NORMAL)
     bits = len(record) * 8
-    node.ledger.add(time, "encrypt", bits * node.constants.enc_j_per_bit,
-                    note="ta", quantity=bits)
-    frames = node.send(BS_WIRE_ID, blob)
+    node.ledger.add("encrypt", bits * node.constants.enc_j_per_bit, note="ta",
+                    quantity=bits)
+    frames = send(node, BS_WIRE_ID, blob)
     node.bill_tx(frames, "ta-request")
     node.phase = TA
     return frames
@@ -474,14 +455,13 @@ def bs_handle_ta(bs: BaseStation, frames, rng) -> list[codec.Frame]:
         raise Reject("nonce_replay", rec.identity)
     rec.seen_nonces.add(nonce)
     rec.status = ST_TRUSTED
-    ack = encode_ack_record(nonce, bs.db.trusted_wire_ids())
+    ack = encode_ack_record(nonce, map(bs.registry.wire_id, bs.db.trusted_identities()))
     blob = encrypt_message(bs.params, rec.identity, ack, rng)
-    return bs.send(rec.wire_id, blob)
+    return send(bs, wire, blob)
 
 
-def node_handle_ack(node: Node, frames, time: float = 0.0) -> None:
+def node_handle_ack(node: Node, frames) -> None:
     """Decrypt the ack, check the nonce echo, install the trust list."""
-    node.now = time
     node.bill_rx(codec.on_air_bytes(frames), "ta-ack")
     if node.phase != TA or node.pending_nonce is None:
         raise Reject("not_waiting", f"phase {node.phase!r}")
@@ -515,8 +495,7 @@ def bs_terminate(bs: BaseStation, identity: str) -> bool:
     return True
 
 
-def ake_initiate(node: Node, peer: str, rng,
-                 time: float = 0.0) -> tuple[list[codec.Frame], ake_mod.SessionKey]:
+def ake_initiate(node: Node, peer: str, rng) -> tuple[list[codec.Frame], ake_mod.SessionKey]:
     """One-pass key exchange, initiator side.
 
     The pairing the initiator needs depends only on its own key and the
@@ -524,21 +503,20 @@ def ake_initiate(node: Node, peer: str, rng,
     only transmit energy is.  Key agreement runs outside the secure
     world in this model, so no switch energy is charged either.
     """
-    node.now = time
     if node.phase != TRUSTED:
         raise Reject("not_trusted", f"phase {node.phase!r}")
     if peer not in node.trust_list:
         raise Reject("not_in_trust_list", peer)
     msg, session = ake_mod.initiate(node.params, node.identity, node._private_key,
                                     peer, rng)
-    frames = node.send(node.registry.wire_id(peer), ake_message_to_bytes(
+    frames = send(node, node.registry.wire_id(peer), ake_message_to_bytes(
         node.registry, node.params, msg))
     node.bill_tx(frames, "ake")
     node.sessions[peer] = session
     return frames, session
 
 
-def peer_authenticate(node: Node, msg: ake_mod.AkeMessage, time: float = 0.0,
+def peer_authenticate(node: Node, msg: ake_mod.AkeMessage,
                       rx_bytes: int = 0) -> ake_mod.SessionKey:
     """Responder side of the key exchange behind the two-tier gate.
 
@@ -547,7 +525,6 @@ def peer_authenticate(node: Node, msg: ake_mod.AkeMessage, time: float = 0.0,
     actual key derivation; its online pairing is billed.  A repeated
     (sender, nonce) pair is rejected before tier 2.
     """
-    node.now = time
     node.bill_rx(rx_bytes, "ake")
     if node.phase != TRUSTED:
         raise Reject("not_trusted", f"phase {node.phase!r}")
@@ -558,7 +535,7 @@ def peer_authenticate(node: Node, msg: ake_mod.AkeMessage, time: float = 0.0,
         raise Reject("nonce_replay", msg.sender)
     session = ake_mod.respond(node.params, node._private_key, msg)
     seen.add((msg.nonce, msg.big_r))
-    node.ledger.add(time, "pairing", node.constants.e_pairing, note="ake")
+    node.ledger.add("pairing", node.constants.e_pairing, note="ake")
     node.sessions[msg.sender] = session
     return session
 

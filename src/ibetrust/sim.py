@@ -319,7 +319,6 @@ class Attack:
 
 @dataclass
 class Transmission:
-    time: float
     origin: str           # entity that put the frames on the air
     label: str
     frames: list
@@ -507,7 +506,6 @@ class Simulation:
                 self._note(0, f"{spec.id} image at level {spec.tamper_level} "
                               "tampered in the field")
             self.nodes[spec.id] = node
-        self.by_wire = {n.wire_id: n for n in self.nodes.values()}
 
     # -- plumbing
 
@@ -524,10 +522,7 @@ class Simulation:
                          + (f" ({exc.detail})" if exc.detail else ""))
 
     def entity_name(self, wire: int) -> str:
-        if wire == protocol.BS_WIRE_ID:
-            return protocol.BS_IDENTITY
-        node = self.by_wire.get(wire)
-        return node.identity if node else f"wire:{wire}"
+        return self.bs.registry.identity(wire)
 
     def snapshot(self, time: float):
         ids = self.bs.db.trusted_identities()
@@ -551,9 +546,8 @@ class Simulation:
         self._note(time, f"{tx.origin} -> {self.entity_name(tx.dst_wire)} "
                          f"{tx.label} {tx.on_air()}B in {len(tx.frames)} frame(s)"
                          + (f", {lost} lost" if lost else "") + note)
-        arrival = time + len(tx.frames)
-        self.push(arrival, "deliver",
-                  Transmission(tx.time, tx.origin, tx.label, kept, tx.attack))
+        self.push(time + len(tx.frames), "deliver",
+                  Transmission(tx.origin, tx.label, kept, tx.attack))
 
     def _apply_modification(self, time: float, tx: Transmission,
                             attack: Attack) -> Transmission:
@@ -568,7 +562,7 @@ class Simulation:
             frames.append(codec.Frame(f.dst, f.src, f.seq, f.flags, piece))
         self._note(time, f"attack modify flips bit {bit} of {tx.label} "
                          f"from {tx.origin}")
-        return Transmission(tx.time, tx.origin, tx.label, frames, attack)
+        return Transmission(tx.origin, tx.label, frames, attack)
 
     def resolve(self, attack: Attack | None, verdict: str, detail: str):
         if attack is not None and attack.verdict == "pending":
@@ -582,30 +576,29 @@ class Simulation:
             self._note(time, f"all frames of {tx.label} from {tx.origin} lost")
             self.resolve(tx.attack, NO_OP, "all frames lost")
             return
-        node = None if tx.dst_wire == protocol.BS_WIRE_ID else self.by_wire[tx.dst_wire]
+        receiver = self.entity_name(tx.dst_wire)
         try:
-            if node is None:
+            if receiver == protocol.BS_IDENTITY:
                 detail = self._deliver_to_bs(time, tx)
             elif tx.label == "ta-ack":
-                detail = self._deliver_ack(time, node, tx)
+                detail = self._deliver_ack(time, self.nodes[receiver], tx)
             else:
-                detail = self._deliver_ake(time, node, tx)
+                detail = self._deliver_ake(time, self.nodes[receiver], tx)
         except Reject as exc:
-            self.reject(time, node.identity if node else protocol.BS_IDENTITY, exc)
+            self.reject(time, receiver, exc)
             self.resolve(tx.attack, BLOCKED, exc.reason)
         else:
             self.resolve(tx.attack, SUCCEEDED, detail)
 
     def _deliver_to_bs(self, time: float, tx: Transmission) -> str:
         ack = protocol.bs_handle_ta(self.bs, tx.frames, self.rng_proto)
-        sender = self.entity_name(tx.src_wire)
-        self._note(time, f"bs accepted trust report from {sender}")
+        self._note(time, f"bs accepted trust report from {self.entity_name(tx.src_wire)}")
         self.snapshot(time)
-        self.transmit(time, Transmission(time, protocol.BS_IDENTITY, "ta-ack", ack))
+        self.transmit(time, Transmission(protocol.BS_IDENTITY, "ta-ack", ack))
         return "trust report accepted"
 
     def _deliver_ack(self, time: float, node: protocol.Node, tx: Transmission) -> str:
-        protocol.node_handle_ack(node, tx.frames, time=time)
+        protocol.node_handle_ack(node, tx.frames)
         self._note(time, f"{node.identity} trusted; list "
                          f"[{', '.join(node.trust_list)}]")
         return "ack accepted"
@@ -614,7 +607,7 @@ class Simulation:
         blob = b"".join(f.payload for f in tx.frames)
         msg = protocol.ake_message_from_bytes(self.bs.registry, self.params, blob)
         previous = node.sessions.get(msg.sender)
-        session = protocol.peer_authenticate(node, msg, time=time, rx_bytes=tx.on_air())
+        session = protocol.peer_authenticate(node, msg, rx_bytes=tx.on_air())
         # Key-confirmation probe: harness-only check that the claimed
         # initiator can actually use the key it should have derived.
         initiator = self.nodes.get(tx.origin)
@@ -637,17 +630,17 @@ class Simulation:
         try:
             if event.kind == "boot":
                 node = self.nodes[event.node]
-                result = node.power_on(time=t)
+                result = node.power_on()
                 outcome = (f"deployed (trust {node.trust_value})" if result.ok
                            else f"halted at level {result.failed_level}")
                 self._note(t, f"{event.node} boots: {outcome}")
             elif event.kind == "ta":
-                frames = protocol.ta_request(self.nodes[event.node], self.rng_proto, time=t)
-                self.transmit(t, Transmission(t, event.node, "ta-request", frames))
+                frames = protocol.ta_request(self.nodes[event.node], self.rng_proto)
+                self.transmit(t, Transmission(event.node, "ta-request", frames))
             elif event.kind == "ake":
                 frames, _ = protocol.ake_initiate(self.nodes[event.initiator], event.peer,
-                                                  self.rng_proto, time=t)
-                self.transmit(t, Transmission(t, event.initiator, "ake", frames))
+                                                  self.rng_proto)
+                self.transmit(t, Transmission(event.initiator, "ake", frames))
             elif event.kind == "terminate":
                 protocol.bs_terminate(self.bs, event.node)
                 self.nodes[event.node].phase = protocol.TERMINATED
@@ -674,7 +667,7 @@ class Simulation:
             captured = matches[spec.occurrence - 1]
             self._note(t, f"attack replay: re-injecting {spec.label}"
                           f"#{spec.occurrence} from {spec.source}")
-            self.transmit(t, Transmission(t, captured.origin, captured.label,
+            self.transmit(t, Transmission(captured.origin, captured.label,
                                           list(captured.frames), attack))
         elif spec.kind == "modify":
             self.pending_mods.append(attack)
@@ -690,7 +683,7 @@ class Simulation:
             frames = codec.fragment(protocol.BS_WIRE_ID, spec.claimed_wire, blob)
             self._note(t, f"attack fake_node: wire {spec.claimed_wire} "
                           f"claims trust value {hm}")
-            self.transmit(t, Transmission(t, "adversary", "ta-request", frames, attack))
+            self.transmit(t, Transmission("adversary", "ta-request", frames, attack))
         else:  # impersonate
             r = self.rng_adversary.randrange(1, self.params.q)
             big_r = self.params.curve.mul(r, self.params.generator)
@@ -704,7 +697,7 @@ class Simulation:
                 self.bs.registry.wire_id(spec.claimed), blob)
             self._note(t, f"attack impersonate: claiming {spec.claimed} "
                           f"towards {spec.target} without its key")
-            self.transmit(t, Transmission(t, "adversary", "ake", frames, attack))
+            self.transmit(t, Transmission("adversary", "ake", frames, attack))
 
     # -- run
 

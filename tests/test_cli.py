@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, files, and exit codes."""
 
 import json
+import os
 
 import pytest
 
@@ -41,6 +42,17 @@ class TestKeygen:
         assert rc == 2
         assert "--ids must be plain file names" in capsys.readouterr().err
         assert list(tmp_path.rglob("*")) == [work]  # nothing written, no dir made
+
+    def test_identity_too_long_for_a_file_name_refused(self, tmp_path, capsys):
+        limit = os.pathconf(tmp_path, "PC_NAME_MAX")
+        longest = "x" * (limit - len(".key"))
+        rc = run_cli(["keygen", "--out-dir", str(tmp_path / "k"),
+                      "--ids", "node-001", longest + "x"])
+        assert rc == 2
+        assert "too long" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == []  # no params.bin, no dir made
+        assert run_cli(["keygen", "--out-dir", str(tmp_path / "k"), "--ids", longest]) == 0
+        assert (tmp_path / "k" / (longest + ".key")).is_file()
 
 
 class TestRun:

@@ -2,6 +2,8 @@
 
 import json
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -101,41 +103,56 @@ class TestFormulas:
 
 class TestLedger:
     def test_accumulation(self):
-        led = energy.EnergyLedger("node-001")
-        led.add(0, "boot", 4.248e-3)
-        led.add(1, "tx", 583.77e-6, note="ta-request", quantity=319)
-        led.add(2, "tx", 155.55e-6, note="ake", quantity=85)
+        led = energy.EnergyLedger()
+        led.add("boot", 4.248e-3)
+        led.add("tx", 583.77e-6, note="ta-request", quantity=319)
+        led.add("tx", 155.55e-6, note="ake", quantity=85)
         assert led.category_total("boot") == pytest.approx(4.248e-3)
         assert led.category_total("tx") == pytest.approx(739.32e-6)
         assert led.category_total("rx") == 0
 
     def test_conservation_exact(self):
-        led = energy.EnergyLedger("n")
+        led = energy.EnergyLedger()
         amounts = [0.1, 0.2, 0.3, 1e-9, 4.248e-3, 16.56e-3, 22.5e-6]
         cats = ["boot", "switch", "encrypt", "pairing", "sha2", "tx", "rx"]
-        for i, (a, c) in enumerate(zip(amounts, cats)):
-            led.add(i, c, a)
-            led.add(i, c, a / 3)
+        for a, c in zip(amounts, cats):
+            led.add(c, a)
+            led.add(c, a / 3)
         assert (math.fsum(e.joules for e in led.events)
                 == math.fsum(led.by_category().values()))
 
+    def test_conservation_bound(self):
+        """Category totals and the overall sum are each correctly rounded,
+        so they differ by at most half an ulp per rounding."""
+        rng = random.Random(2024)
+        for _ in range(2000):
+            led = energy.EnergyLedger()
+            for _ in range(rng.randint(1, 60)):
+                led.add(rng.choice(energy.CATEGORIES), 10 ** rng.uniform(-9, 1))
+            totals = led.by_category().values()
+            direct = math.fsum(e.joules for e in led.events)
+            regrouped = math.fsum(totals)
+            bound = (sum(Fraction(math.ulp(t)) for t in totals)
+                     + Fraction(math.ulp(direct)) + Fraction(math.ulp(regrouped))) / 2
+            assert abs(Fraction(direct) - Fraction(regrouped)) <= bound
+
     def test_rejects_unknown_category(self):
-        led = energy.EnergyLedger("n")
+        led = energy.EnergyLedger()
         with pytest.raises(ValueError):
-            led.add(0, "gpu", 1.0)
+            led.add("gpu", 1.0)
         with pytest.raises(ValueError):
             led.category_total("gpu")
 
     def test_rejects_negative_energy(self):
-        led = energy.EnergyLedger("n")
+        led = energy.EnergyLedger()
         with pytest.raises(ValueError):
-            led.add(0, "tx", -1.0)
+            led.add("tx", -1.0)
 
     def test_totals_by_note(self):
-        led = energy.EnergyLedger("n")
-        led.add(0, "tx", 1e-6, note="ta-request", quantity=100)
-        led.add(1, "tx", 2e-6, note="ta-request", quantity=200)
-        led.add(2, "tx", 5e-6, note="ake", quantity=85)
+        led = energy.EnergyLedger()
+        led.add("tx", 1e-6, note="ta-request", quantity=100)
+        led.add("tx", 2e-6, note="ta-request", quantity=200)
+        led.add("tx", 5e-6, note="ake", quantity=85)
         by_note = led.totals_by_note("tx")
         assert by_note["ta-request"] == (pytest.approx(3e-6), 300)
         assert by_note["ake"] == (pytest.approx(5e-6), 85)
@@ -143,14 +160,14 @@ class TestLedger:
 
 class TestReport:
     def _ledgers(self):
-        led = energy.EnergyLedger("node-001")
-        led.add(0, "boot", energy.DEFAULT_CONSTANTS.e_boot, note="dy-boot")
-        led.add(1, "switch", energy.DEFAULT_CONSTANTS.e_switch)
-        led.add(2, "encrypt", 128 * 22.5e-6, note="ta", quantity=128)
-        led.add(3, "tx", energy.e_comm(117, 0), note="ta-request", quantity=117)
-        led.add(4, "rx", energy.e_comm(0, 127), note="ta-ack", quantity=127)
-        led.add(5, "tx", energy.e_comm(93, 0), note="ake", quantity=93)
-        led.add(6, "pairing", energy.DEFAULT_CONSTANTS.e_pairing)
+        led = energy.EnergyLedger()
+        led.add("boot", energy.DEFAULT_CONSTANTS.e_boot, note="dy-boot")
+        led.add("switch", energy.DEFAULT_CONSTANTS.e_switch)
+        led.add("encrypt", 128 * 22.5e-6, note="ta", quantity=128)
+        led.add("tx", energy.e_comm(117, 0), note="ta-request", quantity=117)
+        led.add("rx", energy.e_comm(0, 127), note="ta-ack", quantity=127)
+        led.add("tx", energy.e_comm(93, 0), note="ake", quantity=93)
+        led.add("pairing", energy.DEFAULT_CONSTANTS.e_pairing)
         return {"node-001": led}
 
     def test_nominal_rows(self):

@@ -29,11 +29,11 @@ def provision_ready(bs, name, image_suffix=b""):
     return node
 
 
-def full_ta(bs, node, rng, time=0.0):
-    node.power_on(time=time)
-    frames = protocol.ta_request(node, rng, time=time + 1)
+def full_ta(bs, node, rng):
+    node.power_on()
+    frames = protocol.ta_request(node, rng)
     ack = protocol.bs_handle_ta(bs, frames, rng)
-    protocol.node_handle_ack(node, ack, time=time + 2)
+    protocol.node_handle_ack(node, ack)
 
 
 @pytest.fixture()
@@ -42,9 +42,9 @@ def network(toy_params):
     bs = make_bs(toy_params)
     rng = random.Random(1234)
     nodes = {name: provision_ready(bs, name) for name in ("n-a", "n-b", "n-c")}
-    for round_start in (0.0, 10.0):  # second round refreshes everyone's list
+    for _ in range(2):  # second round refreshes everyone's list
         for node in nodes.values():
-            full_ta(bs, node, rng, time=round_start)
+            full_ta(bs, node, rng)
     return bs, nodes, rng
 
 
@@ -299,7 +299,7 @@ class TestTrustedAuthentication:
         node = provision_ready(bs, "node-001")
         rng = random.Random(9)
         node.power_on()
-        frames = protocol.ta_request(node, rng, time=1)
+        frames = protocol.ta_request(node, rng)
         protocol.bs_handle_ta(bs, frames, rng)
         with pytest.raises(Reject) as e:
             protocol.bs_handle_ta(bs, list(frames), rng)
@@ -312,7 +312,7 @@ class TestTrustedAuthentication:
         rng = random.Random(11)
         record = protocol.encode_ta_record(999, "ab12cd34", b"qq")
         blob = protocol.encrypt_message(bs.params, "bs", record, rng)
-        frames = protocol.BaseStation.send(bs, 0, blob)
+        frames = protocol.send(bs, 0, blob)
         with pytest.raises(Reject) as e:
             protocol.bs_handle_ta(bs, frames, rng)
         assert e.value.reason == "unknown_id"
@@ -323,7 +323,7 @@ class TestTrustedAuthentication:
         rng = random.Random(12)
         record = protocol.encode_ta_record(node.wire_id, "ab12cd34", b"qq")
         blob = protocol.encrypt_message(bs.params, "bs", record, rng)
-        frames = node.send(0, blob)
+        frames = protocol.send(node, 0, blob)
         with pytest.raises(Reject) as e:
             protocol.bs_handle_ta(bs, frames, rng)
         assert e.value.reason == "unknown_id"
@@ -336,14 +336,14 @@ class TestTrustedAuthentication:
         record = protocol.encode_ta_record(node.wire_id, wrong, b"qq")
         blob = protocol.encrypt_message(bs.params, "bs", record, rng)
         with pytest.raises(Reject) as e:
-            protocol.bs_handle_ta(bs, node.send(0, blob), rng)
+            protocol.bs_handle_ta(bs, protocol.send(node, 0, blob), rng)
         assert e.value.reason == "trust_mismatch"
         assert bs.db.get("node-001").status == protocol.ST_REGISTERED
 
     def test_garbled_request_rejected(self, toy_params):
         bs = make_bs(toy_params)
         rng = random.Random(14)
-        frames = protocol.BaseStation.send(bs, 0, b"\x00\x01" + b"junk")
+        frames = protocol.send(bs, 0, b"\x00\x01" + b"junk")
         with pytest.raises(Reject) as e:
             protocol.bs_handle_ta(bs, frames, rng)
         assert e.value.reason == "decrypt_failure"
@@ -358,7 +358,7 @@ class TestTrustedAuthentication:
         record[-1] ^= 0xFF  # valid ciphertext around a bad inner mac
         blob = protocol.encrypt_message(bs.params, "bs", bytes(record), rng)
         with pytest.raises(Reject) as e:
-            protocol.bs_handle_ta(bs, node.send(0, blob), rng)
+            protocol.bs_handle_ta(bs, protocol.send(node, 0, blob), rng)
         assert e.value.reason == "mac_mismatch"
 
     def test_non_ascii_trust_value_rejected(self, toy_params):
@@ -370,7 +370,7 @@ class TestTrustedAuthentication:
         body = node.wire_id.to_bytes(2, "big") + b"\xff" * 8 + b"qq"
         blob = protocol.encrypt_message(bs.params, "bs", body + codec.truncated_mac(body), rng)
         with pytest.raises(Reject) as e:
-            protocol.bs_handle_ta(bs, node.send(0, blob), rng)
+            protocol.bs_handle_ta(bs, protocol.send(node, 0, blob), rng)
         assert e.value.reason == "malformed_record"
         assert e.value.detail == "non-ascii trust value"
 
@@ -379,12 +379,12 @@ class TestTrustedAuthentication:
         node = provision_ready(bs, "node-001")
         rng = random.Random(16)
         node.power_on()
-        protocol.ta_request(node, rng, time=1)
+        protocol.ta_request(node, rng)
         wrong_nonce = bytes(b ^ 0xFF for b in node.pending_nonce)
         ack = protocol.encode_ack_record(wrong_nonce, [node.wire_id])
         blob = protocol.encrypt_message(bs.params, "node-001", ack, rng)
         with pytest.raises(Reject) as e:
-            protocol.node_handle_ack(node, bs.send(node.wire_id, blob))
+            protocol.node_handle_ack(node, protocol.send(bs, node.wire_id, blob))
         assert e.value.reason == "stale_nonce"
         assert node.phase == protocol.TA
         assert node.trust_list == ()
@@ -394,7 +394,7 @@ class TestTrustedAuthentication:
         node = provision_ready(bs, "node-001")
         rng = random.Random(17)
         node.power_on()
-        frames = protocol.ta_request(node, rng, time=1)
+        frames = protocol.ta_request(node, rng)
         ack = protocol.bs_handle_ta(bs, frames, rng)
         protocol.node_handle_ack(node, ack)
         with pytest.raises(Reject) as e:
@@ -406,10 +406,58 @@ class TestTrustedAuthentication:
         node = provision_ready(bs, "node-001")
         rng = random.Random(18)
         full_ta(bs, node, rng)
-        node.power_on(time=5)
+        node.power_on()
         assert node.phase == protocol.DY
         assert node.trust_list == ()
         assert node.sessions == {}
+
+
+class TestPartialFrameLoss:
+    """A multi-frame message that lost a frame on the air is refused at
+    reassembly, before any decryption."""
+
+    LOSSES = [
+        pytest.param(lambda frames: [frames[0]] + frames[2:],
+                     "reassembly: missing fragment", id="middle-frame-lost"),
+        pytest.param(lambda frames: frames[:-1],
+                     "reassembly: fragment chain broken", id="last-frame-lost"),
+    ]
+
+    @pytest.mark.parametrize("drop, detail", LOSSES)
+    def test_bs_refuses_incomplete_report(self, toy_params, drop, detail):
+        bs = make_bs(toy_params)
+        node = provision_ready(bs, "node-001")
+        rng = random.Random(21)
+        blob = protocol.encrypt_message(bs.params, "bs", b"r" * 200, rng)
+        frames = codec.fragment(0, node.wire_id, blob)
+        assert len(frames) >= 3
+        with pytest.raises(Reject) as e:
+            protocol.bs_handle_ta(bs, drop(frames), rng)
+        assert (e.value.reason, e.value.detail) == ("decrypt_failure", detail)
+        assert bs.db.get("node-001").status == protocol.ST_REGISTERED
+
+    @pytest.mark.parametrize("drop, detail", LOSSES)
+    def test_node_refuses_incomplete_ack(self, toy_params, drop, detail):
+        bs = make_bs(toy_params)
+        node = provision_ready(bs, "node-001")
+        rng = random.Random(22)
+        node.power_on()
+        protocol.ta_request(node, rng)
+        ack = protocol.encode_ack_record(node.pending_nonce, range(1, 200))
+        blob = protocol.encrypt_message(bs.params, "node-001", ack, rng)
+        frames = codec.fragment(node.wire_id, 0, blob)
+        assert len(frames) >= 3
+        kept = drop(frames)
+        with pytest.raises(Reject) as e:
+            protocol.node_handle_ack(node, kept)
+        assert (e.value.reason, e.value.detail) == ("decrypt_failure", detail)
+        assert node.phase == protocol.TA
+        arrived = codec.on_air_bytes(kept)
+        assert node.ledger.totals_by_note("rx") == {
+            "ta-ack": (arrived * node.constants.rx_j_per_byte, arrived)}
+        # the same ack in full is accepted
+        protocol.node_handle_ack(node, frames)
+        assert node.phase == protocol.TRUSTED
 
 
 class TestTermination:
@@ -419,7 +467,7 @@ class TestTermination:
         assert "n-b" not in bs.db.trusted_identities()
         assert bs.db.get("n-b").status == protocol.ST_TERMINATED
         # rebooting and re-running the authentication re-admits the node
-        full_ta(bs, nodes["n-b"], rng, time=50)
+        full_ta(bs, nodes["n-b"], rng)
         assert bs.db.get("n-b").status == protocol.ST_TRUSTED
         assert "n-b" in bs.db.trusted_identities()
 
@@ -433,7 +481,7 @@ class TestTermination:
     def test_terminated_id_absent_from_new_acks(self, network):
         bs, nodes, rng = network
         protocol.bs_terminate(bs, "n-c")
-        full_ta(bs, nodes["n-a"], rng, time=60)
+        full_ta(bs, nodes["n-a"], rng)
         assert "n-c" not in nodes["n-a"].trust_list
         assert set(nodes["n-a"].trust_list) == {"n-a", "n-b"}
 
@@ -445,10 +493,10 @@ class TestPeerAuthentication:
 
     def test_equal_keys(self, network):
         bs, nodes, rng = network
-        frames, sk_a = protocol.ake_initiate(nodes["n-a"], "n-b", rng, time=20)
+        frames, sk_a = protocol.ake_initiate(nodes["n-a"], "n-b", rng)
         msg = self.deliver(bs, frames)
         sk_b = protocol.peer_authenticate(
-            nodes["n-b"], msg, time=21, rx_bytes=frames[0].wire_size
+            nodes["n-b"], msg, rx_bytes=frames[0].wire_size
         )
         assert sk_a.key == sk_b.key
         assert protocol.confirm_tag(sk_a) == protocol.confirm_tag(sk_b)
@@ -457,9 +505,9 @@ class TestPeerAuthentication:
     def test_responder_pairing_billed(self, network):
         bs, nodes, rng = network
         before_a = nodes["n-a"].ledger.category_total("pairing")
-        frames, _ = protocol.ake_initiate(nodes["n-a"], "n-b", rng, time=20)
+        frames, _ = protocol.ake_initiate(nodes["n-a"], "n-b", rng)
         msg = self.deliver(bs, frames)
-        protocol.peer_authenticate(nodes["n-b"], msg, time=21, rx_bytes=33)
+        protocol.peer_authenticate(nodes["n-b"], msg, rx_bytes=33)
         assert nodes["n-a"].ledger.category_total("pairing") == before_a
         assert nodes["n-b"].ledger.category_total("pairing") == pytest.approx(0.2916)
         tx_notes = [e.note for e in nodes["n-a"].ledger.events if e.category == "tx"]
@@ -489,15 +537,15 @@ class TestPeerAuthentication:
 
     def test_untrusted_phase_rejected(self, network):
         bs, nodes, rng = network
-        nodes["n-b"].power_on(time=30)  # back to deployed, list wiped
-        frames, _ = protocol.ake_initiate(nodes["n-a"], "n-b", rng, time=31)
+        nodes["n-b"].power_on()  # back to deployed, list wiped
+        frames, _ = protocol.ake_initiate(nodes["n-a"], "n-b", rng)
         with pytest.raises(Reject) as e:
             protocol.peer_authenticate(nodes["n-b"], self.deliver(bs, frames))
         assert e.value.reason == "not_trusted"
 
     def test_replayed_message_rejected(self, network):
         bs, nodes, rng = network
-        frames, _ = protocol.ake_initiate(nodes["n-a"], "n-b", rng, time=20)
+        frames, _ = protocol.ake_initiate(nodes["n-a"], "n-b", rng)
         msg = self.deliver(bs, frames)
         protocol.peer_authenticate(nodes["n-b"], msg)
         count_before = bs.params.curve.pairing_count
@@ -511,7 +559,7 @@ class TestPeerAuthentication:
         switches_before = len(
             [e for e in nodes["n-a"].ledger.events if e.category == "switch"]
         )
-        frames, _ = protocol.ake_initiate(nodes["n-a"], "n-b", rng, time=20)
+        frames, _ = protocol.ake_initiate(nodes["n-a"], "n-b", rng)
         protocol.peer_authenticate(nodes["n-b"], self.deliver(bs, frames))
         switches_after = len(
             [e for e in nodes["n-a"].ledger.events if e.category == "switch"]
@@ -520,7 +568,7 @@ class TestPeerAuthentication:
 
     def test_wire_roundtrip(self, network):
         bs, nodes, rng = network
-        frames, _ = protocol.ake_initiate(nodes["n-a"], "n-b", rng, time=20)
+        frames, _ = protocol.ake_initiate(nodes["n-a"], "n-b", rng)
         msg = self.deliver(bs, frames)
         blob = protocol.ake_message_to_bytes(bs.registry, bs.params, msg)
         assert blob == frames[0].payload
@@ -531,7 +579,7 @@ class TestSafetyInvariant:
     def test_lists_only_contain_trusted_ids(self, network):
         bs, nodes, rng = network
         protocol.bs_terminate(bs, "n-c")
-        full_ta(bs, nodes["n-a"], rng, time=70)
+        full_ta(bs, nodes["n-a"], rng)
         trusted_now = set(bs.db.trusted_identities())
         assert set(nodes["n-a"].trust_list) <= trusted_now
         for rec in bs.db.records.values():

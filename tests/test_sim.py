@@ -223,6 +223,27 @@ class TestHonestRuns:
         assert report.trust_snapshots == []
         assert any("lost" in line for line in report.event_log)
 
+    def test_partial_loss_breaks_an_ack_chain(self):
+        names = [f"n{i:02d}" for i in range(40)]
+        sc = scenario_from({
+            "profile": "toy",
+            "seed": 1,
+            "nodes": [{"id": n, "images": ["a", f"k{i}"]} for i, n in enumerate(names)],
+            "channel": {"loss": 0.1},
+            "events": [{"time": 0, "kind": "boot", "node": n} for n in names]
+                      + [{"time": 10 + 20 * i, "kind": "ta", "node": n}
+                         for i, n in enumerate(names)],
+        })
+        report = sim.run(sc)
+        # the ack lost its last frame: the one frame that arrived still
+        # carries the MORE flag, and only its 127 bytes are billed
+        assert (653, "n32", "decrypt_failure",
+                "reassembly: fragment chain broken") in report.rejections
+        assert report.final_phases["n32"] == protocol.TA
+        rx = [row for row in report.energy_report.comm_rows
+              if row[:2] == ("n32", "rx:ta-ack")]
+        assert rx == [("n32", "rx:ta-ack", 127.0, pytest.approx(127 * 1.98e-6))]
+
 
 def attack_scenario(extra_events, **node_kwargs):
     base = {
