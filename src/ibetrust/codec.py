@@ -1,12 +1,13 @@
 """Wire formats: 127-byte frames, the record MAC, fragmentation.
 
 A frame is a modelled object, never serialized: it holds the fields the
-simulator needs (destination, source, sequence number, flags) and at
-most 106 payload bytes, and its header is counted as the fixed 21 bytes
-a real 802.15.4-style stack would occupy.  Blobs (serialized
-ciphertexts, trust lists) are fragmented into raw 106-byte chunks with
-consecutive sequence numbers; the MORE flag marks every chunk but the
-last.  Each protocol record carries its own truncated_mac.
+simulator needs (destination, source, index within its message, flags)
+and at most 106 payload bytes, and its header is counted as the fixed
+21 bytes a real 802.15.4-style stack would occupy.  Only this module
+builds frames: blobs (serialized ciphertexts, trust lists) are split
+into raw 106-byte chunks numbered from 0 in each message, and the MORE
+flag marks every chunk but the last.  Each protocol record carries its
+own truncated_mac.
 """
 
 from __future__ import annotations
@@ -56,8 +57,9 @@ class Frame:
         return bool(self.flags & FLAG_MORE)
 
 
-def fragment(dst: int, src: int, blob: bytes, first_seq: int = 0) -> list[Frame]:
-    """Split a blob into frames of at most 106 payload bytes.
+def fragment(dst: int, src: int, blob: bytes) -> list[Frame]:
+    """Split a blob into frames of at most 106 payload bytes, numbered
+    from 0.
 
     An empty blob still produces one (empty) frame so that keepalives
     and zero-length records are representable.
@@ -65,24 +67,21 @@ def fragment(dst: int, src: int, blob: bytes, first_seq: int = 0) -> list[Frame]
     chunks = [blob[i : i + MAX_PAYLOAD] for i in range(0, len(blob), MAX_PAYLOAD)]
     if not chunks:
         chunks = [b""]
-    frames = []
-    for i, chunk in enumerate(chunks):
-        flags = FLAG_MORE if i < len(chunks) - 1 else 0
-        frames.append(
-            Frame(dst=dst, src=src, seq=(first_seq + i) & 0xFFFF, flags=flags, payload=chunk)
-        )
-    return frames
+    last = len(chunks) - 1
+    return [Frame(dst, src, seq=i, flags=FLAG_MORE if i < last else 0, payload=chunk)
+            for i, chunk in enumerate(chunks)]
 
 
 def reassemble(frames: list[Frame]) -> bytes:
-    """Inverse of fragment; raises ValueError on gaps or disorder."""
+    """Inverse of fragment; raises ValueError on gaps or disorder.  Frame
+    i must carry seq i, so the tail of a message is not taken for all of it."""
     if not frames:
         raise ValueError("no fragments")
     src, dst = frames[0].src, frames[0].dst
     for i, f in enumerate(frames):
         if (f.src, f.dst) != (src, dst):
             raise ValueError("mixed fragment streams")
-        if f.seq != (frames[0].seq + i) & 0xFFFF:
+        if f.seq != i:
             raise ValueError("missing fragment")
         want_more = i < len(frames) - 1
         if f.more != want_more:

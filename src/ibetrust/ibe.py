@@ -40,7 +40,6 @@ _FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class SecurityConfig:
-    profile: str
     p: int
     q: int
     n: int
@@ -50,7 +49,7 @@ class SecurityConfig:
     def from_profile(cls, name: str, seed: int = 0) -> "SecurityConfig":
         if name not in PROFILES:
             raise ConfigError(f"unknown profile {name!r}")
-        return cls(profile=name, seed=seed, **PROFILES[name])
+        return cls(seed=seed, **PROFILES[name])
 
     def validate(self) -> None:
         problems = []
@@ -112,7 +111,7 @@ class Ciphertext:
     w: bytes
 
 
-def setup(config: SecurityConfig, rng: random.Random | None = None):
+def setup(config: SecurityConfig):
     """Generate public parameters and the master key.
 
     Deterministic for a given config seed.  The generator is a random
@@ -122,8 +121,7 @@ def setup(config: SecurityConfig, rng: random.Random | None = None):
         (PublicParams, MasterKey)
     """
     config.validate()
-    if rng is None:
-        rng = random.Random(config.seed)
+    rng = random.Random(config.seed)
     curve = Curve(config.p, config.q)
     while True:
         gen = curve.subgroup_point(rng.randrange(config.p))
@@ -320,7 +318,7 @@ def params_from_bytes(data: bytes) -> PublicParams:
     gen = (r.lp_int(), r.lp_int())
     mpub = (r.lp_int(), r.lp_int())
     r.end()
-    SecurityConfig("loaded", p, q, n).validate()
+    SecurityConfig(p, q, n).validate()
     params = PublicParams(p=p, q=q, n=n, generator=gen, master_pub=mpub)
     if not (params.curve.in_subgroup(gen) and params.curve.in_subgroup(mpub)):
         raise ValueError("params point invalid")

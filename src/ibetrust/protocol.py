@@ -21,7 +21,6 @@ function here takes a time: the simulator owns the clock.
 from __future__ import annotations
 
 import hmac
-import hashlib
 from dataclasses import dataclass, field
 
 from . import ake as ake_mod
@@ -302,7 +301,6 @@ class Node:
         self.pending_nonce: bytes | None = None
         self.sessions: dict[str, ake_mod.SessionKey] = {}
         self.ake_nonces: dict[str, set] = {}
-        self.next_seq = 0
         self._private_key = key
         self.world = WorldState(mode=SECURE)
         self.world.put("ibe_private_key", key)
@@ -356,17 +354,9 @@ class BaseStation:
         self.key = ibe.extract(params, master, BS_IDENTITY)
         self.registry = Registry()
         self.db = TrustDB()
-        self.next_seq = 0
         # Disabled only by the harness mutation test, to show the replay
         # defence is load-bearing.
         self.nonce_check = True
-
-
-def send(sender: Node | BaseStation, dst_wire: int, blob: bytes) -> list[codec.Frame]:
-    """Fragment a blob from sender, continuing its frame sequence numbers."""
-    frames = codec.fragment(dst_wire, sender.wire_id, blob, first_seq=sender.next_seq)
-    sender.next_seq = (sender.next_seq + len(frames)) & 0xFFFF
-    return frames
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +411,7 @@ def ta_request(node: Node, rng) -> list[codec.Frame]:
     bits = len(record) * 8
     node.ledger.add("encrypt", bits * node.constants.enc_j_per_bit, note="ta",
                     quantity=bits)
-    frames = send(node, BS_WIRE_ID, blob)
+    frames = codec.fragment(BS_WIRE_ID, node.wire_id, blob)
     node.bill_tx(frames, "ta-request")
     node.phase = TA
     return frames
@@ -457,7 +447,7 @@ def bs_handle_ta(bs: BaseStation, frames, rng) -> list[codec.Frame]:
     rec.status = ST_TRUSTED
     ack = encode_ack_record(nonce, map(bs.registry.wire_id, bs.db.trusted_identities()))
     blob = encrypt_message(bs.params, rec.identity, ack, rng)
-    return send(bs, wire, blob)
+    return codec.fragment(wire, bs.wire_id, blob)
 
 
 def node_handle_ack(node: Node, frames) -> None:
@@ -509,8 +499,8 @@ def ake_initiate(node: Node, peer: str, rng) -> tuple[list[codec.Frame], ake_mod
         raise Reject("not_in_trust_list", peer)
     msg, session = ake_mod.initiate(node.params, node.identity, node._private_key,
                                     peer, rng)
-    frames = send(node, node.registry.wire_id(peer), ake_message_to_bytes(
-        node.registry, node.params, msg))
+    frames = codec.fragment(node.registry.wire_id(peer), node.wire_id,
+                            ake_message_to_bytes(node.registry, node.params, msg))
     node.bill_tx(frames, "ake")
     node.sessions[peer] = session
     return frames, session
@@ -539,11 +529,3 @@ def peer_authenticate(node: Node, msg: ake_mod.AkeMessage,
     node.sessions[msg.sender] = session
     return session
 
-
-def confirm_tag(session: ake_mod.SessionKey) -> bytes:
-    """Key-confirmation tag for the harness probe (not part of the protocol)."""
-    transcript = b"|".join(
-        p.encode() if isinstance(p, str) else p for p in session.transcript
-    )
-    return hmac.new(session.key, b"ibetrust-confirm|" + transcript,
-                    hashlib.sha256).digest()[:8]

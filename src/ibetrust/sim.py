@@ -555,11 +555,7 @@ class Simulation:
         bit = attack.spec.bit % (len(blob) * 8)
         flipped = bytearray(blob)
         flipped[bit // 8] ^= 1 << (bit % 8)
-        frames, pos = [], 0
-        for f in tx.frames:
-            piece = bytes(flipped[pos : pos + len(f.payload)])
-            pos += len(f.payload)
-            frames.append(codec.Frame(f.dst, f.src, f.seq, f.flags, piece))
+        frames = codec.fragment(tx.dst_wire, tx.src_wire, bytes(flipped))
         self._note(time, f"attack modify flips bit {bit} of {tx.label} "
                          f"from {tx.origin}")
         return Transmission(tx.origin, tx.label, frames, attack)
@@ -613,7 +609,7 @@ class Simulation:
         initiator = self.nodes.get(tx.origin)
         peer_session = initiator.sessions.get(node.identity) if initiator else None
         if (tx.origin != msg.sender or peer_session is None
-                or protocol.confirm_tag(peer_session) != protocol.confirm_tag(session)):
+                or peer_session != session):
             # drop the unconfirmed key, keeping any confirmed session it displaced
             if previous is None:
                 node.sessions.pop(msg.sender, None)

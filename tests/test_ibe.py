@@ -56,36 +56,36 @@ class TestConfig:
             ibe.SecurityConfig.from_profile("huge")
 
     def test_rejects_wrong_residue(self):
-        cfg = ibe.SecurityConfig("custom", p=43, q=11, n=128)
+        cfg = ibe.SecurityConfig(p=43, q=11, n=128)
         with pytest.raises(ConfigError, match="2 mod 3"):
             cfg.validate()
 
     def test_rejects_composite_subgroup(self):
-        cfg = ibe.SecurityConfig("custom", p=53, q=27, n=128)
+        cfg = ibe.SecurityConfig(p=53, q=27, n=128)
         with pytest.raises(ConfigError, match="q not prime"):
             cfg.validate()
 
     def test_rejects_composite_field(self):
-        cfg = ibe.SecurityConfig("custom", p=35, q=6, n=128)
+        cfg = ibe.SecurityConfig(p=35, q=6, n=128)
         with pytest.raises(ConfigError, match="p not prime"):
             cfg.validate()
 
     def test_rejects_non_divisor(self):
-        cfg = ibe.SecurityConfig("custom", p=227, q=17, n=128)
+        cfg = ibe.SecurityConfig(p=227, q=17, n=128)
         with pytest.raises(ConfigError, match="divide"):
             cfg.validate()
 
     def test_rejects_tiny_subgroup(self):
-        cfg = ibe.SecurityConfig("custom", p=227, q=3, n=128)
+        cfg = ibe.SecurityConfig(p=227, q=3, n=128)
         with pytest.raises(ConfigError, match="exceed 3"):
             cfg.validate()
 
     def test_rejects_bad_block_size(self):
         for n in (0, -8, 260):
-            cfg = ibe.SecurityConfig("custom", p=227, q=19, n=n)
+            cfg = ibe.SecurityConfig(p=227, q=19, n=n)
             with pytest.raises(ConfigError, match="out of range"):
                 cfg.validate()
-        cfg = ibe.SecurityConfig("custom", p=227, q=19, n=129)
+        cfg = ibe.SecurityConfig(p=227, q=19, n=129)
         with pytest.raises(ConfigError, match="whole number of bytes"):
             cfg.validate()
 

@@ -312,7 +312,7 @@ class TestTrustedAuthentication:
         rng = random.Random(11)
         record = protocol.encode_ta_record(999, "ab12cd34", b"qq")
         blob = protocol.encrypt_message(bs.params, "bs", record, rng)
-        frames = protocol.send(bs, 0, blob)
+        frames = codec.fragment(0, bs.wire_id, blob)
         with pytest.raises(Reject) as e:
             protocol.bs_handle_ta(bs, frames, rng)
         assert e.value.reason == "unknown_id"
@@ -323,7 +323,7 @@ class TestTrustedAuthentication:
         rng = random.Random(12)
         record = protocol.encode_ta_record(node.wire_id, "ab12cd34", b"qq")
         blob = protocol.encrypt_message(bs.params, "bs", record, rng)
-        frames = protocol.send(node, 0, blob)
+        frames = codec.fragment(0, node.wire_id, blob)
         with pytest.raises(Reject) as e:
             protocol.bs_handle_ta(bs, frames, rng)
         assert e.value.reason == "unknown_id"
@@ -336,14 +336,14 @@ class TestTrustedAuthentication:
         record = protocol.encode_ta_record(node.wire_id, wrong, b"qq")
         blob = protocol.encrypt_message(bs.params, "bs", record, rng)
         with pytest.raises(Reject) as e:
-            protocol.bs_handle_ta(bs, protocol.send(node, 0, blob), rng)
+            protocol.bs_handle_ta(bs, codec.fragment(0, node.wire_id, blob), rng)
         assert e.value.reason == "trust_mismatch"
         assert bs.db.get("node-001").status == protocol.ST_REGISTERED
 
     def test_garbled_request_rejected(self, toy_params):
         bs = make_bs(toy_params)
         rng = random.Random(14)
-        frames = protocol.send(bs, 0, b"\x00\x01" + b"junk")
+        frames = codec.fragment(0, bs.wire_id, b"\x00\x01" + b"junk")
         with pytest.raises(Reject) as e:
             protocol.bs_handle_ta(bs, frames, rng)
         assert e.value.reason == "decrypt_failure"
@@ -358,7 +358,7 @@ class TestTrustedAuthentication:
         record[-1] ^= 0xFF  # valid ciphertext around a bad inner mac
         blob = protocol.encrypt_message(bs.params, "bs", bytes(record), rng)
         with pytest.raises(Reject) as e:
-            protocol.bs_handle_ta(bs, protocol.send(node, 0, blob), rng)
+            protocol.bs_handle_ta(bs, codec.fragment(0, node.wire_id, blob), rng)
         assert e.value.reason == "mac_mismatch"
 
     def test_non_ascii_trust_value_rejected(self, toy_params):
@@ -370,7 +370,7 @@ class TestTrustedAuthentication:
         body = node.wire_id.to_bytes(2, "big") + b"\xff" * 8 + b"qq"
         blob = protocol.encrypt_message(bs.params, "bs", body + codec.truncated_mac(body), rng)
         with pytest.raises(Reject) as e:
-            protocol.bs_handle_ta(bs, protocol.send(node, 0, blob), rng)
+            protocol.bs_handle_ta(bs, codec.fragment(0, node.wire_id, blob), rng)
         assert e.value.reason == "malformed_record"
         assert e.value.detail == "non-ascii trust value"
 
@@ -384,7 +384,7 @@ class TestTrustedAuthentication:
         ack = protocol.encode_ack_record(wrong_nonce, [node.wire_id])
         blob = protocol.encrypt_message(bs.params, "node-001", ack, rng)
         with pytest.raises(Reject) as e:
-            protocol.node_handle_ack(node, protocol.send(bs, node.wire_id, blob))
+            protocol.node_handle_ack(node, codec.fragment(node.wire_id, bs.wire_id, blob))
         assert e.value.reason == "stale_nonce"
         assert node.phase == protocol.TA
         assert node.trust_list == ()
@@ -421,6 +421,8 @@ class TestPartialFrameLoss:
                      "reassembly: missing fragment", id="middle-frame-lost"),
         pytest.param(lambda frames: frames[:-1],
                      "reassembly: fragment chain broken", id="last-frame-lost"),
+        pytest.param(lambda frames: frames[1:],
+                     "reassembly: missing fragment", id="first-frame-lost"),
     ]
 
     @pytest.mark.parametrize("drop, detail", LOSSES)
@@ -499,7 +501,7 @@ class TestPeerAuthentication:
             nodes["n-b"], msg, rx_bytes=frames[0].wire_size
         )
         assert sk_a.key == sk_b.key
-        assert protocol.confirm_tag(sk_a) == protocol.confirm_tag(sk_b)
+        assert sk_a == sk_b
         assert nodes["n-a"].sessions["n-b"].key == nodes["n-b"].sessions["n-a"].key
 
     def test_responder_pairing_billed(self, network):

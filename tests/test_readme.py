@@ -1,0 +1,57 @@
+"""The worked examples in README.md match what the code computes."""
+
+import random
+import re
+from pathlib import Path
+
+import pytest
+
+from ibetrust import codec, ibe, protocol
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+@pytest.fixture(scope="module")
+def text():
+    return " ".join(README.read_text(encoding="utf-8").split())
+
+
+def spaced(data: bytes, cuts) -> str:
+    """Hex of data split at the given offsets, fields joined by spaces."""
+    bounds = [0, *cuts, len(data)]
+    return " ".join(data[a:b].hex() for a, b in zip(bounds, bounds[1:]))
+
+
+def test_trust_record(text):
+    assert "(wire id 1, trust value `25221c1b`, nonce `002a`)" in text
+    record = protocol.encode_ta_record(1, "25221c1b", b"\x00\x2a")
+    fields = spaced(record, [2, 10, 12])
+    assert fields == "0001 3235323231633162 002a 239577e8"
+    assert fields in text
+
+
+def test_ack_record(text):
+    assert "(echoed nonce `002a`, trusted wire ids 1 and 3)" in text
+    record = protocol.encode_ack_record(b"\x00\x2a", [1, 3])
+    fields = spaced(record, [2, 4, 6])
+    assert fields == "002a 0001 0003 3eecdf70"
+    assert fields in text
+
+
+def test_encrypted_trust_record(text):
+    master_seed = int(re.search(r"toy profile with master seed (\d+)", text).group(1))
+    rng_seed = int(re.search(r"drawn from `random\.Random\((\d+)\)`", text).group(1))
+    params, _ = ibe.setup(ibe.SecurityConfig.from_profile("toy", seed=master_seed))
+    record = protocol.encode_ta_record(1, "25221c1b", b"\x00\x2a")
+    blob = protocol.encrypt_message(params, "bs", record, random.Random(rng_seed))
+    cs, block = params.curve.coord_size, params.block_bytes
+    fields = spaced(blob, [2, 2 + cs, 2 + 2 * cs, 2 + 2 * cs + block, 4 + 2 * cs + block])
+    assert fields == ("0001 a8 71 a37257204cb46c8e9ceeb983dc71254e 0010 "
+                      "7e900859a364900afdc7aa292fa3462b")
+    assert fields in text
+
+
+def test_fragmentation_example(text):
+    frames = codec.fragment(1, 2, bytes(400))
+    assert (len(frames), codec.on_air_bytes(frames)) == (4, 484)
+    assert "400-byte message costs 4 frames and 484 on-air bytes" in text

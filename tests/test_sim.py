@@ -243,6 +243,12 @@ class TestHonestRuns:
         rx = [row for row in report.energy_report.comm_rows
               if row[:2] == ("n32", "rx:ta-ack")]
         assert rx == [("n32", "rx:ta-ack", 127.0, pytest.approx(127 * 1.98e-6))]
+        # n35's two-frame ack lost its first frame: the lone tail is not
+        # taken for a whole message, so it is never decrypted and bills
+        # only the two switches of its trust report
+        assert (713, "n35", "decrypt_failure",
+                "reassembly: missing fragment") in report.rejections
+        assert report.energy_report.per_node["n35"]["switch"] == pytest.approx(33.12e-3)
 
 
 def attack_scenario(extra_events, **node_kwargs):
@@ -318,6 +324,32 @@ class TestAttacks:
         ]))
         report = sim.run(sc)
         assert report.attacks[0]["verdict"] == "no-op"
+
+    def test_modify_in_last_frame_of_ack(self):
+        # 50 reports make the last ack a 3-frame, 248-byte blob; bit 1900
+        # (byte 237) sits in its last frame, which starts at byte 212
+        names = [f"n{i:02d}" for i in range(50)]
+        base = {
+            "profile": "toy",
+            "seed": 2,
+            "bs": {"master_seed": 7},
+            "nodes": [{"id": n, "images": ["a", f"k{i}"]} for i, n in enumerate(names)],
+            "events": [{"time": 0, "kind": "boot", "node": n} for n in names]
+                      + [{"time": 10 + 10 * i, "kind": "ta", "node": n}
+                         for i, n in enumerate(names)],
+        }
+        clean = sim.run(scenario_from(base))
+        base["events"].insert(-1, {"time": 499, "kind": "attack", "attack": {
+            "kind": "modify", "label": "ta-ack", "source": "bs", "bit": 1900}})
+        report = sim.run(scenario_from(base))
+        assert report.attacks == [
+            {"kind": "modify", "verdict": "blocked", "detail": "decrypt_failure"}]
+        assert [r[1:3] for r in report.rejections] == [("n49", "decrypt_failure")]
+        assert report.final_phases["n49"] == protocol.TA
+        assert "[501] attack modify flips bit 1900 of ta-ack from bs" in report.event_log
+        sent = "[501] bs -> n49 ta-ack 311B in 3 frame(s)"
+        assert sent in clean.event_log
+        assert sent + " (attack modify)" in report.event_log
 
     def test_fake_node_with_stolen_wire_id(self):
         """Claiming a real id without its trust value trips the value check."""
