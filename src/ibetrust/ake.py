@@ -3,12 +3,14 @@
 The initiator sends a single message carrying R = r*Q_A; both sides
 then reach the same pairing value
 
-    initiator: e((r+h) * d_A, Q_B)
-    responder: e(R + h*Q_A, d_B)
+    initiator: e(d_A, (r+h) * Q_B)
+    responder: e(d_B, R + h*Q_A)
 
-with h a hash of R and both identities, equal by bilinearity because
-d_X = s*Q_X.  Authentication is implicit: only the holder of d_A can
-produce the initiator-side value.  The responder sends nothing back.
+with h a hash of R and both identities, equal by bilinearity and the
+pairing's symmetry because d_X = s*Q_X.  Each side's own key goes
+first, so the pairing reuses that key's cached Miller lines.
+Authentication is implicit: only the holder of d_A can produce the
+initiator-side value.  The responder sends nothing back.
 
 Trust-list gating (refusing to respond to unlisted senders before any
 pairing work) belongs to the protocol layer; these functions are the
@@ -94,9 +96,7 @@ def initiate(
         h = _h_ake(params, big_r, id_a, id_b)
         if (r + h) % params.q != 0:
             break
-    K = curve.pairing(
-        curve.mul(r + h, sk_a.point), hash_to_point(params, id_b)
-    )
+    K = curve.pairing(sk_a.point, curve.mul(r + h, hash_to_point(params, id_b)))
     session = kdf(params, K, id_a, id_b, big_r)
     nonce = rng.randbytes(2)
     msg = AkeMessage(
@@ -125,7 +125,7 @@ def respond(params: PublicParams, sk_b: PrivateKey, msg: AkeMessage) -> SessionK
         raise Reject("mac_mismatch")
     h = _h_ake(params, R, msg.sender, msg.receiver)
     q_a = hash_to_point(params, msg.sender)
-    K = curve.pairing(curve.add(R, curve.mul(h, q_a)), sk_b.point)
+    K = curve.pairing(sk_b.point, curve.add(R, curve.mul(h, q_a)))
     try:
         return kdf(params, K, msg.sender, msg.receiver, R)
     except ValueError:

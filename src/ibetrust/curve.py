@@ -18,10 +18,14 @@ inner loops avoid it (Cohen-Miyaji-Ono, ASIACRYPT 1998).  Scalar
 multiplication and the Miller loop keep their running point in Jacobian
 coordinates, (X, Y, Z) standing for (X/Z^2, Y/Z^3): a doubling or an
 addition of an affine point is a handful of multiplications, and mul
-inverts once at the end to return an affine point.  The Miller loop
-evaluates each line times an F_p factor that clears its denominators;
-the pairing's final exponentiation maps every F_p factor to 1, so the
-value is the same as with affine lines.  That exponentiation starts
+inverts once at the end to return an affine point.
+
+Every pairing in the program has one argument that never changes (P,
+P_pub or a private key), and callers pass it first.  The Miller loop's
+points depend on that argument alone, so its lines are computed once,
+with every Z made affine by one batched inversion, cached on the Curve,
+and evaluated at each new second point (Scott, Pairing 2007;
+Costello-Stebila, LATINCRYPT 2010).  The final exponentiation starts
 with the Frobenius map, which is the conjugation (a + bz)^p =
 (a - b) - bz here (Barreto-Kim-Lynn-Scott, CRYPTO 2002).
 """
@@ -92,6 +96,17 @@ class Curve:
         # bumped on every pairing evaluation; the protocol layer's
         # cheap-check-first claims are asserted against this
         self.pairing_count = 0
+        # the Miller loop's steps after the top bit of q: a doubling
+        # (True) per bit, then an addition of A (False) per 1 bit; the
+        # last addition, the chord through -A, is evaluated on its own
+        steps = []
+        for bit in bin(q)[3:]:
+            steps.append(True)
+            if bit == "1":
+                steps.append(False)
+        self._doublings = tuple(steps[:-1])
+        # the first pairing argument -> its Miller lines (_miller_lines)
+        self._lines: dict[Point, tuple[int, ...]] = {}
 
     # ---- group law over F_p ----
 
@@ -111,8 +126,10 @@ class Curve:
     def in_subgroup(self, P: Point) -> bool:
         """True when P is a finite curve point of order q.
 
-        The one validity check for points from outside the program;
-        everything downstream, the pairing included, trusts it.
+        The validity check for points from outside the program: the
+        loaders' points and a key exchange's R.  ibe.decrypt needs only
+        contains for U, because its re-encryption check accepts only
+        U = r*P.  The pairing checks nothing and trusts its callers.
         """
         return P is not None and self.contains(P) and self.mul(self.q, P) is None
 
@@ -197,13 +214,20 @@ class Curve:
     # ---- F_p^2 helpers; GT elements live here ----
 
     def f2_mul(self, u: Fp2, v: Fp2) -> Fp2:
-        # (a + bz)(c + dz) with z^2 = -z - 1
+        # (a + bz)(c + dz) with z^2 = -z - 1, Karatsuba: ad + bc is
+        # (a + b)(c + d) - ac - bd, so three multiplications
         p = self.p
         a, b = u
         c, d = v
-        ac = a * c % p
-        bd = b * d % p
-        return ((ac - bd) % p, (a * d + b * c - bd) % p)
+        ac = a * c
+        bd = b * d
+        return ((ac - bd) % p, ((a + b) * (c + d) - ac - 2 * bd) % p)
+
+    def _f2_sqr(self, u: Fp2) -> Fp2:
+        # (a + bz)^2 = (a - b)(a + b) + b(2a - b)z, two multiplications
+        p = self.p
+        a, b = u
+        return ((a - b) * (a + b) % p, b * (2 * a - b) % p)
 
     def f2_inv(self, u: Fp2) -> Fp2:
         # conjugate over norm; norm(a + bz) = a^2 - ab + b^2
@@ -214,14 +238,13 @@ class Curve:
         return ((a - b) * ninv % p, -b * ninv % p)
 
     def f2_pow(self, u: Fp2, e: int) -> Fp2:
-        if e < 0:
-            return self.f2_pow(self.f2_inv(u), -e)
+        """u^e for e >= 0 by right-to-left square-and-multiply."""
         result = GT_ONE
         base = u
         while e:
             if e & 1:
                 result = self.f2_mul(result, base)
-            base = self.f2_mul(base, base)
+            base = self._f2_sqr(base)
             e >>= 1
         return result
 
@@ -235,19 +258,23 @@ class Curve:
         """Modified Tate pairing e(A, B) for A and B in the order-q subgroup.
 
         Neither input is checked: callers validate points from outside
-        with in_subgroup where they enter the program.  Infinity pairs
-        to the identity.
+        where they enter the program.  Infinity pairs to the identity.
+        The value is symmetric, e(A, B) = e(B, A), and callers pass the
+        point that stays fixed across calls (P, P_pub or a private key)
+        as A: the Miller lines depend on A alone, so they are computed
+        on the first call with a given A, kept on this Curve, and each
+        later call only evaluates them at B.  pairing_count counts every
+        call, cached or not.
 
         Miller's algorithm computes f_{q,A} at the distorted image
-        (z*xB, yB) of B, with T kept in Jacobian coordinates so no step
-        inverts.  Each line is evaluated times a nonzero F_p factor that
-        clears its denominators: 2YZ^3 for the tangent at T = (X, Y, Z),
-        the new Z3 for the chord through T and A, and Z3^2 for the
-        vertical at (X3, Y3, Z3).  Dividing by a vertical v is
-        multiplying by its conjugate, since v * conj(v) is the norm, in
-        F_p.  None of this changes the result: the final exponent
-        (p^2 - 1)/q is a multiple of p - 1, and every c in F_p* has
-        c^(p-1) = 1.
+        (z*xB, yB) of B: each step squares f on a doubling, multiplies
+        by the line through T, and divides by the vertical at the new
+        point.  Dividing by a vertical v is multiplying by its
+        conjugate, since v * conj(v) is the norm, in F_p, and the final
+        exponent (p^2 - 1)/q is a multiple of p - 1, so every c in F_p*
+        has c^(p-1) = 1.  The last step is the chord through
+        (q - 1)A = -A, the vertical x = xA, and the vertical at qA =
+        infinity is 1.
 
         The final exponentiation, to (p^2 - 1)/q, puts the result in the
         order-q subgroup of F_p^2*.  It splits into (p - 1) and
@@ -261,40 +288,63 @@ class Curve:
         self.pairing_count += 1
         if A is None or B is None:
             return GT_ONE
+        lines = self._lines.get(A)
+        if lines is None:
+            lines = self._lines[A] = self._miller_lines(A)
 
-        xA, yA = A
         xB, yB = B
+        vb = -xB % p  # the z coefficient of every conjugated vertical
         f = GT_ONE
-        T = (xA, yA, 1)
-        # T never reaches infinity, 2-torsion or A itself before the
-        # last step, where T = (q - 1)A = -A
-        for bit in bin(self.q)[3:]:
-            X, Y, Z = T
-            T, E = self._double(T)
-            ZZ = Z * Z % p
-            # (y - Y/Z^3) - 3X^2/(2YZ) * (x - X/Z^2), times 2YZ^3 = Z3*Z^2
-            line = ((T[2] * ZZ * yB - 2 * Y * Y + E * X) % p, -E * ZZ * xB % p)
-            f = self.f2_mul(self.f2_mul(self.f2_mul(f, f), line), self._vertical_conj(T, xB))
-            if bit == "1":
-                T, r = self._add_affine(T, A)
-                if T[2]:
-                    # (y - yA) - r/Z3 * (x - xA), times Z3
-                    line = ((T[2] * (yB - yA) + r * xA) % p, -r * xB % p)
-                    f = self.f2_mul(self.f2_mul(f, line), self._vertical_conj(T, xB))
-                else:
-                    # the chord through T = -A is the vertical x = xA, and
-                    # the vertical at T + A = infinity is 1
-                    f = self.f2_mul(f, (-xA % p, xB))
-        assert T[2] == 0  # q*A is infinity for A of order q
+        steps = iter(lines)
+        for doubling, lam, c, x_new in zip(self._doublings, steps, steps, steps):
+            if doubling:
+                f = self._f2_sqr(f)
+            # the line y + c - lam*x at (z*xB, yB), and conj(z*xB - x_new)
+            line = ((yB + c) % p, -lam * xB % p)
+            f = self.f2_mul(f, self.f2_mul(line, ((vb - x_new) % p, vb)))
+        f = self.f2_mul(f, (-lines[-1] % p, xB))
         # Frobenius: f^(p-1) = conj(f) / f
         a, b = f
         f = self.f2_mul(((a - b) % p, -b % p), self.f2_inv(f))
         return self.f2_pow(f, (p + 1) // self.q)
 
-    def _vertical_conj(self, T: Jacobian, xB: int) -> Fp2:
-        """conj of the vertical x - X/Z^2 at the distorted image, times Z^2:
-        conj(-X + Z^2*xB*z) = (-X - Z^2*xB) + (-Z^2*xB)z."""
+    def _miller_lines(self, A: tuple[int, int]) -> tuple[int, ...]:
+        """The Miller lines of A, flat: (lam, c, x_new) per step of
+        self._doublings, then xA for the last chord, through -A.
+
+        The line through T with slope lam is y + c - lam*x for
+        c = lam*xT - yT, and x_new is the x of the step's result.  The
+        points come from the Jacobian chain of _double and _add_affine,
+        whose slopes are numerator / Z_new; one batched inversion
+        (Montgomery's trick) makes every Z affine.
+        """
         p = self.p
-        X, _, Z = T
-        c = Z * Z * xB % p
-        return ((-X - c) % p, -c % p)
+        T = (A[0], A[1], 1)
+        chain, slopes = [], []
+        for doubling in self._doublings:
+            T, num = self._double(T) if doubling else self._add_affine(T, A)
+            chain.append(T)
+            slopes.append(num)
+        # prefix products of the Z, one inversion, then each 1/Z from the back
+        prefix = [1]
+        for T in chain:
+            prefix.append(prefix[-1] * T[2] % p)
+        inv = pow(prefix[-1], -1, p)
+        z_invs = [0] * len(chain)
+        for i in range(len(chain) - 1, -1, -1):
+            z_invs[i] = inv * prefix[i] % p
+            inv = inv * chain[i][2] % p
+
+        lines = []
+        xT, yT = A
+        for (X, Y, _), zi, num in zip(chain, z_invs, slopes):
+            lam = num * zi % p
+            zi2 = zi * zi % p
+            x_new = X * zi2 % p
+            lines += (lam, (lam * xT - yT) % p, x_new)
+            xT, yT = x_new, Y * zi2 * zi % p
+        # T never reaches infinity, 2-torsion or A itself on the way to
+        # (q - 1)A = -A, which holds for A of order q
+        assert (xT, yT) == (A[0], -A[1] % p)
+        lines.append(A[0])
+        return tuple(lines)

@@ -174,7 +174,7 @@ def hash_to_scalar(q: int, data: bytes) -> int:
 def _xor(a: bytes, b: bytes) -> bytes:
     if len(a) != len(b):
         raise ValueError("xor length mismatch")
-    return bytes(x ^ y for x, y in zip(a, b))
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
 def _h2(params: PublicParams, g: Fp2) -> bytes:
@@ -212,7 +212,7 @@ def encrypt(
     r = _h3(params, sigma, message)
     curve = params.curve
     U = curve.mul(r, params.generator)
-    g = curve.pairing(hash_to_point(params, identity), params.master_pub)
+    g = curve.pairing(params.master_pub, hash_to_point(params, identity))
     mask = _h2(params, curve.gt_pow(g, r))
     V = _xor(sigma, mask)
     W = _xor(message, _h4(params, sigma)[: len(message)])
@@ -221,9 +221,17 @@ def encrypt(
 
 def decrypt(params: PublicParams, key: PrivateKey, ct: Ciphertext) -> bytes:
     """Decrypt one block; raises Reject unless the ciphertext re-encrypts
-    to itself under the recovered seed."""
+    to itself under the recovered seed.
+
+    U is only checked to be a finite curve point.  The re-encryption
+    check accepts only U = r*P, which has order q, so it also proves U
+    is in the subgroup (Fujisaki-Okamoto); a U outside it fails with
+    fo_mismatch.  The pairing cannot fail on such a U: a line or
+    vertical of the Miller loop vanishes at the distorted image only
+    when xU = 0, and (0, +-1) lies on no line through multiples of d.
+    """
     curve = params.curve
-    if not curve.in_subgroup(ct.u):
+    if ct.u is None or not curve.contains(ct.u):
         raise Reject("malformed_point")
     if len(ct.v) != params.block_bytes or len(ct.w) > params.block_bytes:
         raise Reject("malformed_ciphertext")
@@ -346,9 +354,9 @@ def private_key_from_bytes(params: PublicParams, data: bytes) -> PrivateKey:
     curve = params.curve
     if not curve.in_subgroup(pt):
         raise ValueError("key point not in the order-q subgroup")
-    # d = s*Q_id exactly when e(d, P) = e(Q_id, sP)
-    if curve.pairing(pt, params.generator) != curve.pairing(
-            hash_to_point(params, identity), params.master_pub):
+    # d = s*Q_id exactly when e(P, d) = e(sP, Q_id)
+    if curve.pairing(params.generator, pt) != curve.pairing(
+            params.master_pub, hash_to_point(params, identity)):
         raise ValueError("key does not match identity and parameters")
     return PrivateKey(identity=identity, point=pt)
 

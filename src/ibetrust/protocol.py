@@ -20,6 +20,7 @@ function here takes a time: the simulator owns the clock.
 
 from __future__ import annotations
 
+import bisect
 import hmac
 from dataclasses import dataclass, field
 
@@ -254,8 +255,15 @@ class TrustRecord:
 
 
 class TrustDB:
+    """Trust records by identity, plus the sorted tuple of trusted ones.
+
+    Every status change goes through register, admit or terminate, which
+    keep the tuple current, so reading it costs no scan.
+    """
+
     def __init__(self):
         self.records: dict[str, TrustRecord] = {}
+        self._trusted: tuple[str, ...] = ()
 
     def __contains__(self, identity: str) -> bool:
         return identity in self.records
@@ -270,12 +278,26 @@ class TrustDB:
             self.records[identity] = TrustRecord(identity, trust_value)
         else:
             existing.trust_value = trust_value
-            existing.status = ST_REGISTERED
+            self._set_status(existing, ST_REGISTERED)
+
+    def admit(self, identity: str):
+        self._set_status(self.records[identity], ST_TRUSTED)
+
+    def terminate(self, identity: str):
+        self._set_status(self.records[identity], ST_TERMINATED)
 
     def trusted_identities(self) -> tuple[str, ...]:
-        return tuple(sorted(
-            r.identity for r in self.records.values() if r.status == ST_TRUSTED
-        ))
+        return self._trusted
+
+    def _set_status(self, rec: TrustRecord, status: str):
+        if (rec.status == ST_TRUSTED) != (status == ST_TRUSTED):
+            ids = self._trusted
+            i = bisect.bisect_left(ids, rec.identity)
+            if status == ST_TRUSTED:
+                self._trusted = ids[:i] + (rec.identity,) + ids[i:]
+            else:
+                self._trusted = ids[:i] + ids[i + 1:]
+        rec.status = status
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +466,7 @@ def bs_handle_ta(bs: BaseStation, frames, rng) -> list[codec.Frame]:
     if bs.nonce_check and nonce in rec.seen_nonces:
         raise Reject("nonce_replay", rec.identity)
     rec.seen_nonces.add(nonce)
-    rec.status = ST_TRUSTED
+    bs.db.admit(rec.identity)
     ack = encode_ack_record(nonce, map(bs.registry.wire_id, bs.db.trusted_identities()))
     blob = encrypt_message(bs.params, rec.identity, ack, rng)
     return codec.fragment(wire, bs.wire_id, blob)
@@ -481,7 +503,7 @@ def bs_terminate(bs: BaseStation, identity: str) -> bool:
     """Remove a node from the trust list; an unknown id is a no-op."""
     if identity not in bs.db:
         return False
-    bs.db.get(identity).status = ST_TERMINATED
+    bs.db.terminate(identity)
     return True
 
 

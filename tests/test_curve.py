@@ -173,6 +173,19 @@ class TestPairing:
             lhs = toy.pairing(toy.mul(r * t, gen), toy.mul(s, gen))
             assert lhs == toy.gt_pow(base, r * s * t % TOY_Q)
 
+    def test_every_subgroup_pair_matches_oracle(self, gen):
+        # the Miller lines are cached per first argument; every pair of
+        # the order-19 group, infinity included, against the oracle
+        curve = Curve(TOY_P, TOY_Q)
+        group = [oracles.naive_mul(TOY_P, k, gen) for k in range(TOY_Q)]
+        for A in group:
+            for B in group:
+                value = curve.pairing(A, B)
+                assert value == oracles.pairing(TOY_P, TOY_Q, A, B), (A, B)
+                assert value == curve.pairing(B, A), (A, B)
+        assert curve.pairing_count == 2 * TOY_Q * TOY_Q
+        assert len(curve._lines) == TOY_Q - 1
+
     def test_infinity_inputs(self, toy, gen):
         assert toy.pairing(None, gen) == GT_ONE
         assert toy.pairing(gen, None) == GT_ONE
@@ -246,6 +259,20 @@ class TestDemoKernel:
     def test_pairing_matches_divisor_oracle(self, demo, points):
         for A, B in ((points[0], points[1]), (points[2], points[3])):
             assert demo.pairing(A, B) == oracles.pairing(DEMO_P, DEMO_Q, A, B)
+
+    def test_cached_lines_give_the_cold_value(self, demo, points):
+        rng = random.Random(13)
+        pairs = [(points[i % 2], demo.mul(rng.randrange(1, DEMO_Q), points[2]))
+                 for i in range(10)]
+        warm = Curve(DEMO_P, DEMO_Q)
+        for A, B in pairs:
+            cold = Curve(DEMO_P, DEMO_Q)
+            before = warm.pairing_count
+            assert warm.pairing(A, B) == cold.pairing(A, B)
+            assert warm.pairing_count == before + 1
+            assert cold.pairing_count == 1
+        # eight of the ten calls on warm reused the lines of points[0] or [1]
+        assert set(warm._lines) == {points[0], points[1]}
 
 
 @pytest.mark.parametrize("p, q", [(TOY_P, TOY_Q), (DEMO_P, DEMO_Q)], ids=["toy", "demo"])

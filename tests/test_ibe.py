@@ -279,6 +279,26 @@ class TestEncryptDecrypt:
             with pytest.raises(Reject, match="malformed_point"):
                 ibe.decrypt(params, key, ibe.Ciphertext(bad_u, ct.v, ct.w))
 
+    def test_u_outside_the_subgroup_fails_the_reencryption_check(self, params, master):
+        # decrypt checks only that U is a finite curve point; every toy
+        # point outside the order-q subgroup pairs without error and then
+        # fails the re-encryption check, which accepts only U = r*P
+        key = ibe.extract(params, master, "node-001")
+        ct = ibe.encrypt(params, "node-001", b"attest", sigma=vectors.ENC_SIGMA)
+        outside = [U for U in oracles.enumerate_points(params.p)
+                   if oracles.naive_mul(params.p, params.q, U) is not None]
+        assert len(outside) == params.p + 1 - params.q
+        for U in outside:
+            with pytest.raises(Reject, match="fo_mismatch"):
+                ibe.decrypt(params, key, ibe.Ciphertext(U, ct.v, ct.w))
+
+    def test_xor_keeps_leading_zero_bytes(self):
+        assert ibe._xor(b"\x00\x5a\xff", b"\x00\x5a\xff") == bytes(3)
+        assert ibe._xor(b"\x01\x00", b"\x01\x80") == b"\x00\x80"
+        assert ibe._xor(b"", b"") == b""
+        with pytest.raises(ValueError, match="length mismatch"):
+            ibe._xor(b"\x00", b"")
+
     def test_basic_variant_lacks_integrity(self, params, master):
         # the stripped-down variant roundtrips but cannot notice tampering;
         # the re-encryption check is what turns flips into rejects

@@ -480,6 +480,30 @@ class TestTermination:
         assert "ghost" not in bs.db
         assert {name: rec.status for name, rec in bs.db.records.items()} == before
 
+    def test_trusted_tuple_matches_a_fresh_scan(self, network):
+        bs, nodes, rng = network
+
+        def scan():
+            return tuple(sorted(r.identity for r in bs.db.records.values()
+                                if r.status == protocol.ST_TRUSTED))
+
+        new = []
+        steps = [
+            lambda: new.append(provision_ready(bs, "n-0")),  # register
+            lambda: full_ta(bs, new[0], rng),                # accept, first in order
+            lambda: full_ta(bs, nodes["n-b"], rng),          # accept, already trusted
+            lambda: protocol.bs_terminate(bs, "n-b"),        # terminate
+            lambda: protocol.bs_terminate(bs, "n-b"),        # terminate again
+            lambda: full_ta(bs, nodes["n-b"], rng),          # re-admit
+            lambda: bs.db.register("n-a", bs.db.get("n-a").trust_value),  # re-flash
+            lambda: full_ta(bs, nodes["n-a"], rng),          # accept
+        ]
+        assert bs.db.trusted_identities() == scan() == ("n-a", "n-b", "n-c")
+        for step in steps:
+            step()
+            assert bs.db.trusted_identities() == scan()
+        assert scan() == ("n-0", "n-a", "n-b", "n-c")
+
     def test_terminated_id_absent_from_new_acks(self, network):
         bs, nodes, rng = network
         protocol.bs_terminate(bs, "n-c")

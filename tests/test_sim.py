@@ -187,6 +187,20 @@ class TestHonestRuns:
         b = sim.run(sim.load_scenario("demo"), seed=42).to_json()
         assert a == b
 
+    @pytest.mark.parametrize("name", ["demo", "attacks"])
+    def test_pairing_cache_holds_only_fixed_points(self, name):
+        # every pairing puts P, P_pub or a private key first, so the
+        # Miller-line cache holds at most one entry per key, plus two
+        simulation = sim.Simulation(sim.load_scenario(name))
+        simulation.run()
+        params = simulation.bs.params
+        keys = [simulation.bs.key.point]
+        keys += [node._private_key.point for node in simulation.nodes.values()]
+        fixed = {params.generator, params.master_pub, *keys}
+        assert params.curve.pairing_count > 0
+        assert set(params.curve._lines) <= fixed
+        assert len(params.curve._lines) <= len(keys) + 2
+
     def test_energy_accumulation(self):
         report = sim.run(sim.load_scenario("demo"))
         per_node = report.energy_report.per_node
