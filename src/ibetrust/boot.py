@@ -144,19 +144,17 @@ class WorldState:
     """Two-mode execution state guarding the secure region.
 
     Assets stored in the secure region are reachable only while in
-    secure mode; every access attempt, granted or not, is logged.  Each
-    real mode transition bumps the switch counter and fires on_switch,
-    which the owning node uses to bill switching energy.
+    secure mode; a put or access from the normal world raises
+    AccessViolation.  Each real mode transition fires on_switch, which
+    the owning node sets to bill switching energy.
     """
 
-    def __init__(self, mode: str = SECURE, on_switch=None):
+    def __init__(self, mode: str = SECURE):
         if mode not in (SECURE, NORMAL):
             raise ConfigError(f"unknown mode {mode!r}")
         self.mode = mode
-        self.switch_count = 0
-        self.on_switch = on_switch
+        self.on_switch = lambda: None
         self._store: dict[str, object] = {}
-        self.access_log: list[tuple[str, str, bool]] = []
 
     def switch(self, target: str) -> None:
         if target not in (SECURE, NORMAL):
@@ -164,23 +162,14 @@ class WorldState:
         if target == self.mode:
             return
         self.mode = target
-        self.switch_count += 1
-        if self.on_switch is not None:
-            self.on_switch()
+        self.on_switch()
 
     def put(self, name: str, value) -> None:
         if self.mode != SECURE:
-            self.access_log.append(("put", name, False))
             raise AccessViolation(f"write to {name!r} from normal world")
-        self.access_log.append(("put", name, True))
         self._store[name] = value
 
     def access(self, name: str):
         if self.mode != SECURE:
-            self.access_log.append(("access", name, False))
             raise AccessViolation(f"read of {name!r} from normal world")
-        if name not in self._store:
-            self.access_log.append(("access", name, False))
-            raise KeyError(name)
-        self.access_log.append(("access", name, True))
         return self._store[name]

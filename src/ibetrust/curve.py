@@ -248,8 +248,6 @@ class Curve:
             e >>= 1
         return result
 
-    gt_mul = f2_mul
-    gt_inv = f2_inv
     gt_pow = f2_pow
 
     # ---- pairing ----

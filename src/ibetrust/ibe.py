@@ -254,13 +254,12 @@ def point_to_bytes(params: PublicParams, P: Point) -> bytes:
 
 
 def point_from_bytes(params: PublicParams, data: bytes) -> Point:
+    """Decode point_to_bytes' fixed-width x | y layout.  No curve or
+    subgroup check: callers validate (decrypt for U, ake.respond for R)."""
     w = params.curve.coord_size
     if len(data) != 2 * w:
         raise ValueError(f"point encoding must be {2 * w} bytes")
-    P = (int.from_bytes(data[:w], "big"), int.from_bytes(data[w:], "big"))
-    if not params.curve.in_subgroup(P):
-        raise ValueError("point not in the order-q subgroup")
-    return P
+    return (int.from_bytes(data[:w], "big"), int.from_bytes(data[w:], "big"))
 
 
 def gt_to_bytes(params: PublicParams, g: Fp2) -> bytes:

@@ -83,9 +83,6 @@ class Registry:
         table = self._by_wire if isinstance(key, int) else self._by_name
         return key in table
 
-    def __len__(self) -> int:
-        return len(self._by_name)
-
 
 # ---------------------------------------------------------------------------
 # Wire records carried inside IBE ciphertexts
@@ -190,8 +187,7 @@ def decrypt_message(params: ibe.PublicParams, key: ibe.PrivateKey, blob: bytes) 
         need = 2 * cs + block + _LEN_BYTES
         if len(blob) - pos < need:
             raise Reject("malformed_ciphertext", "truncated block")
-        x = int.from_bytes(blob[pos : pos + cs], "big")
-        y = int.from_bytes(blob[pos + cs : pos + 2 * cs], "big")
+        u = ibe.point_from_bytes(params, blob[pos : pos + 2 * cs])
         pos += 2 * cs
         v = blob[pos : pos + block]
         pos += block
@@ -201,7 +197,7 @@ def decrypt_message(params: ibe.PublicParams, key: ibe.PrivateKey, blob: bytes) 
             raise Reject("malformed_ciphertext", "bad chunk length")
         w = blob[pos : pos + wlen]
         pos += wlen
-        out += ibe.decrypt(params, key, ibe.Ciphertext((x, y), v, w))
+        out += ibe.decrypt(params, key, ibe.Ciphertext(u, v, w))
     if pos != len(blob):
         raise Reject("malformed_ciphertext", "trailing bytes")
     return bytes(out)
@@ -231,12 +227,10 @@ def ake_message_from_bytes(registry: Registry, params: ibe.PublicParams,
     receiver_wire = int.from_bytes(data[2:4], "big")
     if sender_wire not in registry or receiver_wire not in registry:
         raise Reject("malformed_message", "unknown wire id in ake message")
-    x = int.from_bytes(data[4 : 4 + cs], "big")
-    y = int.from_bytes(data[4 + cs : 4 + 2 * cs], "big")
     return ake_mod.AkeMessage(
         sender=registry.identity(sender_wire),
         receiver=registry.identity(receiver_wire),
-        big_r=(x, y),
+        big_r=ibe.point_from_bytes(params, data[4 : 4 + 2 * cs]),
         nonce=data[4 + 2 * cs : 6 + 2 * cs],
         mac=data[6 + 2 * cs : 10 + 2 * cs],
     )
@@ -333,9 +327,9 @@ class Node:
         n = codec.on_air_bytes(frames)
         self.ledger.add("tx", n * self.constants.tx_j_per_byte, note, n)
 
-    def bill_rx(self, nbytes: int, note: str):
-        if nbytes:
-            self.ledger.add("rx", nbytes * self.constants.rx_j_per_byte, note, nbytes)
+    def bill_rx(self, frames, note: str):
+        n = codec.on_air_bytes(frames)
+        self.ledger.add("rx", n * self.constants.rx_j_per_byte, note, n)
 
     def power_on(self) -> BootResult:
         """Boot through the chain of trust.
@@ -439,6 +433,22 @@ def ta_request(node: Node, rng) -> list[codec.Frame]:
     return frames
 
 
+def _reassemble(frames, reason: str) -> bytes:
+    """Join the delivered frames; a broken fragment chain rejects with reason."""
+    try:
+        return codec.reassemble(frames)
+    except ValueError as exc:
+        raise Reject(reason, f"reassembly: {exc}") from exc
+
+
+def _decrypt(params: ibe.PublicParams, key: ibe.PrivateKey, blob: bytes) -> bytes:
+    """decrypt_message, with every failure reported as decrypt_failure."""
+    try:
+        return decrypt_message(params, key, blob)
+    except Reject as exc:
+        raise Reject("decrypt_failure", exc.reason) from exc
+
+
 def bs_handle_ta(bs: BaseStation, frames, rng) -> list[codec.Frame]:
     """Verify a trust report; admit the node and answer with the list.
 
@@ -449,15 +459,8 @@ def bs_handle_ta(bs: BaseStation, frames, rng) -> list[codec.Frame]:
     reports a matching trust value is re-admitted, covering the
     reboot-and-re-authenticate path.
     """
-    try:
-        blob = codec.reassemble(frames)
-    except ValueError as exc:
-        raise Reject("decrypt_failure", f"reassembly: {exc}") from exc
-    try:
-        record = decrypt_message(bs.params, bs.key, blob)
-    except Reject as exc:
-        raise Reject("decrypt_failure", exc.reason) from exc
-    wire, claimed, nonce = decode_ta_record(record)
+    blob = _reassemble(frames, "decrypt_failure")
+    wire, claimed, nonce = decode_ta_record(_decrypt(bs.params, bs.key, blob))
     if wire not in bs.registry or bs.registry.identity(wire) not in bs.db:
         raise Reject("unknown_id", f"wire id {wire}")
     rec = bs.db.get(bs.registry.identity(wire))
@@ -474,19 +477,13 @@ def bs_handle_ta(bs: BaseStation, frames, rng) -> list[codec.Frame]:
 
 def node_handle_ack(node: Node, frames) -> None:
     """Decrypt the ack, check the nonce echo, install the trust list."""
-    node.bill_rx(codec.on_air_bytes(frames), "ta-ack")
+    node.bill_rx(frames, "ta-ack")
     if node.phase != TA or node.pending_nonce is None:
         raise Reject("not_waiting", f"phase {node.phase!r}")
-    try:
-        blob = codec.reassemble(frames)
-    except ValueError as exc:
-        raise Reject("decrypt_failure", f"reassembly: {exc}") from exc
+    blob = _reassemble(frames, "decrypt_failure")
     node.world.switch(SECURE)
     try:
-        record = decrypt_message(node.params, node.world.access("ibe_private_key"),
-                                 blob)
-    except Reject as exc:
-        raise Reject("decrypt_failure", exc.reason) from exc
+        record = _decrypt(node.params, node.world.access("ibe_private_key"), blob)
     finally:
         node.world.switch(NORMAL)
     nonce, wire_ids = decode_ack_record(record)
@@ -528,16 +525,18 @@ def ake_initiate(node: Node, peer: str, rng) -> tuple[list[codec.Frame], ake_mod
     return frames, session
 
 
-def peer_authenticate(node: Node, msg: ake_mod.AkeMessage,
-                      rx_bytes: int = 0) -> ake_mod.SessionKey:
+def peer_authenticate(node: Node, frames) -> ake_mod.SessionKey:
     """Responder side of the key exchange behind the two-tier gate.
 
-    Tier 1 consults the trust list before any curve arithmetic, so an
-    unlisted sender costs zero pairing operations.  Tier 2 runs the
-    actual key derivation; its online pairing is billed.  A repeated
-    (sender, nonce) pair is rejected before tier 2.
+    The frames are billed as rx and decoded (malformed_message if they
+    do not decode).  Tier 1 consults the trust list before any curve
+    arithmetic, so an unlisted sender costs zero curve operations.
+    Tier 2 runs the actual key derivation; its online pairing is billed.
+    A repeated (sender, nonce) pair is rejected before tier 2.
     """
-    node.bill_rx(rx_bytes, "ake")
+    node.bill_rx(frames, "ake")
+    msg = ake_message_from_bytes(node.registry, node.params,
+                                 _reassemble(frames, "malformed_message"))
     if node.phase != TRUSTED:
         raise Reject("not_trusted", f"phase {node.phase!r}")
     if msg.sender not in node.trust_list:

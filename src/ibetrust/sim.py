@@ -332,9 +332,6 @@ class Transmission:
     def src_wire(self) -> int:
         return self.frames[0].src
 
-    def on_air(self) -> int:
-        return codec.on_air_bytes(self.frames)
-
 
 # ---------------------------------------------------------------------------
 # Report
@@ -375,9 +372,6 @@ class SimReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    def render_text(self) -> str:
-        return render_report_dict(self.to_dict())
 
 
 # the keys render_report_dict reads; a saved report must hold all of them
@@ -543,8 +537,8 @@ class Simulation:
         kept = [f for f in tx.frames if self.rng_channel.random() >= self.scenario.loss]
         lost = len(tx.frames) - len(kept)
         note = f" (attack {tx.attack.spec.kind})" if tx.attack else ""
-        self._note(time, f"{tx.origin} -> {self.entity_name(tx.dst_wire)} "
-                         f"{tx.label} {tx.on_air()}B in {len(tx.frames)} frame(s)"
+        self._note(time, f"{tx.origin} -> {self.entity_name(tx.dst_wire)} {tx.label} "
+                         f"{codec.on_air_bytes(tx.frames)}B in {len(tx.frames)} frame(s)"
                          + (f", {lost} lost" if lost else "") + note)
         self.push(time + len(tx.frames), "deliver",
                   Transmission(tx.origin, tx.label, kept, tx.attack))
@@ -600,23 +594,18 @@ class Simulation:
         return "ack accepted"
 
     def _deliver_ake(self, time: float, node: protocol.Node, tx: Transmission) -> str:
-        blob = b"".join(f.payload for f in tx.frames)
-        msg = protocol.ake_message_from_bytes(self.bs.registry, self.params, blob)
-        previous = node.sessions.get(msg.sender)
-        session = protocol.peer_authenticate(node, msg, rx_bytes=tx.on_air())
+        previous = dict(node.sessions)
+        session = protocol.peer_authenticate(node, tx.frames)
+        sender = session.transcript[0]
         # Key-confirmation probe: harness-only check that the claimed
         # initiator can actually use the key it should have derived.
         initiator = self.nodes.get(tx.origin)
         peer_session = initiator.sessions.get(node.identity) if initiator else None
-        if (tx.origin != msg.sender or peer_session is None
-                or peer_session != session):
+        if tx.origin != sender or peer_session != session:
             # drop the unconfirmed key, keeping any confirmed session it displaced
-            if previous is None:
-                node.sessions.pop(msg.sender, None)
-            else:
-                node.sessions[msg.sender] = previous
-            raise Reject("key_confirm_failed", msg.sender)
-        self._note(time, f"session {msg.sender} <-> {node.identity} established")
+            node.sessions = previous
+            raise Reject("key_confirm_failed", sender)
+        self._note(time, f"session {sender} <-> {node.identity} established")
         return "session established"
 
     # -- scheduled scenario events

@@ -103,7 +103,7 @@ class TestKdf:
     def test_k_and_k_squared_differ(self, params):
         curve = params.curve
         e = curve.pairing(params.generator, params.generator)
-        e2 = curve.gt_mul(e, e)
+        e2 = curve.f2_mul(e, e)
         R = params.generator
         assert ake.kdf(params, e, "a", "b", R).key != ake.kdf(params, e2, "a", "b", R).key
 

@@ -177,20 +177,21 @@ class TestBoot:
 class TestWorldState:
     def test_normal_mode_denied(self):
         w = boot.WorldState(mode=boot.NORMAL)
-        with pytest.raises(AccessViolation):
+        with pytest.raises(AccessViolation, match="read of 'private_key' from normal world"):
             w.access("private_key")
-        assert w.access_log == [("access", "private_key", False)]
 
     def test_secure_mode_granted(self):
         w = boot.WorldState(mode=boot.SECURE)
         w.put("private_key", b"\x01\x02")
         assert w.access("private_key") == b"\x01\x02"
-        assert ("access", "private_key", True) in w.access_log
 
     def test_put_from_normal_denied(self):
         w = boot.WorldState(mode=boot.NORMAL)
-        with pytest.raises(AccessViolation):
+        with pytest.raises(AccessViolation, match="write to 'private_key' from normal world"):
             w.put("private_key", b"x")
+        w.switch(boot.SECURE)
+        with pytest.raises(KeyError):  # the denied write stored nothing
+            w.access("private_key")
 
     def test_missing_asset(self):
         w = boot.WorldState(mode=boot.SECURE)
@@ -199,18 +200,20 @@ class TestWorldState:
 
     def test_switch_counting(self):
         fired = []
-        w = boot.WorldState(mode=boot.NORMAL, on_switch=lambda: fired.append(1))
+        w = boot.WorldState(mode=boot.NORMAL)
+        w.on_switch = lambda: fired.append(w.mode)
         w.switch(boot.SECURE)
         w.put("k", 1)
         assert w.access("k") == 1
         w.switch(boot.NORMAL)
-        assert w.switch_count == 2
-        assert len(fired) == 2
+        assert fired == [boot.SECURE, boot.NORMAL]
 
     def test_same_mode_is_noop(self):
+        fired = []
         w = boot.WorldState(mode=boot.SECURE)
+        w.on_switch = lambda: fired.append(w.mode)
         w.switch(boot.SECURE)
-        assert w.switch_count == 0
+        assert fired == [] and w.mode == boot.SECURE
 
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):

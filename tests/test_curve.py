@@ -6,8 +6,9 @@ import pytest
 
 import oracles
 import vectors
-from ibetrust import ibe
+from ibetrust import ake, ibe
 from ibetrust.curve import GT_ONE, Curve, is_probable_prime
+from ibetrust.errors import Reject
 
 TOY_P, TOY_Q = 227, 19
 DEMO_P, DEMO_Q = ibe.PROFILES["demo"]["p"], ibe.PROFILES["demo"]["q"]
@@ -26,8 +27,14 @@ def gen(toy):
 def assert_loaders_reject(gen, bad):
     params = ibe.PublicParams(p=TOY_P, q=TOY_Q, n=128, generator=gen,
                               master_pub=vectors.TOY_MASTER_PUB)
-    with pytest.raises(ValueError):
-        ibe.point_from_bytes(params, ibe.point_to_bytes(params, bad))
+    # the wire decoder checks nothing; ake.respond refuses such an R
+    R = ibe.point_from_bytes(params, ibe.point_to_bytes(params, bad))
+    assert R == bad
+    key = ibe.PrivateKey("node-002", gen)
+    msg = ake.AkeMessage("node-001", "node-002", R, b"nn",
+                         ake.message_mac(params, "node-001", R, b"nn"))
+    with pytest.raises(Reject, match="off_curve"):
+        ake.respond(params, key, msg)
     for blob in (
         ibe.params_to_bytes(ibe.PublicParams(TOY_P, TOY_Q, 128, bad, params.master_pub)),
         ibe.params_to_bytes(ibe.PublicParams(TOY_P, TOY_Q, 128, gen, bad)),
@@ -191,9 +198,9 @@ class TestPairing:
         assert toy.pairing(gen, None) == GT_ONE
         assert toy.pairing(None, None) == GT_ONE
 
-    # pairing() trusts its inputs; in_subgroup is the one check, run
-    # where points enter: the loaders (assert_loaders_reject), ibe.decrypt
-    # and ake.respond
+    # pairing() trusts its inputs; points are checked where they are
+    # used: in_subgroup in the loaders and ake.respond
+    # (assert_loaders_reject), contains in ibe.decrypt
 
     def test_rejects_off_curve(self, toy, gen):
         assert toy.in_subgroup(gen)
@@ -212,7 +219,7 @@ class TestPairing:
 
     def test_gt_inverse(self, toy, gen):
         e = toy.pairing(gen, gen)
-        assert toy.gt_mul(e, toy.gt_inv(e)) == GT_ONE
+        assert toy.f2_mul(e, toy.f2_inv(e)) == GT_ONE
 
 
 class TestDemoKernel:

@@ -4,19 +4,20 @@ Each target gets a valid input, then a few thousand copies of it with
 one to three random edits (bit flips, byte overwrites, insertions,
 deletions, truncations).  Whatever the bytes, a decoder may only accept
 them or fail in the documented way: Reject inside the protocol, or
-ValueError (ConfigError included) for the loaders.  Any other exception
-escaping is a bug at that boundary.
+ValueError (ConfigError included) for the key-material loaders.  Any
+other exception escaping is a bug at that boundary.
 """
 
 import random
 
 import pytest
 
-from ibetrust import ake, ibe, protocol
+from ibetrust import ake, codec, ibe, protocol
 from ibetrust.errors import Reject
 
 MUTATIONS = 5000
 DOCUMENTED = (Reject, ValueError)  # ConfigError is a ValueError
+LOADERS = ("params_from_bytes", "private_key_from_bytes")
 
 
 @pytest.fixture(scope="module")
@@ -59,12 +60,22 @@ def targets(toy):
         return ake.respond(params, keys["node-002"],
                            protocol.ake_message_from_bytes(registry, params, data))
 
+    # a trusted responder that lists the sender, fed the bytes as frames
+    responder = protocol.Node("node-002", 2, params, keys["node-002"], registry)
+    responder.phase = protocol.TRUSTED
+    responder.trust_list = ("node-001",)
+
+    def peer_authenticate(data):
+        return protocol.peer_authenticate(responder, codec.fragment(2, 1, data))
+
     return {
         "decrypt_message": (
             protocol.encrypt_message(params, "bs", ta, rng),
             lambda data: protocol.decrypt_message(params, keys["bs"], data)),
         "ake_message_from_bytes+respond": (
             protocol.ake_message_to_bytes(registry, params, msg), ake_respond),
+        "peer_authenticate": (
+            protocol.ake_message_to_bytes(registry, params, msg), peer_authenticate),
         "params_from_bytes": (ibe.params_to_bytes(params), ibe.params_from_bytes),
         "private_key_from_bytes": (
             ibe.private_key_to_bytes(params, keys["node-001"]),
@@ -75,18 +86,20 @@ def targets(toy):
 
 
 @pytest.mark.parametrize("name", [
-    "decrypt_message", "ake_message_from_bytes+respond", "params_from_bytes",
-    "private_key_from_bytes", "decode_ta_record", "decode_ack_record",
+    "decrypt_message", "ake_message_from_bytes+respond", "peer_authenticate",
+    "params_from_bytes", "private_key_from_bytes", "decode_ta_record",
+    "decode_ack_record",
 ])
 def test_only_documented_exceptions_escape(toy, name):
     valid, decode = targets(toy)[name]
+    documented = DOCUMENTED if name in LOADERS else Reject
     decode(valid)  # the unmutated input is accepted
     rng = random.Random(name)
     for _ in range(MUTATIONS):
         data = mutate(valid, rng)
         try:
             decode(data)
-        except DOCUMENTED:
+        except documented:
             pass
         except Exception as exc:  # noqa: BLE001 - the escape under test
             pytest.fail(f"{name}: {type(exc).__name__}: {exc} on input {data.hex()}")

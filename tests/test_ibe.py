@@ -255,10 +255,7 @@ class TestEncryptDecrypt:
         for pos in range(len(blob) * 8):
             bad = bytearray(blob)
             bad[pos // 8] ^= 1 << (pos % 8)
-            try:
-                u = ibe.point_from_bytes(params, bytes(bad[:usize]))
-            except ValueError:
-                continue  # off-curve point: rejected at parse time
+            u = ibe.point_from_bytes(params, bytes(bad[:usize]))
             mutated = ibe.Ciphertext(u, bytes(bad[usize : usize + 16]), bytes(bad[usize + 16 :]))
             with pytest.raises(Reject):
                 ibe.decrypt(params, key, mutated)
@@ -374,9 +371,15 @@ class TestSerialization:
         with pytest.raises(ValueError):
             ibe.point_to_bytes(params, None)
 
-    def test_point_off_curve_rejected(self, params):
-        with pytest.raises(ValueError):
-            ibe.point_from_bytes(params, b"\x01\x01")
+    def test_point_off_curve_rejected(self, params, master):
+        # the decoder checks only the width; decrypt refuses the point
+        assert ibe.point_from_bytes(params, b"\x01\x01") == (1, 1)
+        with pytest.raises(ValueError, match="must be 2 bytes"):
+            ibe.point_from_bytes(params, b"\x01")
+        key = ibe.extract(params, master, "node-001")
+        ct = ibe.Ciphertext(ibe.point_from_bytes(params, b"\x01\x01"), bytes(16), b"")
+        with pytest.raises(Reject, match="malformed_point"):
+            ibe.decrypt(params, key, ct)
 
     def test_gt_encoding_width(self, params):
         e = params.curve.pairing(params.generator, params.generator)

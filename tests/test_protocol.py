@@ -60,7 +60,7 @@ class TestRegistry:
         assert reg.assign("alpha") == 1
         assert reg.assign("beta") == 2
         assert reg.identity(2) == "beta"
-        assert len(reg) == 3
+        assert 2 in reg and 3 not in reg  # bs, alpha and beta only
 
     def test_duplicate_rejected(self):
         reg = protocol.Registry()
@@ -191,7 +191,8 @@ class TestProvisioning:
         node = protocol.dp_provision(bs, "node-001")
         assert node.phase == protocol.DP
         assert node.wire_id == 1
-        assert len(bs.registry) == 2  # the base station and the new node
+        assert "bs" in bs.registry and "node-001" in bs.registry
+        assert 2 not in bs.registry  # the base station and the new node only
         assert bs.registry.wire_id("node-001") == 1
         assert bs.registry.identity(1) == "node-001"
         assert node.ledger.events == []  # offline, nothing billed
@@ -513,17 +514,10 @@ class TestTermination:
 
 
 class TestPeerAuthentication:
-    def deliver(self, bs, frames):
-        params = bs.params
-        return protocol.ake_message_from_bytes(bs.registry, params, frames[0].payload)
-
     def test_equal_keys(self, network):
         bs, nodes, rng = network
         frames, sk_a = protocol.ake_initiate(nodes["n-a"], "n-b", rng)
-        msg = self.deliver(bs, frames)
-        sk_b = protocol.peer_authenticate(
-            nodes["n-b"], msg, rx_bytes=frames[0].wire_size
-        )
+        sk_b = protocol.peer_authenticate(nodes["n-b"], frames)
         assert sk_a.key == sk_b.key
         assert sk_a == sk_b
         assert nodes["n-a"].sessions["n-b"].key == nodes["n-b"].sessions["n-a"].key
@@ -532,8 +526,7 @@ class TestPeerAuthentication:
         bs, nodes, rng = network
         before_a = nodes["n-a"].ledger.category_total("pairing")
         frames, _ = protocol.ake_initiate(nodes["n-a"], "n-b", rng)
-        msg = self.deliver(bs, frames)
-        protocol.peer_authenticate(nodes["n-b"], msg, rx_bytes=33)
+        protocol.peer_authenticate(nodes["n-b"], frames)
         assert nodes["n-a"].ledger.category_total("pairing") == before_a
         assert nodes["n-b"].ledger.category_total("pairing") == pytest.approx(0.2916)
         tx_notes = [e.note for e in nodes["n-a"].ledger.events if e.category == "tx"]
@@ -547,13 +540,34 @@ class TestPeerAuthentication:
         msg, _ = __import__("ibetrust.ake", fromlist=["initiate"]).initiate(
             bs.params, "n-x", outsider._private_key, "n-b", rng
         )
+        frames = codec.fragment(nodes["n-b"].wire_id, outsider.wire_id,
+                                protocol.ake_message_to_bytes(bs.registry, bs.params, msg))
         count_before = bs.params.curve.pairing_count
         joules_before = nodes["n-b"].ledger.category_total("pairing")
         with pytest.raises(Reject) as e:
-            protocol.peer_authenticate(nodes["n-b"], msg)
+            protocol.peer_authenticate(nodes["n-b"], frames)
         assert e.value.reason == "not_in_trust_list"
         assert bs.params.curve.pairing_count == count_before
         assert nodes["n-b"].ledger.category_total("pairing") == joules_before
+
+    @pytest.mark.parametrize("damage, detail", [
+        (lambda f: [codec.Frame(f.dst, f.src, 0, codec.FLAG_MORE, f.payload)],
+         "reassembly: fragment chain broken"),
+        (lambda f: [codec.Frame(f.dst, f.src, 0, 0, f.payload[:-1])],
+         "ake message length 11"),
+    ], ids=["broken-chain", "truncated"])
+    def test_undecodable_message_billed_then_rejected(self, network, damage, detail):
+        bs, nodes, rng = network
+        frames, _ = protocol.ake_initiate(nodes["n-a"], "n-b", rng)
+        received = damage(frames[0])
+        count_before = bs.params.curve.pairing_count
+        with pytest.raises(Reject) as e:
+            protocol.peer_authenticate(nodes["n-b"], received)
+        assert (e.value.reason, e.value.detail) == ("malformed_message", detail)
+        assert bs.params.curve.pairing_count == count_before
+        arrived = codec.on_air_bytes(received)
+        rx = nodes["n-b"].ledger.totals_by_note("rx")
+        assert rx["ake"] == (arrived * nodes["n-b"].constants.rx_j_per_byte, arrived)
 
     def test_initiator_checks_own_list(self, network):
         bs, nodes, rng = network
@@ -566,17 +580,16 @@ class TestPeerAuthentication:
         nodes["n-b"].power_on()  # back to deployed, list wiped
         frames, _ = protocol.ake_initiate(nodes["n-a"], "n-b", rng)
         with pytest.raises(Reject) as e:
-            protocol.peer_authenticate(nodes["n-b"], self.deliver(bs, frames))
+            protocol.peer_authenticate(nodes["n-b"], frames)
         assert e.value.reason == "not_trusted"
 
     def test_replayed_message_rejected(self, network):
         bs, nodes, rng = network
         frames, _ = protocol.ake_initiate(nodes["n-a"], "n-b", rng)
-        msg = self.deliver(bs, frames)
-        protocol.peer_authenticate(nodes["n-b"], msg)
+        protocol.peer_authenticate(nodes["n-b"], frames)
         count_before = bs.params.curve.pairing_count
         with pytest.raises(Reject) as e:
-            protocol.peer_authenticate(nodes["n-b"], msg)
+            protocol.peer_authenticate(nodes["n-b"], frames)
         assert e.value.reason == "nonce_replay"
         assert bs.params.curve.pairing_count == count_before
 
@@ -586,7 +599,7 @@ class TestPeerAuthentication:
             [e for e in nodes["n-a"].ledger.events if e.category == "switch"]
         )
         frames, _ = protocol.ake_initiate(nodes["n-a"], "n-b", rng)
-        protocol.peer_authenticate(nodes["n-b"], self.deliver(bs, frames))
+        protocol.peer_authenticate(nodes["n-b"], frames)
         switches_after = len(
             [e for e in nodes["n-a"].ledger.events if e.category == "switch"]
         )
@@ -595,10 +608,10 @@ class TestPeerAuthentication:
     def test_wire_roundtrip(self, network):
         bs, nodes, rng = network
         frames, _ = protocol.ake_initiate(nodes["n-a"], "n-b", rng)
-        msg = self.deliver(bs, frames)
+        msg = protocol.ake_message_from_bytes(bs.registry, bs.params, frames[0].payload)
         blob = protocol.ake_message_to_bytes(bs.registry, bs.params, msg)
         assert blob == frames[0].payload
-        assert protocol.ake_message_from_bytes(bs.registry, bs.params, blob) == msg
+        assert msg.sender == "n-a" and msg.receiver == "n-b"
 
 
 class TestSafetyInvariant:

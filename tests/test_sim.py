@@ -416,11 +416,12 @@ class TestVerdictPaths:
         assert report.final_phases["a"] == protocol.DY
 
     def test_modified_sender_wire_is_malformed(self):
-        report = sim.run(trio([
+        simulation = sim.Simulation(trio([
             {"time": 40, "kind": "attack",
              "attack": {"kind": "modify", "label": "ake", "source": "a", "bit": 7}},
             {"time": 41, "kind": "ake", "initiator": "a", "peer": "b"},
         ], trusted="bca"))
+        report = simulation.run()
         assert report.rejections == [
             (42, "b", "malformed_message", "unknown wire id in ake message")]
         assert report.attacks == [
@@ -430,6 +431,9 @@ class TestVerdictPaths:
             "[41] a -> b ake 33B in 1 frame(s) (attack modify)",
             "[42] b reject: malformed_message (unknown wire id in ake message)",
         ]
+        # the refused message still arrived, so its 33 bytes are billed as rx
+        b = simulation.nodes["b"]
+        assert b.ledger.totals_by_note("rx")["ake"] == (33 * b.constants.rx_j_per_byte, 33)
 
     def test_impersonation_without_prior_session(self):
         simulation = sim.Simulation(trio([
@@ -455,7 +459,7 @@ class TestVerdictPaths:
 class TestReportShape:
     def test_dict_roundtrip_renders_identically(self):
         report = sim.run(sim.load_scenario("attacks"))
-        direct = report.render_text()
+        direct = sim.render_report_dict(report.to_dict())
         via_json = sim.render_report_dict(json.loads(report.to_json()))
         assert direct == via_json
         for section in ("final node phases", "rejection log", "attack verdicts",
