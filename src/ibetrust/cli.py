@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -27,13 +26,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    keygen = sub.add_parser("keygen", help="generate system parameters and node keys")
+    keygen = sub.add_parser("keygen", help="generate system parameters and the master key")
     keygen.add_argument("--profile", choices=sorted(ibe.PROFILES), default="toy")
     keygen.add_argument("--seed", type=int, default=0,
                         help="master key generation seed (default 0)")
     keygen.add_argument("--out-dir", required=True, type=Path)
-    keygen.add_argument("--ids", nargs="*", default=[],
-                        help="node identities to extract key files for")
 
     runp = sub.add_parser("run", help="run a scenario and emit the report")
     runp.add_argument("--scenario", required=True,
@@ -56,38 +53,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_keygen(args) -> int:
-    # each identity names a file in --out-dir, so it must be a plain file name
-    bad = [i for i in args.ids if i in ("", ".", "..") or "\0" in i or Path(i).name != i]
-    if bad:
-        raise ConfigError(f"--ids must be plain file names, got {', '.join(map(repr, bad))}")
-    limit = _name_max(args.out_dir)
-    long = [i for i in args.ids if len(os.fsencode(i + ".key")) > limit]
-    if long:
-        raise ConfigError(f"--ids too long for a {limit}-byte file name: "
-                          f"{', '.join(map(repr, long))}")
     config = ibe.SecurityConfig.from_profile(args.profile, seed=args.seed)
     params, master = ibe.setup(config)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     (args.out_dir / PARAMS_FILE).write_bytes(ibe.params_to_bytes(params))
     (args.out_dir / MASTER_FILE).write_bytes(ibe.master_key_to_bytes(master))
-    written = [PARAMS_FILE, MASTER_FILE]
-    for identity in args.ids:
-        key = ibe.extract(params, master, identity)
-        name = identity + ".key"
-        (args.out_dir / name).write_bytes(ibe.private_key_to_bytes(params, key))
-        written.append(name)
-    print(f"profile {args.profile}: wrote {', '.join(written)} to {args.out_dir}")
+    print(f"profile {args.profile}: wrote {PARAMS_FILE}, {MASTER_FILE} to {args.out_dir}")
     return 0
-
-
-def _name_max(out_dir: Path) -> int:
-    """File-name length limit where out_dir is or will be made (255 if unknown)."""
-    path = out_dir.absolute()
-    try:
-        limit = os.pathconf(next(p for p in (path, *path.parents) if p.exists()), "PC_NAME_MAX")
-    except (AttributeError, OSError, ValueError):  # no pathconf, or no such name
-        limit = -1
-    return limit if limit > 0 else 255  # -1 also means the file system sets no limit
 
 
 def _load_keys(keys_dir: Path) -> tuple[ibe.PublicParams, ibe.MasterKey]:

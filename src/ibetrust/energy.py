@@ -220,10 +220,10 @@ def build_report(
 ) -> EnergyReport:
     """Reduce ledgers into the report structure.
 
-    ta_totals exclude pairing energy (treated as offline-precomputable
-    for the authentication flow); the nominal total is the calibrated
-    one-boot one-switch 160-bit reading, printed beside the measured
-    numbers rather than replacing them.
+    ta_totals exclude pairing energy: the authentication flow bills no
+    pairing (ack decryption's is a known gap).  The nominal total is the
+    calibrated one-boot one-switch 160-bit reading, printed beside the
+    measured numbers rather than replacing them.
     """
     process_rows = [
         ("secure bootup", constants.boot_s, constants.e_boot),

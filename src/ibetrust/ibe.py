@@ -33,7 +33,6 @@ PROFILES = {
 }
 
 _PARAMS_MAGIC = b"IBTP"
-_KEY_MAGIC = b"IBTK"
 _MASTER_MAGIC = b"IBTM"
 _FORMAT_VERSION = 1
 
@@ -83,10 +82,6 @@ class PublicParams:
 
     def __post_init__(self):
         self.curve = Curve(self.p, self.q)
-
-    @property
-    def cofactor(self) -> int:
-        return self.curve.cofactor
 
     @property
     def block_bytes(self) -> int:
@@ -274,19 +269,16 @@ def _lp_int(v: int) -> bytes:
 
 class _Reader:
     """Parser of a key-material blob: magic, version byte, then fields.
+    kind names the blob in its errors."""
 
-    kind names the blob in the magic error, short (kind by default) in
-    the version and trailing-bytes errors.
-    """
-
-    def __init__(self, data: bytes, magic: bytes, kind: str, short: str = ""):
+    def __init__(self, data: bytes, magic: bytes, kind: str):
         self.data = data
         self.off = 0
-        self.short = short or kind
+        self.kind = kind
         if self.take(4) != magic:
             raise ValueError(f"not a {kind} blob")
         if self.take(1)[0] != _FORMAT_VERSION:
-            raise ValueError(f"unsupported {self.short} version")
+            raise ValueError(f"unsupported {kind} version")
 
     def take(self, k: int) -> bytes:
         if self.off + k > len(self.data):
@@ -301,7 +293,7 @@ class _Reader:
 
     def end(self) -> None:
         if self.off != len(self.data):
-            raise ValueError(f"trailing bytes in {self.short} blob")
+            raise ValueError(f"trailing bytes in {self.kind} blob")
 
 
 def params_to_bytes(params: PublicParams) -> bytes:
@@ -330,34 +322,6 @@ def params_from_bytes(data: bytes) -> PublicParams:
     if not (params.curve.in_subgroup(gen) and params.curve.in_subgroup(mpub)):
         raise ValueError("params point invalid")
     return params
-
-
-def private_key_to_bytes(params: PublicParams, key: PrivateKey) -> bytes:
-    ident = key.identity.encode("utf-8")
-    return (
-        _KEY_MAGIC
-        + bytes([_FORMAT_VERSION])
-        + len(ident).to_bytes(2, "big")
-        + ident
-        + _lp_int(key.point[0])
-        + _lp_int(key.point[1])
-    )
-
-
-def private_key_from_bytes(params: PublicParams, data: bytes) -> PrivateKey:
-    r = _Reader(data, _KEY_MAGIC, "private key", "key")
-    idlen = int.from_bytes(r.take(2), "big")
-    identity = r.take(idlen).decode("utf-8")
-    pt = (r.lp_int(), r.lp_int())
-    r.end()
-    curve = params.curve
-    if not curve.in_subgroup(pt):
-        raise ValueError("key point not in the order-q subgroup")
-    # d = s*Q_id exactly when e(P, d) = e(sP, Q_id)
-    if curve.pairing(params.generator, pt) != curve.pairing(
-            params.master_pub, hash_to_point(params, identity)):
-        raise ValueError("key does not match identity and parameters")
-    return PrivateKey(identity=identity, point=pt)
 
 
 def master_key_to_bytes(master: MasterKey) -> bytes:

@@ -317,6 +317,7 @@ class Node:
         self.pending_nonce: bytes | None = None
         self.sessions: dict[str, ake_mod.SessionKey] = {}
         self.ake_nonces: dict[str, set] = {}
+        # known gap: key exchange reads this normal-world copy, not world.access
         self._private_key = key
         self.world = WorldState(mode=SECURE)
         self.world.put("ibe_private_key", key)
@@ -476,7 +477,10 @@ def bs_handle_ta(bs: BaseStation, frames, rng) -> list[codec.Frame]:
 
 
 def node_handle_ack(node: Node, frames) -> None:
-    """Decrypt the ack, check the nonce echo, install the trust list."""
+    """Decrypt the ack, check the nonce echo, install the trust list.
+
+    Known gap: the pairing e(d_ID, U) of each block, fresh U, is not billed.
+    """
     node.bill_rx(frames, "ta-ack")
     if node.phase != TA or node.pending_nonce is None:
         raise Reject("not_waiting", f"phase {node.phase!r}")
@@ -507,10 +511,10 @@ def bs_terminate(bs: BaseStation, identity: str) -> bool:
 def ake_initiate(node: Node, peer: str, rng) -> tuple[list[codec.Frame], ake_mod.SessionKey]:
     """One-pass key exchange, initiator side.
 
-    The pairing the initiator needs depends only on its own key and the
-    peer identity, so it is treated as precomputable and not billed;
-    only transmit energy is.  Key agreement runs outside the secure
-    world in this model, so no switch energy is charged either.
+    The initiator's pairing e(d_A, (r+h)*Q_B) takes a fresh r every
+    session, so it is not precomputable; by the model's choice it is not
+    billed, and only transmit energy is.  Key agreement reads the
+    normal-world key copy, so no switch energy is charged either.
     """
     if node.phase != TRUSTED:
         raise Reject("not_trusted", f"phase {node.phase!r}")

@@ -92,7 +92,11 @@ def _is_int(v) -> bool:
 
 
 def _is_real(v) -> bool:
-    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
+    # times render through float (f"{t:g}"), so an int must fit in one
+    try:
+        return (_is_int(v) or isinstance(v, float)) and math.isfinite(v)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def parse_scenario(text: str, name: str = "<memory>") -> Scenario:
@@ -165,8 +169,8 @@ def parse_scenario(text: str, name: str = "<memory>") -> Scenario:
             images = ["?", "?"]
         tamper = entry.get("tamper_level")
         if tamper is not None and (
-                not _is_int(tamper) or not 1 <= tamper <= len(images)):
-            problems.append(f"{where}: tamper_level must be in [1, {len(images)}]")
+                not _is_int(tamper) or not 2 <= tamper <= len(images)):
+            problems.append(f"{where}: tamper_level must be in [2, {len(images)}]")
             tamper = None
         nodes.append(NodeSpec(nid, list(images), tamper))
 

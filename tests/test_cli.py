@@ -1,7 +1,6 @@
 """Command-line interface: subcommands, files, and exit codes."""
 
 import json
-import os
 
 import pytest
 
@@ -15,15 +14,16 @@ def run_cli(argv):
 class TestKeygen:
     def test_writes_parseable_material(self, tmp_path):
         out = tmp_path / "keys"
-        rc = run_cli(["keygen", "--profile", "toy", "--seed", "7",
-                      "--out-dir", str(out), "--ids", "node-001", "node-002"])
+        rc = run_cli(["keygen", "--profile", "toy", "--seed", "7", "--out-dir", str(out)])
         assert rc == 0
+        # exactly the two files run --keys reads
+        assert sorted(p.name for p in out.iterdir()) == ["master.bin", "params.bin"]
         params = ibe.params_from_bytes((out / "params.bin").read_bytes())
         master = ibe.master_key_from_bytes(params, (out / "master.bin").read_bytes())
-        key = ibe.private_key_from_bytes(params, (out / "node-001.key").read_bytes())
-        assert key.identity == "node-001"
-        # extraction from the stored master reproduces the stored key
-        assert ibe.extract(params, master, "node-001").point == key.point
+        assert (params, master) == ibe.setup(ibe.SecurityConfig.from_profile("toy", seed=7))
+        with pytest.raises(SystemExit) as e:
+            run_cli(["keygen", "--out-dir", str(out), "--ids", "node-001"])
+        assert e.value.code == 2
 
     def test_deterministic(self, tmp_path):
         for sub in ("a", "b"):
@@ -32,27 +32,6 @@ class TestKeygen:
                 == (tmp_path / "b" / "params.bin").read_bytes())
         assert ((tmp_path / "a" / "master.bin").read_bytes()
                 == (tmp_path / "b" / "master.bin").read_bytes())
-
-    @pytest.mark.parametrize("identity", ["../x", "a/b", "..", "a\x00b"])
-    def test_ids_that_are_not_file_names_refused(self, tmp_path, capsys, identity):
-        work = tmp_path / "work"
-        work.mkdir()
-        rc = run_cli(["keygen", "--out-dir", str(work / "k"),
-                      "--ids", "node-001", identity])
-        assert rc == 2
-        assert "--ids must be plain file names" in capsys.readouterr().err
-        assert list(tmp_path.rglob("*")) == [work]  # nothing written, no dir made
-
-    def test_identity_too_long_for_a_file_name_refused(self, tmp_path, capsys):
-        limit = os.pathconf(tmp_path, "PC_NAME_MAX")
-        longest = "x" * (limit - len(".key"))
-        rc = run_cli(["keygen", "--out-dir", str(tmp_path / "k"),
-                      "--ids", "node-001", longest + "x"])
-        assert rc == 2
-        assert "too long" in capsys.readouterr().err
-        assert list(tmp_path.rglob("*")) == []  # no params.bin, no dir made
-        assert run_cli(["keygen", "--out-dir", str(tmp_path / "k"), "--ids", longest]) == 0
-        assert (tmp_path / "k" / (longest + ".key")).is_file()
 
 
 class TestRun:
@@ -85,9 +64,13 @@ class TestRun:
     def test_keygen_then_run(self, tmp_path, capsys):
         keys = tmp_path / "keys"
         run_cli(["keygen", "--profile", "toy", "--seed", "7", "--out-dir", str(keys)])
-        rc = run_cli(["run", "--scenario", "demo", "--keys", str(keys)])
+        rc = run_cli(["run", "--scenario", "demo", "--keys", str(keys),
+                      "--out", str(tmp_path / "with.json")])
         assert rc == 0
         assert "trusted" in capsys.readouterr().out
+        # the scenario's bs.master_seed is 7, so the loaded keys change nothing
+        run_cli(["run", "--scenario", "demo", "--out", str(tmp_path / "without.json")])
+        assert (tmp_path / "with.json").read_bytes() == (tmp_path / "without.json").read_bytes()
 
     def test_keys_of_another_profile_refused(self, tmp_path, capsys):
         keys = tmp_path / "keys"
@@ -165,6 +148,17 @@ class TestRun:
         assert run_cli(["report", "--in", str(out)]) == 0
         assert capsys.readouterr().out == live
 
+    def test_time_too_large_for_a_float_refused(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "profile": "toy",
+            "nodes": [{"id": "n1", "images": ["loader", "kernel"]}],
+            "events": [{"time": 10**400, "kind": "boot", "node": "n1"}],
+        }))
+        rc = run_cli(["run", "--scenario", str(path)])
+        assert rc == 2
+        assert "time must be a non-negative number" in capsys.readouterr().err
+
     def test_internal_error_exit_code(self, monkeypatch, capsys):
         def boom(*args, **kwargs):
             raise RuntimeError("simulated fault")
@@ -219,6 +213,7 @@ class TestReport:
         ("seed", [1]),
         ("trust_snapshots", [[1, "xy"]]),
         ("rejection_counts", {"nonce_replay": "1"}),
+        ("trust_snapshots", [[10**400, []]]),  # a time no float can hold
     ])
     def test_wrong_value_type(self, tmp_path, capsys, key, value):
         out = tmp_path / "report.json"

@@ -41,9 +41,6 @@ def assert_loaders_reject(gen, bad):
     ):
         with pytest.raises(ValueError):
             ibe.params_from_bytes(blob)
-    key = ibe.PrivateKey("node-001", bad)
-    with pytest.raises(ValueError):
-        ibe.private_key_from_bytes(params, ibe.private_key_to_bytes(params, key))
 
 
 class TestPrimality:

@@ -17,7 +17,7 @@ from ibetrust.errors import Reject
 
 MUTATIONS = 5000
 DOCUMENTED = (Reject, ValueError)  # ConfigError is a ValueError
-LOADERS = ("params_from_bytes", "private_key_from_bytes")
+LOADERS = ("params_from_bytes", "master_key_from_bytes")
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +27,7 @@ def toy():
     for name in ("node-001", "node-002"):
         registry.assign(name)
     keys = {name: ibe.extract(params, master, name) for name in ("bs", "node-001", "node-002")}
-    return params, registry, keys
+    return params, master, registry, keys
 
 
 def mutate(data: bytes, rng: random.Random) -> bytes:
@@ -50,7 +50,7 @@ def mutate(data: bytes, rng: random.Random) -> bytes:
 
 def targets(toy):
     """name -> (valid input, decoder)"""
-    params, registry, keys = toy
+    params, master, registry, keys = toy
     rng = random.Random(1)
     ta = protocol.encode_ta_record(1, "0123abcd", b"nn")
     ack = protocol.encode_ack_record(b"nn", [1, 2])
@@ -77,9 +77,9 @@ def targets(toy):
         "peer_authenticate": (
             protocol.ake_message_to_bytes(registry, params, msg), peer_authenticate),
         "params_from_bytes": (ibe.params_to_bytes(params), ibe.params_from_bytes),
-        "private_key_from_bytes": (
-            ibe.private_key_to_bytes(params, keys["node-001"]),
-            lambda data: ibe.private_key_from_bytes(params, data)),
+        "master_key_from_bytes": (
+            ibe.master_key_to_bytes(master),
+            lambda data: ibe.master_key_from_bytes(params, data)),
         "decode_ta_record": (ta, protocol.decode_ta_record),
         "decode_ack_record": (ack, protocol.decode_ack_record),
     }
@@ -87,7 +87,7 @@ def targets(toy):
 
 @pytest.mark.parametrize("name", [
     "decrypt_message", "ake_message_from_bytes+respond", "peer_authenticate",
-    "params_from_bytes", "private_key_from_bytes", "decode_ta_record",
+    "params_from_bytes", "master_key_from_bytes", "decode_ta_record",
     "decode_ack_record",
 ])
 def test_only_documented_exceptions_escape(toy, name):

@@ -109,7 +109,7 @@ class TestSetup:
         assert ibe.params_to_bytes(a) == ibe.params_to_bytes(b)
 
     def test_cofactor_property(self, params):
-        assert params.cofactor * params.q == params.p + 1
+        assert params.curve.cofactor * params.q == params.p + 1
         assert params.block_bytes == 16
 
 
@@ -350,18 +350,15 @@ class TestSerialization:
         with pytest.raises(ConfigError, match="does not divide"):
             ibe.params_from_bytes(bytes(blob))
 
-    def test_key_roundtrip(self, params, master):
-        key = ibe.extract(params, master, "node-001")
-        blob = ibe.private_key_to_bytes(params, key)
-        back = ibe.private_key_from_bytes(params, blob)
-        assert back == key
+    def test_master_roundtrip(self, params, master):
+        blob = ibe.master_key_to_bytes(master)
+        assert ibe.master_key_from_bytes(params, blob) == master
 
-    def test_key_for_other_identity_rejected(self, params, master):
-        # a subgroup point that is not s*Q_id fails the pairing check
-        key = ibe.extract(params, master, "node-001")
-        forged = ibe.PrivateKey("node-002", key.point)
+    def test_master_for_other_params_rejected(self, params, master):
+        # an in-range scalar s' with s'*P != P_pub fails the consistency check
+        other = ibe.MasterKey(master.scalar % (params.q - 1) + 1)
         with pytest.raises(ValueError, match="does not match"):
-            ibe.private_key_from_bytes(params, ibe.private_key_to_bytes(params, forged))
+            ibe.master_key_from_bytes(params, ibe.master_key_to_bytes(other))
 
     def test_point_roundtrip(self, params):
         P = vectors.H1_NODE_001

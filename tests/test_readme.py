@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ibetrust import codec, ibe, protocol
+from ibetrust import codec, ibe, protocol, sim
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -55,3 +55,8 @@ def test_fragmentation_example(text):
     frames = codec.fragment(1, 2, bytes(400))
     assert (len(frames), codec.on_air_bytes(frames)) == (4, 484)
     assert "400-byte message costs 4 frames and 484 on-air bytes" in text
+
+
+def test_attack_labels(text):
+    listed = re.search(r"`label` \(([^)]*)\)", text).group(1)
+    assert tuple(re.findall(r"`([^`]+)`", listed)) == sim.LABELS

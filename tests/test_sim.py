@@ -92,9 +92,10 @@ class TestScenarioParsing:
         assert "at least two strings" in text and "seed" in text
 
     def test_tamper_level_bounds(self):
-        bad = dict(MINIMAL, nodes=[{"id": "n1", "images": ["a", "b"], "tamper_level": 3}])
-        with pytest.raises(ConfigError, match="tamper_level"):
-            scenario_from(bad)
+        for level in (1, 3):  # 1 is the root of trust, which no boot measures
+            bad = dict(MINIMAL, nodes=[{"id": "n1", "images": ["a", "b"], "tamper_level": level}])
+            with pytest.raises(ConfigError, match=r"tamper_level must be in \[2, 2\]"):
+                scenario_from(bad)
 
     def test_channel_validation(self):
         bad = dict(MINIMAL, channel={"loss": 1.5, "adversary_taps": "yes"})
