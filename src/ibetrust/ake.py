@@ -3,12 +3,14 @@
 The initiator sends a single message carrying R = r*Q_A; both sides
 then reach the same pairing value
 
-    initiator: e(d_A, (r+h) * Q_B)
+    initiator: e(d_A, Q_B)^(r+h)
     responder: e(d_B, R + h*Q_A)
 
 with h a hash of R and both identities, equal by bilinearity and the
 pairing's symmetry because d_X = s*Q_X.  Each side's own key goes
-first, so the pairing reuses that key's cached Miller lines.
+first, so the pairing reuses that key's cached Miller lines.  The
+initiator's e(d_A, Q_B) depends on the peer alone, so the Curve keeps
+it and a repeated peer costs one exponentiation in GT.
 Authentication is implicit: only the holder of d_A can produce the
 initiator-side value.  The responder sends nothing back.
 
@@ -96,7 +98,7 @@ def initiate(
         h = _h_ake(params, big_r, id_a, id_b)
         if (r + h) % params.q != 0:
             break
-    K = curve.pairing(sk_a.point, curve.mul(r + h, hash_to_point(params, id_b)))
+    K = curve.gt_pow(curve.pairing(sk_a.point, hash_to_point(params, id_b)), r + h)
     session = kdf(params, K, id_a, id_b, big_r)
     nonce = rng.randbytes(2)
     msg = AkeMessage(

@@ -20,14 +20,25 @@ coordinates, (X, Y, Z) standing for (X/Z^2, Y/Z^3): a doubling or an
 addition of an affine point is a handful of multiplications, and mul
 inverts once at the end to return an affine point.
 
+The generator P is the base of most scalar mults (rP in encryption and
+in the re-encryption check), so a Curve given P keeps a fixed-base
+table of j * 16^i * P for every 4-bit window i and digit j, built on
+the first such mul with one batched inversion; kP is then one mixed
+addition per nonzero digit of k and no doubling (Brickell-Gordon-
+McCurley-Wilson, EUROCRYPT 1992).
+
 Every pairing in the program has one argument that never changes (P,
 P_pub or a private key), and callers pass it first.  The Miller loop's
 points depend on that argument alone, so its lines are computed once,
 with every Z made affine by one batched inversion, cached on the Curve,
 and evaluated at each new second point (Scott, Pairing 2007;
-Costello-Stebila, LATINCRYPT 2010).  The final exponentiation starts
-with the Frobenius map, which is the conjugation (a + bz)^p =
-(a - b) - bz here (Barreto-Kim-Lynn-Scott, CRYPTO 2002).
+Costello-Stebila, LATINCRYPT 2010).  When the second point is an
+identity point (one of identity_points, which ibe.hash_to_point fills)
+the value itself never changes either, and it is kept: g_ID =
+e(P_pub, Q_ID) for encryption (Boneh-Franklin, CRYPTO 2001) and the
+AKE initiator's e(d_A, Q_B).  The final exponentiation starts with the
+Frobenius map, which is the conjugation (a + bz)^p = (a - b) - bz here
+(Barreto-Kim-Lynn-Scott, CRYPTO 2002).
 """
 
 from __future__ import annotations
@@ -78,7 +89,7 @@ def is_probable_prime(n: int, rounds: int = 32) -> bool:
 class Curve:
     """y^2 = x^3 + 1 over F_p with a pairing on the order-q subgroup."""
 
-    def __init__(self, p: int, q: int):
+    def __init__(self, p: int, q: int, generator: Point = None):
         if p % 3 != 2:
             raise ValueError("p must be 2 mod 3")
         if (p + 1) % q != 0:
@@ -90,12 +101,21 @@ class Curve:
         self.p = p
         self.q = q
         self.cofactor = (p + 1) // q
+        # the fixed base of mul; its window table is built on first use
+        self.generator = generator
+        self._fixed_base: list[tuple[Point, ...]] | None = None
         # inverse of cubing: (x^3)^e = x for e = (2p-1)/3
         self.cube_root_exp = (2 * p - 1) // 3
         self.coord_size = (p.bit_length() + 7) // 8
-        # bumped on every pairing evaluation; the protocol layer's
+        # bumped on every pairing call; the protocol layer's
         # cheap-check-first claims are asserted against this
         self.pairing_count = 0
+        # bumped only when a call runs the Miller loop, not on a kept value
+        self.pairings_computed = 0
+        # second arguments whose pairing values are kept: the identity
+        # points ibe.hash_to_point hands out
+        self.identity_points: set[Point] = set()
+        self._values: dict[tuple[Point, Point], Fp2] = {}
         # the Miller loop's steps after the top bit of q: a doubling
         # (True) per bit, then an addition of A (False) per 1 bit; the
         # last addition, the chord through -A, is evaluated on its own
@@ -179,7 +199,10 @@ class Curve:
 
     def mul(self, k: int, P: Point) -> Point:
         """kP by left-to-right double-and-add in Jacobian coordinates,
-        with one inversion to return to affine."""
+        with one inversion to return to affine; for P the generator and
+        0 <= k < q, by the fixed-base table instead."""
+        if P is not None and P == self.generator and 0 <= k < self.q:
+            return self._mul_fixed_base(k)
         if k < 0:
             k, P = -k, self.neg(P)
         if k == 0 or P is None:
@@ -190,6 +213,57 @@ class Curve:
             if bit == "1":
                 T = self._add_affine(T, P)[0]
         return self._to_affine(T)
+
+    def _mul_fixed_base(self, k: int) -> Point:
+        """kP for the generator P: the table's digit * 16^i * P for each
+        4-bit digit of k, summed by mixed addition."""
+        table = self._fixed_base
+        if table is None:
+            table = self._fixed_base = self._fixed_base_table()
+        T = (1, 1, 0)
+        for row in table:
+            A = row[k & 15]
+            k >>= 4
+            if A is not None:
+                T = self._add_affine(T, A)[0]
+        return self._to_affine(T)
+
+    def _fixed_base_table(self) -> list[tuple[Point, ...]]:
+        """One row per 4-bit window i of q: (j * 16^i * P for j = 0..15),
+        affine, None where a multiple is infinity (always for j = 0).
+        The rows stop early if 16^i * P is infinity, since every later
+        window adds nothing."""
+        chain: list[Jacobian] = []
+        base = self.generator
+        for _ in range((self.q.bit_length() + 3) // 4):
+            T = (base[0], base[1], 1)
+            chain.append(T)
+            for _ in range(14):
+                T = self._add_affine(T, base)[0]
+                chain.append(T)
+            base = self._to_affine(self._add_affine(T, base)[0])
+            if base is None:
+                break
+        z_invs = self._batch_inv([Z or 1 for _, _, Z in chain])
+        points = []
+        for (X, Y, Z), zi in zip(chain, z_invs):
+            zi2 = zi * zi % self.p
+            points.append((X * zi2 % self.p, Y * zi2 * zi % self.p) if Z else None)
+        return [(None, *points[i : i + 15]) for i in range(0, len(points), 15)]
+
+    def _batch_inv(self, values: list[int]) -> list[int]:
+        """1/v mod p for every (nonzero) v by one inversion: prefix
+        products, then each inverse from the back (Montgomery's trick)."""
+        p = self.p
+        prefix = [1]
+        for v in values:
+            prefix.append(prefix[-1] * v % p)
+        inv = pow(prefix[-1], -1, p)
+        out = [0] * len(values)
+        for i in range(len(values) - 1, -1, -1):
+            out[i] = inv * prefix[i] % p
+            inv = inv * values[i] % p
+        return out
 
     def _to_affine(self, T: Jacobian) -> Point:
         """(X/Z^2, Y/Z^3) with one inversion; Z = 0 is infinity."""
@@ -261,8 +335,11 @@ class Curve:
         point that stays fixed across calls (P, P_pub or a private key)
         as A: the Miller lines depend on A alone, so they are computed
         on the first call with a given A, kept on this Curve, and each
-        later call only evaluates them at B.  pairing_count counts every
-        call, cached or not.
+        later call only evaluates them at B.  When B is one of
+        identity_points, the value is kept too, at most one per (A, B)
+        pair, and a repeated call returns it.  pairing_count counts
+        every call, cached or not; pairings_computed counts the calls
+        that ran the Miller loop.
 
         Miller's algorithm computes f_{q,A} at the distorted image
         (z*xB, yB) of B: each step squares f on a doubling, multiplies
@@ -282,10 +359,21 @@ class Curve:
         (p + 1)/q, 96 bits on the demo profile, is left for
         square-and-multiply.
         """
-        p = self.p
         self.pairing_count += 1
         if A is None or B is None:
             return GT_ONE
+        if B not in self.identity_points:
+            return self._evaluate(A, B)
+        value = self._values.get((A, B))
+        if value is None:
+            value = self._values[(A, B)] = self._evaluate(A, B)
+        return value
+
+    def _evaluate(self, A: tuple[int, int], B: tuple[int, int]) -> Fp2:
+        """The Miller loop over A's lines at B, then the final
+        exponentiation."""
+        p = self.p
+        self.pairings_computed += 1
         lines = self._lines.get(A)
         if lines is None:
             lines = self._lines[A] = self._miller_lines(A)
@@ -323,16 +411,7 @@ class Curve:
             T, num = self._double(T) if doubling else self._add_affine(T, A)
             chain.append(T)
             slopes.append(num)
-        # prefix products of the Z, one inversion, then each 1/Z from the back
-        prefix = [1]
-        for T in chain:
-            prefix.append(prefix[-1] * T[2] % p)
-        inv = pow(prefix[-1], -1, p)
-        z_invs = [0] * len(chain)
-        for i in range(len(chain) - 1, -1, -1):
-            z_invs[i] = inv * prefix[i] % p
-            inv = inv * chain[i][2] % p
-
+        z_invs = self._batch_inv([Z for _, _, Z in chain])
         lines = []
         xT, yT = A
         for (X, Y, _), zi, num in zip(chain, z_invs, slopes):

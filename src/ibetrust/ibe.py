@@ -6,6 +6,11 @@ Encryption is the CCA-hardened variant: a random seed sigma determines
 the ephemeral scalar via a hash, and decryption re-derives the scalar
 and rejects any ciphertext that does not re-encrypt to itself.
 
+What never changes is computed once per PublicParams: hash_to_point
+keeps each identity's point, the Curve keeps g_ID = e(P_pub, Q_ID) for
+every identity encrypted to, and rP in encrypt and decrypt comes from
+the Curve's fixed-base table for the generator P.
+
 Two parameter profiles ship with the package: "toy" (p = 227, q = 19)
 small enough for exhaustive checks, and "demo" with a 256-bit field and
 a 160-bit subgroup, giving 64-byte serialized points.  The demo primes
@@ -81,7 +86,9 @@ class PublicParams:
     master_pub: Point
 
     def __post_init__(self):
-        self.curve = Curve(self.p, self.q)
+        self.curve = Curve(self.p, self.q, self.generator)
+        # hash_to_point's memo: identity -> Q_id
+        self._h1: dict[str, Point] = {}
 
     @property
     def block_bytes(self) -> int:
@@ -140,19 +147,25 @@ def hash_to_point(params: PublicParams, identity: str) -> Point:
     it to the unique curve point with that y, and cofactor clearing
     moves it into the subgroup.  The rare infinity result (probability
     cofactor/(p+1)) retries with a counter appended to the identity.
+
+    The point is kept per identity on params, and registered with the
+    Curve as an identity point, whose pairing values the Curve keeps.
     """
+    Q = params._h1.get(identity)
+    if Q is not None:
+        return Q
     if not identity:
         raise ValueError("identity must be non-empty")
     attempt = identity
     counter = 0
-    while True:
+    while Q is None:
         digest = hashlib.sha256(attempt.encode("utf-8")).digest()
-        y0 = int.from_bytes(digest, "big") % params.p
-        Q = params.curve.subgroup_point(y0)
-        if Q is not None:
-            return Q
+        Q = params.curve.subgroup_point(int.from_bytes(digest, "big") % params.p)
         counter += 1
         attempt = identity + str(counter)
+    params._h1[identity] = Q
+    params.curve.identity_points.add(Q)
+    return Q
 
 
 def extract(params: PublicParams, master: MasterKey, identity: str) -> PrivateKey:

@@ -511,9 +511,10 @@ def bs_terminate(bs: BaseStation, identity: str) -> bool:
 def ake_initiate(node: Node, peer: str, rng) -> tuple[list[codec.Frame], ake_mod.SessionKey]:
     """One-pass key exchange, initiator side.
 
-    The initiator's pairing e(d_A, (r+h)*Q_B) takes a fresh r every
-    session, so it is not precomputable; by the model's choice it is not
-    billed, and only transmit energy is.  Key agreement reads the
+    The initiator's key is e(d_A, Q_B)^(r+h) for a fresh r every
+    session.  e(d_A, Q_B) depends on the peer alone and is computed once
+    per peer (the Curve keeps it), so it is precomputable, and it is not
+    billed; only transmit energy is.  Key agreement reads the
     normal-world key copy, so no switch energy is charged either.
     """
     if node.phase != TRUSTED:

@@ -243,11 +243,18 @@ def parse_scenario(text: str, name: str = "<memory>") -> Scenario:
                 _check_keys(problems, where, spec, allowed)
                 atk.label = spec.get("label", "")
                 atk.source = spec.get("source", "")
+                from_bs = atk.source == protocol.BS_IDENTITY
                 if atk.label not in LABELS:
                     problems.append(f"{where}: attack.label must be one of {LABELS}")
-                if atk.source not in ids and atk.source != protocol.BS_IDENTITY:
+                if atk.source not in ids and not from_bs:
                     problems.append(f"{where}: attack.source must be a declared node or "
                                     f"{protocol.BS_IDENTITY!r}")
+                elif atk.label in LABELS and from_bs != (atk.label == "ta-ack"):
+                    # only the base station sends ta-acks, and it sends nothing else
+                    sender = (repr(protocol.BS_IDENTITY) if atk.label == "ta-ack"
+                              else "a declared node")
+                    problems.append(f"{where}: attack.source of a {atk.label} must be "
+                                    f"{sender}")
                 if akind == "replay":
                     atk.occurrence = spec.get("occurrence", 1)
                     if not _is_int(atk.occurrence) or atk.occurrence < 1:

@@ -91,6 +91,39 @@ class TestAgreement:
         assert len(seen) > 1
 
 
+@pytest.fixture(scope="module")
+def demo_setup():
+    return ibe.setup(ibe.SecurityConfig.from_profile("demo", seed=3))
+
+
+class TestDemoInitiator:
+    def test_k_is_the_pairing_with_the_scaled_peer_point(self, demo_setup):
+        # K = e(d_A, Q_B)^(r+h), from a kept value after the first
+        # session with a peer, is e(d_A, (r+h)*Q_B) computed cold
+        params, master = demo_setup
+        curve = params.curve
+        sk_a = ibe.extract(params, master, "node-001")
+        for seed, peer in enumerate(("node-002", "node-003", "node-002", "node-002")):
+            msg, session = ake.initiate(params, "node-001", sk_a, peer, random.Random(seed))
+            r = random.Random(seed).randrange(1, params.q)
+            assert msg.big_r == curve.mul(r, ibe.hash_to_point(params, "node-001"))
+            h = ake._h_ake(params, msg.big_r, "node-001", peer)
+            K = curve.pairing(sk_a.point, curve.mul(r + h, ibe.hash_to_point(params, peer)))
+            assert ake.kdf(params, K, "node-001", peer, msg.big_r) == session
+
+    def test_kept_values_count_as_requests_not_computations(self):
+        params, master = ibe.setup(ibe.SecurityConfig.from_profile("demo", seed=4))
+        curve = params.curve
+        rng = random.Random(5)
+        for _ in range(2):
+            ibe.encrypt(params, "node-002", b"report", rng)
+        assert (curve.pairing_count, curve.pairings_computed) == (2, 1)
+        sk_a = ibe.extract(params, master, "node-001")
+        for _ in range(2):
+            ake.initiate(params, "node-001", sk_a, "node-002", rng)
+        assert (curve.pairing_count, curve.pairings_computed) == (4, 2)
+
+
 class TestKdf:
     def test_deterministic(self, params):
         e = params.curve.pairing(params.generator, params.generator)

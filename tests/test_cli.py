@@ -61,6 +61,17 @@ class TestRun:
         assert rc == 2
         assert "unknown key" in capsys.readouterr().err
 
+    def test_attack_selector_that_cannot_match(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "profile": "toy",
+            "nodes": [{"id": "n1", "images": ["loader", "kernel"]}],
+            "events": [{"time": 0, "kind": "attack", "attack": {
+                "kind": "replay", "label": "ta-ack", "source": "n1"}}]}))
+        rc = run_cli(["run", "--scenario", str(bad)])
+        assert rc == 2
+        assert "attack.source of a ta-ack must be 'bs'" in capsys.readouterr().err
+
     def test_keygen_then_run(self, tmp_path, capsys):
         keys = tmp_path / "keys"
         run_cli(["keygen", "--profile", "toy", "--seed", "7", "--out-dir", str(keys)])

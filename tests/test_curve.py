@@ -264,6 +264,19 @@ class TestDemoKernel:
         for A, B in ((points[0], points[1]), (points[2], points[3])):
             assert demo.pairing(A, B) == oracles.pairing(DEMO_P, DEMO_Q, A, B)
 
+    def test_fixed_base_matches_double_and_add(self, points):
+        P = points[0]
+        curve = Curve(DEMO_P, DEMO_Q, P)
+        rng = random.Random(14)
+        q = DEMO_Q
+        for k in [rng.randrange(q) for _ in range(20)] + [1, q - 1]:
+            assert curve.mul(k, P) == oracles.double_and_add(DEMO_P, k, P), k
+        assert len(curve._fixed_base) == 40
+        assert sum(A is not None for row in curve._fixed_base for A in row) == 600
+        assert curve.mul(q, P) is None
+        for k in (-1, -12345, q + 1, 2 * q + 7, rng.getrandbits(300)):
+            assert curve.mul(k, P) == oracles.double_and_add(DEMO_P, k, P), k
+
     def test_cached_lines_give_the_cold_value(self, demo, points):
         rng = random.Random(13)
         pairs = [(points[i % 2], demo.mul(rng.randrange(1, DEMO_Q), points[2]))
@@ -277,6 +290,35 @@ class TestDemoKernel:
             assert cold.pairing_count == 1
         # eight of the ten calls on warm reused the lines of points[0] or [1]
         assert set(warm._lines) == {points[0], points[1]}
+
+
+class TestFixedBase:
+    """mul(k, generator) for 0 <= k < q reads the fixed-base table."""
+
+    def test_every_toy_scalar(self, gen):
+        curve = Curve(TOY_P, TOY_Q, gen)
+        assert curve._fixed_base is None
+        for k in range(TOY_Q + 1):
+            assert curve.mul(k, gen) == oracles.double_and_add(TOY_P, k, gen), k
+        assert curve._fixed_base is not None
+        assert curve.mul(TOY_Q, gen) is None
+        for k in (-1, -7, -TOY_Q, TOY_Q + 1, 3 * TOY_Q + 5):
+            assert curve.mul(k, gen) == oracles.double_and_add(TOY_P, k, gen), k
+
+    def test_other_points_take_the_plain_path(self, gen):
+        curve = Curve(TOY_P, TOY_Q, gen)
+        P = oracles.double_and_add(TOY_P, 5, gen)
+        for k in range(TOY_Q + 1):
+            assert curve.mul(k, P) == oracles.double_and_add(TOY_P, k, P), k
+        assert curve._fixed_base is None
+
+    def test_generators_of_small_order(self):
+        # infinity inside a row (order 3 divides j), a row base at
+        # infinity (order 2 divides 16), and an uncleared point
+        for G in ((TOY_P - 1, 0), (0, 1), Curve(TOY_P, TOY_Q).point_from_y(5)):
+            curve = Curve(TOY_P, TOY_Q, G)
+            for k in range(TOY_Q):
+                assert curve.mul(k, G) == oracles.double_and_add(TOY_P, k, G), (G, k)
 
 
 @pytest.mark.parametrize("p, q", [(TOY_P, TOY_Q), (DEMO_P, DEMO_Q)], ids=["toy", "demo"])

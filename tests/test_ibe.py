@@ -144,6 +144,16 @@ class TestHashToPoint:
         assert Q is not None
         assert Q == oracles.map_to_point(params.p, params.q, ident)
 
+    def test_hit_returns_the_cold_point(self, params):
+        for ident in ("node-001", vectors.RETRY_IDENTITY, "fresh-id"):
+            warm = ibe.hash_to_point(params, ident)
+            assert params._h1[ident] == warm
+            assert warm in params.curve.identity_points
+            assert ibe.hash_to_point(params, ident) == warm
+            cold = ibe.PublicParams(params.p, params.q, params.n,
+                                    params.generator, params.master_pub)
+            assert ibe.hash_to_point(cold, ident) == warm
+
     def test_empty_identity(self, params):
         with pytest.raises(ValueError):
             ibe.hash_to_point(params, "")

@@ -123,6 +123,23 @@ class TestScenarioParsing:
             with pytest.raises(ConfigError, match=fragment):
                 scenario_from(bad)
 
+    @pytest.mark.parametrize("kind", ["replay", "modify"])
+    def test_attack_selector_must_name_the_label_sender(self, kind):
+        # only the base station sends ta-acks, and it sends nothing else,
+        # so these selectors could never match a captured transmission
+        cases = [("ta-ack", "n1", "must be 'bs'"),
+                 ("ake", "bs", "must be a declared node"),
+                 ("ta-request", "bs", "must be a declared node")]
+        for label, source, fragment in cases:
+            spec = {"kind": kind, "label": label, "source": source}
+            bad = dict(MINIMAL, events=[{"time": 0, "kind": "attack", "attack": spec}])
+            with pytest.raises(ConfigError, match=f"attack.source of a {label} {fragment}"):
+                scenario_from(bad)
+        for label, source in (("ta-ack", "bs"), ("ake", "n1"), ("ta-request", "n1")):
+            spec = {"kind": kind, "label": label, "source": source}
+            scenario_from(dict(MINIMAL, events=[
+                {"time": 0, "kind": "attack", "attack": spec}]))
+
     def test_bools_and_non_finite_numbers_rejected(self):
         bad = dict(
             MINIMAL, seed=True, bs={"master_seed": False, "trust_offset": True},
@@ -201,6 +218,20 @@ class TestHonestRuns:
         assert params.curve.pairing_count > 0
         assert set(params.curve._lines) <= fixed
         assert len(params.curve._lines) <= len(keys) + 2
+        # pairing values are kept only for (fixed point, identity point)
+        identities = params.curve.identity_points
+        assert identities == set(params._h1.values())
+        values = params.curve._values
+        assert values
+        assert all(A in fixed and B in identities for A, B in values)
+        assert len(values) <= (len(keys) + 2) * len(identities)
+
+    def test_construction_builds_no_fixed_base_table(self):
+        # the table is built by the run's first rP, never by setup
+        simulation = sim.Simulation(sim.load_scenario("demo"))
+        assert simulation.params.curve._fixed_base is None
+        simulation.run()
+        assert simulation.params.curve._fixed_base is not None
 
     def test_energy_accumulation(self):
         report = sim.run(sim.load_scenario("demo"))
