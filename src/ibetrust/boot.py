@@ -1,10 +1,10 @@
 """Measured boot chain and the secure/normal world gate.
 
-Boot images are verified in order: level 1 is the root of trust and is
-trusted axiomatically, every later level must hash to the reference
-digest stored alongside level 1.  Overall integrity is the product of
-the per-level bits, and evaluation stops at the first zero, so a
-tampered level k means levels above k are never even measured.
+Level k is images[k - 1].  Level 1 is the root of trust and is trusted
+axiomatically; every later level k must hash to reference_digests[k - 2],
+stored alongside level 1.  `boot` runs the one per-level check,
+`verify_level`, for levels 2..N in order and stops at the first zero, so
+a tampered level k means levels above k are never even measured.
 
 A successful boot yields the platform's trust value: 8 hex characters
 cut from the level-2 digest at a configured secret offset.  The same
@@ -15,7 +15,7 @@ the base station recognize a platform across reboots.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import AccessViolation, ConfigError
 
@@ -42,55 +42,35 @@ def trust_value(digest: str, offset: int) -> str:
 
 @dataclass
 class BootImage:
-    level: int
     data: bytes
-    role: str = ""
 
 
 @dataclass
 class BootChain:
     images: list[BootImage]
-    reference_digests: dict[int, str]  # levels 2..N, held with level 1
+    reference_digests: tuple[str, ...]  # levels 2..N, held with level 1
     trust_offset: int = DEFAULT_TRUST_OFFSET
 
     def __post_init__(self):
-        levels = [img.level for img in self.images]
-        if levels != list(range(1, len(levels) + 1)):
-            raise ConfigError("image levels must be contiguous from 1")
-        if not levels:
-            raise ConfigError("chain needs at least one image")
-        expected = set(range(2, len(levels) + 1))
-        if set(self.reference_digests) != expected:
-            raise ConfigError(
-                f"reference digests must cover levels {sorted(expected)}"
-            )
+        if len(self.images) < 2:
+            raise ConfigError("chain needs at least two images (level 2 gives the trust value)")
+        if len(self.reference_digests) != len(self.images) - 1:
+            raise ConfigError(f"need one reference digest per level 2..{len(self.images)}")
         if not 0 <= self.trust_offset <= 64 - TRUST_VALUE_LEN:
             raise ConfigError("trust offset out of range")
 
     @classmethod
     def from_images(cls, blobs: list[bytes], trust_offset: int = DEFAULT_TRUST_OFFSET):
-        """Build a chain whose references match the given images, the
-        controlled-environment provisioning step."""
-        images = [
-            BootImage(level=i + 1, data=b, role=f"BL{i + 1}")
-            for i, b in enumerate(blobs)
-        ]
-        refs = {img.level: measure(img.data) for img in images[1:]}
-        return cls(images=images, reference_digests=refs, trust_offset=trust_offset)
-
-    @property
-    def depth(self) -> int:
-        return len(self.images)
+        """Build a chain whose references match the given images (provisioning)."""
+        return cls(images=[BootImage(b) for b in blobs],
+                   reference_digests=tuple(measure(b) for b in blobs[1:]),
+                   trust_offset=trust_offset)
 
 
 @dataclass
 class BootResult:
     trust_value: str | None
     failed_level: int | None
-    integrity_bits: dict[int, int]
-    # (level, digest, bit) in evaluation order; proves levels past a
-    # failure were never measured
-    measurements: list[tuple[int, str, int]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -99,45 +79,24 @@ class BootResult:
 
 def verify_level(chain: BootChain, k: int) -> int:
     """Integrity bit for one level.  Level 1 is the root of trust."""
-    if not 1 <= k <= chain.depth:
-        raise ConfigError(f"level {k} outside chain of depth {chain.depth}")
+    if not 1 <= k <= len(chain.images):
+        raise ConfigError(f"level {k} outside chain of depth {len(chain.images)}")
     if k == 1:
         return 1
-    ref = chain.reference_digests.get(k)
-    if ref is None:
-        raise ConfigError(f"no reference digest for level {k}")
-    return 1 if measure(chain.images[k - 1].data) == ref else 0
+    return 1 if measure(chain.images[k - 1].data) == chain.reference_digests[k - 2] else 0
 
 
 def boot(chain: BootChain) -> BootResult:
-    """Evaluate the chain in order, halting at the first bad level.
+    """Verify levels 2..N in order, halting at the first bad level.
 
-    On success the trust value is cut from the level-2 digest; a chain
-    of depth 1 has no level 2 and cannot produce one.
+    On success the trust value is cut from the level-2 reference digest,
+    which the verified level 2 measured to.
     """
-    bits: dict[int, int] = {}
-    measurements: list[tuple[int, str, int]] = []
-    for k in range(1, chain.depth + 1):
-        if k == 1:
-            bits[k] = 1
-            continue
-        digest = measure(chain.images[k - 1].data)
-        bit = 1 if digest == chain.reference_digests[k] else 0
-        bits[k] = bit
-        measurements.append((k, digest, bit))
-        if bit == 0:
-            return BootResult(
-                trust_value=None,
-                failed_level=k,
-                integrity_bits=bits,
-                measurements=measurements,
-            )
-    if chain.depth < 2:
-        raise ConfigError("trust value needs a level-2 image")
-    tv = trust_value(measure(chain.images[1].data), chain.trust_offset)
-    return BootResult(
-        trust_value=tv, failed_level=None, integrity_bits=bits, measurements=measurements
-    )
+    for k in range(2, len(chain.images) + 1):
+        if not verify_level(chain, k):
+            return BootResult(trust_value=None, failed_level=k)
+    tv = trust_value(chain.reference_digests[0], chain.trust_offset)
+    return BootResult(trust_value=tv, failed_level=None)
 
 
 class WorldState:

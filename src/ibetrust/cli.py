@@ -18,6 +18,12 @@ PARAMS_FILE = "params.bin"
 MASTER_FILE = "master.bin"
 
 
+def _path(text: str) -> Path:
+    if "\0" in text:  # no shell can put one in argv, but main([...]) can
+        raise argparse.ArgumentTypeError("path holds a NUL byte")
+    return Path(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ibetrust",
@@ -30,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
     keygen.add_argument("--profile", choices=sorted(ibe.PROFILES), default="toy")
     keygen.add_argument("--seed", type=int, default=0,
                         help="master key generation seed (default 0)")
-    keygen.add_argument("--out-dir", required=True, type=Path)
+    keygen.add_argument("--out-dir", required=True, type=_path)
 
     runp = sub.add_parser("run", help="run a scenario and emit the report")
     runp.add_argument("--scenario", required=True,
@@ -38,17 +44,17 @@ def _build_parser() -> argparse.ArgumentParser:
                            f"({', '.join(sim.bundled_scenarios())})")
     runp.add_argument("--seed", type=int, default=None,
                       help="override the scenario's run seed")
-    runp.add_argument("--out", type=Path, help="write the full report as JSON")
-    runp.add_argument("--csv", type=Path, help="write the energy tables as CSV")
-    runp.add_argument("--keys", type=Path,
+    runp.add_argument("--out", type=_path, help="write the full report as JSON")
+    runp.add_argument("--csv", type=_path, help="write the energy tables as CSV")
+    runp.add_argument("--keys", type=_path,
                       help="directory holding params.bin and master.bin from keygen")
-    runp.add_argument("--constants", type=Path,
+    runp.add_argument("--constants", type=_path,
                       help="energy constants file (JSON, partial overrides)")
     runp.add_argument("--verbose", action="store_true",
                       help="include the per-frame event stream in stdout")
 
     rep = sub.add_parser("report", help="re-render a saved report file")
-    rep.add_argument("--in", dest="infile", required=True, type=Path)
+    rep.add_argument("--in", dest="infile", required=True, type=_path)
     return parser
 
 
@@ -62,14 +68,19 @@ def _cmd_keygen(args) -> int:
     return 0
 
 
+def _read_key_file(path: Path, load):
+    if not path.is_file():
+        raise ConfigError(f"missing key material file: {path}")
+    try:
+        return load(path.read_bytes())
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _load_keys(keys_dir: Path) -> tuple[ibe.PublicParams, ibe.MasterKey]:
-    params_path = keys_dir / PARAMS_FILE
-    master_path = keys_dir / MASTER_FILE
-    for path in (params_path, master_path):
-        if not path.is_file():
-            raise ConfigError(f"missing key material file: {path}")
-    params = ibe.params_from_bytes(params_path.read_bytes())
-    master = ibe.master_key_from_bytes(params, master_path.read_bytes())
+    params = _read_key_file(keys_dir / PARAMS_FILE, ibe.params_from_bytes)
+    master = _read_key_file(keys_dir / MASTER_FILE,
+                            lambda data: ibe.master_key_from_bytes(params, data))
     return params, master
 
 
@@ -98,9 +109,9 @@ def _cmd_report(args) -> int:
     if not args.infile.is_file():
         raise ConfigError(f"report file not found: {args.infile}")
     try:
-        data = json.loads(args.infile.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{args.infile}: not a report file ({exc.msg})") from exc
+        data = json.loads(args.infile.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ConfigError(f"{args.infile}: not a report file ({exc})") from exc
     if not sim.is_report_dict(data):
         raise ConfigError(f"{args.infile}: not a report file")
     print(sim.render_report_dict(data))
@@ -112,7 +123,7 @@ def main(argv=None) -> int:
     handler = {"keygen": _cmd_keygen, "run": _cmd_run, "report": _cmd_report}
     try:
         return handler[args.command](args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - last-resort boundary

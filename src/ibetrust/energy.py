@@ -94,8 +94,11 @@ class EnergyConstants:
 
     @classmethod
     def from_file(cls, path) -> "EnergyConstants":
-        with open(path) as fh:
-            data = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ConfigError(f"{path}: not a constants file ({exc})") from exc
         if not isinstance(data, dict):
             raise ConfigError("constants file must hold an object")
         known = {f.name for f in fields(cls)}

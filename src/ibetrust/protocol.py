@@ -302,7 +302,7 @@ class Node:
     """Battery-powered sensor node state machine."""
 
     def __init__(self, identity: str, wire_id: int, params: ibe.PublicParams,
-                 key: ibe.PrivateKey, registry: Registry,
+                 key: ibe.PrivateKey, registry: Registry, chain: BootChain,
                  constants: EnergyConstants = DEFAULT_CONSTANTS):
         self.identity = identity
         self.wire_id = wire_id
@@ -311,7 +311,7 @@ class Node:
         self.constants = constants
         self.ledger = EnergyLedger()
         self.phase = DP
-        self.chain: BootChain | None = None
+        self.chain = chain
         self.trust_value: str | None = None      # fresh value from the last boot
         self.trust_list: tuple[str, ...] = ()
         self.pending_nonce: bytes | None = None
@@ -340,8 +340,6 @@ class Node:
         lost, so the node must re-authenticate.  A failed measurement
         halts the node.
         """
-        if self.chain is None:
-            raise ValueError("no boot chain installed")
         result = boot(self.chain)
         self.ledger.add("boot", self.constants.e_boot, note="dy-boot")
         self.trust_list = ()
@@ -380,25 +378,23 @@ class BaseStation:
 # Lifecycle operations
 
 
-def dp_provision(bs: BaseStation, identity: str,
+def dp_provision(bs: BaseStation, identity: str, chain: BootChain,
                  constants: EnergyConstants = DEFAULT_CONSTANTS) -> Node:
     """Offline delivery: extract the node's key and install it.
 
     No frames travel and no energy is billed; the node leaves the
-    factory holding its identity, private key, public parameters and the
-    identity directory.
+    factory holding its identity, private key, public parameters, boot
+    chain and the identity directory.
     """
     wire = bs.registry.assign(identity)
     key = ibe.extract(bs.params, bs.master, identity)
-    return Node(identity, wire, bs.params, key, bs.registry, constants)
+    return Node(identity, wire, bs.params, key, bs.registry, chain, constants)
 
 
 def pdp_register(bs: BaseStation, node: Node) -> None:
     """Controlled-environment boot plus secure out-of-band registration."""
     if node.phase not in (DP, PDP):
         raise ValueError(f"cannot register from phase {node.phase!r}")
-    if node.chain is None:
-        raise ValueError("no boot chain installed")
     result = boot(node.chain)  # controlled boot, not billed
     if not result.ok:
         node.phase = HALTED

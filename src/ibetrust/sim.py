@@ -18,6 +18,7 @@ import heapq
 import json
 import math
 import random
+import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -32,6 +33,8 @@ LABELS = ("ta-request", "ta-ack", "ake")
 BLOCKED = "blocked"
 SUCCEEDED = "succeeded"
 NO_OP = "no-op"
+# JSON admits lone surrogates ("\ud800"); UTF-8 can neither encode nor print them
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +117,10 @@ def parse_scenario(text: str, name: str = "<memory>") -> Scenario:
                 {"name", "profile", "seed", "bs", "nodes", "channel", "events"})
 
     scenario_name = raw.get("name", name)
-    if not isinstance(scenario_name, str) or not scenario_name:
+    if (not isinstance(scenario_name, str) or not scenario_name
+            or _SURROGATE.search(scenario_name)):
         # a report names its scenario, and a saved report must hold a string
-        problems.append("name must be a non-empty string")
+        problems.append("name must be a non-empty string without lone surrogates")
     profile = raw.get("profile")
     if profile not in ibe.PROFILES:
         problems.append(f"profile must be one of {sorted(ibe.PROFILES)}, got {profile!r}")
@@ -146,6 +150,8 @@ def parse_scenario(text: str, name: str = "<memory>") -> Scenario:
     if not isinstance(raw_nodes, list):
         problems.append("nodes must be a list")
         raw_nodes = []
+    if len(raw_nodes) > 0xFFFF:  # 2-byte wire ids, and the base station holds 0
+        problems.append(f"nodes: {len(raw_nodes)} listed, but 2-byte wire ids fit 65535")
     for i, entry in enumerate(raw_nodes):
         where = f"nodes[{i}]"
         if not isinstance(entry, dict):
@@ -153,8 +159,8 @@ def parse_scenario(text: str, name: str = "<memory>") -> Scenario:
             continue
         _check_keys(problems, where, entry, {"id", "images", "tamper_level"})
         nid = entry.get("id")
-        if not isinstance(nid, str) or not nid:
-            problems.append(f"{where}: id must be a non-empty string")
+        if not isinstance(nid, str) or not nid or _SURROGATE.search(nid):
+            problems.append(f"{where}: id must be a non-empty string without lone surrogates")
             continue
         if nid == protocol.BS_IDENTITY:
             problems.append(f"{where}: id {protocol.BS_IDENTITY!r} is reserved")
@@ -163,9 +169,10 @@ def parse_scenario(text: str, name: str = "<memory>") -> Scenario:
         ids.add(nid)
         images = entry.get("images")
         if (not isinstance(images, list) or len(images) < 2
-                or not all(isinstance(s, str) for s in images)):
+                or not all(isinstance(s, str) and not _SURROGATE.search(s) for s in images)):
             # the trust value is read from the level-2 image
-            problems.append(f"{where}: images must be a list of at least two strings")
+            problems.append(f"{where}: images must be a list of at least two strings "
+                            "without lone surrogates")
             images = ["?", "?"]
         tamper = entry.get("tamper_level")
         if tamper is not None and (
@@ -306,7 +313,10 @@ def load_scenario(source: str) -> Scenario:
     """Load a scenario from a file path or a bundled scenario name."""
     path = Path(source)
     if path.exists():
-        return parse_scenario(path.read_text(), name=path.name)
+        try:
+            return parse_scenario(path.read_text(encoding="utf-8"), name=path.name)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not a scenario file ({exc})") from exc
     stem = source[:-5] if source.endswith(".json") else source
     res = resources.files("ibetrust.scenarios").joinpath(stem + ".json")
     if res.is_file():
@@ -394,7 +404,7 @@ REPORT_KEYS = frozenset({
 
 def is_report_dict(d) -> bool:
     """True when d holds every key render_report_dict reads, each with
-    the type SimReport.to_dict gives it."""
+    the type SimReport.to_dict gives it, and no lone surrogate."""
     def strs(v):
         return isinstance(v, list) and all(isinstance(x, str) for x in v)
 
@@ -418,6 +428,7 @@ def is_report_dict(d) -> bool:
         and all(isinstance(a, dict) and strs([a.get("kind"), a.get("verdict")])
                 and isinstance(a.get("detail", ""), str) for a in attacks)
         and strs(d["event_log"])
+        and not _SURROGATE.search(json.dumps(d, ensure_ascii=False))
     )
 
 
@@ -501,9 +512,9 @@ class Simulation:
 
         self.nodes: dict[str, protocol.Node] = {}
         for spec in scenario.nodes:
-            node = protocol.dp_provision(self.bs, spec.id, constants)
-            node.chain = BootChain.from_images(
+            chain = BootChain.from_images(
                 [s.encode() for s in spec.images], trust_offset=scenario.trust_offset)
+            node = protocol.dp_provision(self.bs, spec.id, chain, constants)
             protocol.pdp_register(self.bs, node)
             if spec.tamper_level is not None:
                 image = node.chain.images[spec.tamper_level - 1]
@@ -656,8 +667,7 @@ class Simulation:
             matches = [tx for tx in self.captures
                        if tx.label == spec.label and tx.origin == spec.source]
             if spec.occurrence > len(matches):
-                attack.verdict = NO_OP
-                attack.detail = "selector matched no captured transmission"
+                self.resolve(attack, NO_OP, "selector matched no captured transmission")
                 self._note(t, "attack replay: nothing captured to replay")
                 return
             captured = matches[spec.occurrence - 1]
@@ -707,9 +717,7 @@ class Simulation:
             else:
                 self.deliver(time, payload)
         for attack in self.attacks:
-            if attack.verdict == "pending":
-                attack.verdict = NO_OP
-                attack.detail = "never triggered"
+            self.resolve(attack, NO_OP, "never triggered")
         report = energy.build_report(
             {name: node.ledger for name, node in self.nodes.items()},
             self.constants,

@@ -57,26 +57,38 @@ class TestTrustValue:
         assert len(seen) == 200
 
 
+def spy_measure(monkeypatch, chain):
+    """Record the level of every image boot.measure hashes from now on."""
+    levels = []
+    real = boot.measure
+
+    def spy(image):
+        levels.append(next(k for k, img in enumerate(chain.images, 1) if img.data == image))
+        return real(image)
+
+    monkeypatch.setattr(boot, "measure", spy)
+    return levels
+
+
 class TestChainConstruction:
     def test_from_images(self):
-        chain = boot.BootChain.from_images(blobs())
-        assert chain.depth == 3
-        assert set(chain.reference_digests) == {2, 3}
-        assert chain.images[0].role == "BL1"
-
-    def test_noncontiguous_levels(self):
-        imgs = [boot.BootImage(1, b"a"), boot.BootImage(3, b"b")]
-        with pytest.raises(ConfigError):
-            boot.BootChain(images=imgs, reference_digests={3: "x" * 64})
+        images = blobs()
+        chain = boot.BootChain.from_images(images)
+        assert [img.data for img in chain.images] == images
+        # one reference per level 2..N, by position
+        assert chain.reference_digests == (boot.measure(images[1]), boot.measure(images[2]))
 
     def test_empty_chain(self):
         with pytest.raises(ConfigError):
-            boot.BootChain(images=[], reference_digests={})
+            boot.BootChain(images=[], reference_digests=())
 
     def test_reference_coverage(self):
-        imgs = [boot.BootImage(1, b"a"), boot.BootImage(2, b"b")]
+        imgs = [boot.BootImage(b"a"), boot.BootImage(b"b")]
         with pytest.raises(ConfigError):
-            boot.BootChain(images=imgs, reference_digests={})
+            boot.BootChain(images=imgs, reference_digests=())
+        with pytest.raises(ConfigError):
+            boot.BootChain(images=imgs, reference_digests=(boot.measure(b"b"),) * 2)
+        boot.BootChain(images=imgs, reference_digests=(boot.measure(b"b"),))
 
     def test_offset_validated(self):
         with pytest.raises(ConfigError):
@@ -104,22 +116,27 @@ class TestVerifyLevel:
         chain = boot.BootChain.from_images(blobs())
         with pytest.raises(ConfigError):
             boot.verify_level(chain, 4)
+        with pytest.raises(ConfigError):
+            boot.verify_level(chain, 0)
 
     def test_missing_reference(self):
-        chain = boot.BootChain.from_images(blobs())
-        del chain.reference_digests[2]
+        # a chain is refused when built without a reference for each
+        # level, so verify_level always finds one
+        images = [boot.BootImage(b) for b in blobs()]
         with pytest.raises(ConfigError):
-            boot.verify_level(chain, 2)
+            boot.BootChain(images=images, reference_digests=(boot.measure(images[1].data),))
 
 
 class TestBoot:
-    def test_intact_chain(self):
+    def test_intact_chain(self, monkeypatch):
         chain = boot.BootChain.from_images(blobs())
+        measured = spy_measure(monkeypatch, chain)
         result = boot.boot(chain)
         assert result.ok
         assert result.failed_level is None
         assert len(result.trust_value) == 8
-        assert result.integrity_bits == {1: 1, 2: 1, 3: 1}
+        # each level above the root is hashed once, level 2 included
+        assert measured == [2, 3]
 
     def test_reboot_reproduces_trust_value(self):
         chain = boot.BootChain.from_images(blobs())
@@ -139,17 +156,18 @@ class TestBoot:
         assert a.ok and b.ok
         assert a.trust_value == b.trust_value
 
-    def test_halt_at_tampered_level(self):
+    def test_halt_at_tampered_level(self, monkeypatch):
         chain = boot.BootChain.from_images(blobs())
         chain.images[1].data = b"evil"
+        measured = spy_measure(monkeypatch, chain)
         result = boot.boot(chain)
         assert not result.ok
         assert result.failed_level == 2
         assert result.trust_value is None
         # transitivity: level 3 was never measured
-        assert [m[0] for m in result.measurements] == [2]
+        assert measured == [2]
 
-    def test_boolean_product_brute_force(self):
+    def test_boolean_product_brute_force(self, monkeypatch):
         # depth 4: all 8 tamper patterns of levels 2..4 agree with the
         # product of independently computed integrity bits
         for pattern in itertools.product((0, 1), repeat=3):
@@ -158,20 +176,27 @@ class TestBoot:
                 if not intact:
                     chain.images[i + 1].data += b"X"
             expected_bits = [boot.verify_level(chain, k) for k in range(2, 5)]
+            measured = spy_measure(monkeypatch, chain)
             result = boot.boot(chain)
             product = 1
             for b in expected_bits:
                 product *= b
             assert result.ok == (product == 1)
-            if not result.ok:
+            if result.ok:
+                assert measured == [2, 3, 4]
+            else:
                 assert result.failed_level == 2 + expected_bits.index(0)
-                measured = [m[0] for m in result.measurements]
-                assert all(lv <= result.failed_level for lv in measured)
+                # levels up to the failed one, each once; none above it
+                assert measured == list(range(2, result.failed_level + 1))
+            monkeypatch.undo()
 
     def test_depth_one_has_no_trust_value(self):
-        chain = boot.BootChain.from_images(blobs(1))
+        # the trust value is cut from level 2, so a one-image chain is
+        # refused when it is built, before any boot
         with pytest.raises(ConfigError):
-            boot.boot(chain)
+            boot.BootChain.from_images(blobs(1))
+        with pytest.raises(ConfigError):
+            boot.BootChain(images=[boot.BootImage(b"rot")], reference_digests=())
 
 
 class TestWorldState:

@@ -178,6 +178,63 @@ class TestRun:
         assert rc == 1
         assert "internal error" in capsys.readouterr().err
 
+    def test_internal_value_error_exit_code(self, monkeypatch, capsys):
+        # exit 2 is for input; a ValueError from an invariant is a bug
+        def boom(*args, **kwargs):
+            raise ValueError("simulated invariant")
+        monkeypatch.setattr(sim, "run", boom)
+        rc = run_cli(["run", "--scenario", "demo"])
+        assert rc == 1
+        assert "internal error: ValueError: simulated invariant" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["params.bin", "master.bin"])
+    def test_corrupt_key_file_named(self, tmp_path, capsys, name):
+        keys = tmp_path / "keys"
+        run_cli(["keygen", "--profile", "toy", "--seed", "7", "--out-dir", str(keys)])
+        capsys.readouterr()
+        path = keys / name
+        path.write_bytes(path.read_bytes()[:5])
+        rc = run_cli(["run", "--scenario", "demo", "--keys", str(keys)])
+        assert rc == 2
+        assert f"error: {path}: truncated input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [b'{"battery_j": ', b'\xff{}'], ids=["json", "utf-8"])
+    def test_unreadable_constants_named(self, tmp_path, capsys, content):
+        consts = tmp_path / "c.json"
+        consts.write_bytes(content)
+        rc = run_cli(["run", "--scenario", "demo", "--constants", str(consts)])
+        assert rc == 2
+        assert f"error: {consts}: not a constants file" in capsys.readouterr().err
+
+    def test_missing_constants_file(self, tmp_path, capsys):
+        consts = tmp_path / "nope.json"
+        rc = run_cli(["run", "--scenario", "demo", "--constants", str(consts)])
+        assert rc == 2
+        assert str(consts) in capsys.readouterr().err
+
+    def test_scenario_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_bytes(b"\xff{}")
+        rc = run_cli(["run", "--scenario", str(path)])
+        assert rc == 2
+        assert f"error: {path}: not a scenario file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["name", "id", "images"])
+    def test_lone_surrogate_in_scenario_refused(self, tmp_path, capsys, field):
+        node = {"id": "n1", "images": ["loader", "kernel"]}
+        scenario = {"profile": "toy", "nodes": [node], "events": []}
+        if field == "name":
+            scenario["name"] = "run\ud800"
+        else:
+            node[field] = "n\ud800" if field == "id" else ["loader", "k\ud800"]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scenario))
+        rc = run_cli(["run", "--scenario", str(path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert f"{field} must be" in captured.err and "without lone surrogates" in captured.err
+        assert captured.out == ""
+
 
 class TestReport:
     def test_rerender_matches_verbose_run(self, tmp_path, capsys):
@@ -198,6 +255,13 @@ class TestReport:
         path.write_text("hello")
         rc = run_cli(["report", "--in", str(path)])
         assert rc == 2
+
+    def test_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "junk.json"
+        path.write_bytes(b"\xff{}")
+        rc = run_cli(["report", "--in", str(path)])
+        assert rc == 2
+        assert f"error: {path}: not a report file" in capsys.readouterr().err
 
     def test_wrong_shape(self, tmp_path, capsys):
         path = tmp_path / "other.json"
@@ -225,6 +289,8 @@ class TestReport:
         ("trust_snapshots", [[1, "xy"]]),
         ("rejection_counts", {"nonce_replay": "1"}),
         ("trust_snapshots", [[10**400, []]]),  # a time no float can hold
+        ("scenario", "attacks\ud800"),  # a lone surrogate no UTF-8 output can print
+        ("final_phases", {"n\ud800": "trusted"}),
     ])
     def test_wrong_value_type(self, tmp_path, capsys, key, value):
         out = tmp_path / "report.json"
@@ -248,3 +314,23 @@ class TestUsage:
         with pytest.raises(SystemExit) as e:
             run_cli(["frobnicate"])
         assert e.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["keygen", "--out-dir", "k\0"],
+        ["run", "--scenario", "demo", "--out", "r\0.json"],
+        ["run", "--scenario", "demo", "--csv", "e\0.csv"],
+        ["run", "--scenario", "demo", "--keys", "k\0"],
+        ["run", "--scenario", "demo", "--constants", "c\0.json"],
+        ["report", "--in", "r\0.json"],
+    ], ids=["out-dir", "out", "csv", "keys", "constants", "in"])
+    def test_nul_in_a_path_is_a_usage_error(self, capsys, argv):
+        # no shell can put a NUL byte in argv; main([...]) can
+        with pytest.raises(SystemExit) as e:
+            run_cli(argv)
+        assert e.value.code == 2
+        assert "path holds a NUL byte" in capsys.readouterr().err
+
+    def test_nul_in_a_scenario_name(self, capsys):
+        # --scenario also takes bundled names, so no file path check applies
+        assert run_cli(["run", "--scenario", "demo\0"]) == 2
+        assert "neither a file nor a bundled name" in capsys.readouterr().err

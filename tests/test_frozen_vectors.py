@@ -1,8 +1,13 @@
-"""tests/vectors.py is exactly what tools/freeze_vectors.py prints."""
+"""Frozen constants are exactly what the tools that made them print:
+tests/vectors.py from tools/freeze_vectors.py, and the demo profile's
+primes from tools/gen_demo_params.py."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+from ibetrust import ibe
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -13,3 +18,14 @@ def test_vectors_match_the_generator():
         capture_output=True, check=True, timeout=60,
     ).stdout
     assert out == (ROOT / "tests" / "vectors.py").read_bytes()
+
+
+def test_demo_profile_matches_the_search():
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "gen_demo_params.py")],
+        capture_output=True, check=True, text=True, timeout=60,
+    ).stdout
+    found = {name: int(value, 16)
+             for name, value in re.findall(r"^([pq]) = (0x[0-9a-f]+)$", out, re.M)}
+    demo = ibe.PROFILES["demo"]
+    assert found == {"p": demo["p"], "q": demo["q"]}

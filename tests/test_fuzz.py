@@ -13,6 +13,7 @@ import random
 import pytest
 
 from ibetrust import ake, codec, ibe, protocol
+from ibetrust.boot import BootChain
 from ibetrust.errors import Reject
 
 MUTATIONS = 5000
@@ -61,7 +62,8 @@ def targets(toy):
                            protocol.ake_message_from_bytes(registry, params, data))
 
     # a trusted responder that lists the sender, fed the bytes as frames
-    responder = protocol.Node("node-002", 2, params, keys["node-002"], registry)
+    responder = protocol.Node("node-002", 2, params, keys["node-002"], registry,
+                              BootChain.from_images([b"loader", b"kernel"]))
     responder.phase = protocol.TRUSTED
     responder.trust_list = ("node-001",)
 

@@ -20,11 +20,12 @@ def make_bs(toy_params):
     return protocol.BaseStation(params, master)
 
 
+def chain_for(name, image_suffix=b""):
+    return BootChain.from_images([b"loader", b"kernel-" + name.encode() + image_suffix, b"app"])
+
+
 def provision_ready(bs, name, image_suffix=b""):
-    node = protocol.dp_provision(bs, name)
-    node.chain = BootChain.from_images(
-        [b"loader", b"kernel-" + name.encode() + image_suffix, b"app"]
-    )
+    node = protocol.dp_provision(bs, name, chain_for(name, image_suffix))
     protocol.pdp_register(bs, node)
     return node
 
@@ -188,8 +189,10 @@ class TestSecureMessage:
 class TestProvisioning:
     def test_dp_provision(self, toy_params):
         bs = make_bs(toy_params)
-        node = protocol.dp_provision(bs, "node-001")
+        chain = chain_for("node-001")
+        node = protocol.dp_provision(bs, "node-001", chain)
         assert node.phase == protocol.DP
+        assert node.chain is chain  # installed at the factory, with the key
         assert node.wire_id == 1
         assert "bs" in bs.registry and "node-001" in bs.registry
         assert 2 not in bs.registry  # the base station and the new node only
@@ -205,13 +208,13 @@ class TestProvisioning:
 
     def test_duplicate_identity(self, toy_params):
         bs = make_bs(toy_params)
-        protocol.dp_provision(bs, "node-001")
+        protocol.dp_provision(bs, "node-001", chain_for("node-001"))
         with pytest.raises(ValueError):
-            protocol.dp_provision(bs, "node-001")
+            protocol.dp_provision(bs, "node-001", chain_for("node-001"))
 
     def test_key_locked_behind_secure_world(self, toy_params):
         bs = make_bs(toy_params)
-        node = protocol.dp_provision(bs, "node-001")
+        node = protocol.dp_provision(bs, "node-001", chain_for("node-001"))
         with pytest.raises(AccessViolation):
             node.world.access("ibe_private_key")
 
@@ -226,8 +229,7 @@ class TestProvisioning:
 
     def test_pdp_boot_failure(self, toy_params):
         bs = make_bs(toy_params)
-        node = protocol.dp_provision(bs, "node-001")
-        node.chain = BootChain.from_images([b"loader", b"kernel"])
+        node = protocol.dp_provision(bs, "node-001", BootChain.from_images([b"loader", b"kernel"]))
         node.chain.images[1].data = b"tampered"
         with pytest.raises(Reject) as e:
             protocol.pdp_register(bs, node)
@@ -320,7 +322,7 @@ class TestTrustedAuthentication:
 
     def test_provisioned_but_unregistered_rejected(self, toy_params):
         bs = make_bs(toy_params)
-        node = protocol.dp_provision(bs, "node-001")  # skipped registration
+        node = protocol.dp_provision(bs, "node-001", chain_for("node-001"))  # not registered
         rng = random.Random(12)
         record = protocol.encode_ta_record(node.wire_id, "ab12cd34", b"qq")
         blob = protocol.encrypt_message(bs.params, "bs", record, rng)

@@ -91,6 +91,31 @@ class TestScenarioParsing:
         text = str(e.value)
         assert "at least two strings" in text and "seed" in text
 
+    def test_lone_surrogates_listed_with_the_other_problems(self):
+        # JSON admits "\ud800"; UTF-8 can neither encode nor print it
+        bad = dict(MINIMAL, name="run\ud800", seed=-1, nodes=[
+            {"id": "n1", "images": ["loader", "kernel"]},
+            {"id": "n\ud800", "images": ["loader", "kernel"]},
+            {"id": "n3", "images": ["loader", "k\udfff"]},
+        ])
+        with pytest.raises(ConfigError) as e:
+            scenario_from(bad)
+        text = str(e.value)
+        for fragment in ("name must be a non-empty string without lone surrogates",
+                         "nodes[1]: id must be", "nodes[2]: images must be", "seed"):
+            assert fragment in text
+        # a surrogate pair is one character, which UTF-8 encodes
+        emoji = "\U0001F600"
+        ok = dict(MINIMAL, name=emoji, nodes=[{"id": "n1", "images": [emoji, emoji]}])
+        assert scenario_from(ok).name == emoji
+
+    def test_more_nodes_than_wire_ids(self):
+        # wire ids are 2 bytes and the base station holds 0
+        nodes = [{"id": f"n{i}", "images": ["loader", "kernel"]} for i in range(0x10000)]
+        with pytest.raises(ConfigError, match="65536 listed, but 2-byte wire ids fit 65535"):
+            scenario_from(dict(MINIMAL, nodes=nodes))
+        assert len(scenario_from(dict(MINIMAL, nodes=nodes[:0xFFFF])).nodes) == 0xFFFF
+
     def test_tamper_level_bounds(self):
         for level in (1, 3):  # 1 is the root of trust, which no boot measures
             bad = dict(MINIMAL, nodes=[{"id": "n1", "images": ["a", "b"], "tamper_level": level}])
