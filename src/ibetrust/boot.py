@@ -100,20 +100,18 @@ def boot(chain: BootChain) -> BootResult:
 
 
 class WorldState:
-    """Two-mode execution state guarding the secure region.
+    """Two-mode execution state guarding the node's private key.
 
-    Assets stored in the secure region are reachable only while in
-    secure mode; a put or access from the normal world raises
-    AccessViolation.  Each real mode transition fires on_switch, which
+    The key is installed at the factory and the world starts in normal
+    mode; key() returns it in secure mode and raises AccessViolation in
+    the normal world.  Each real mode transition fires on_switch, which
     the owning node sets to bill switching energy.
     """
 
-    def __init__(self, mode: str = SECURE):
-        if mode not in (SECURE, NORMAL):
-            raise ConfigError(f"unknown mode {mode!r}")
-        self.mode = mode
+    def __init__(self, key):
+        self.mode = NORMAL
         self.on_switch = lambda: None
-        self._store: dict[str, object] = {}
+        self._key = key
 
     def switch(self, target: str) -> None:
         if target not in (SECURE, NORMAL):
@@ -123,12 +121,7 @@ class WorldState:
         self.mode = target
         self.on_switch()
 
-    def put(self, name: str, value) -> None:
+    def key(self):
         if self.mode != SECURE:
-            raise AccessViolation(f"write to {name!r} from normal world")
-        self._store[name] = value
-
-    def access(self, name: str):
-        if self.mode != SECURE:
-            raise AccessViolation(f"read of {name!r} from normal world")
-        return self._store[name]
+            raise AccessViolation("key read from normal world")
+        return self._key

@@ -24,6 +24,13 @@ def _path(text: str) -> Path:
     return Path(text)
 
 
+def _seed(text: str) -> int:
+    # random.Random(-n) would silently repeat the run of n
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ibetrust",
@@ -34,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     keygen = sub.add_parser("keygen", help="generate system parameters and the master key")
     keygen.add_argument("--profile", choices=sorted(ibe.PROFILES), default="toy")
-    keygen.add_argument("--seed", type=int, default=0,
+    keygen.add_argument("--seed", type=_seed, default=0,
                         help="master key generation seed (default 0)")
     keygen.add_argument("--out-dir", required=True, type=_path)
 
@@ -42,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--scenario", required=True,
                       help="path to a scenario file or a bundled name "
                            f"({', '.join(sim.bundled_scenarios())})")
-    runp.add_argument("--seed", type=int, default=None,
+    runp.add_argument("--seed", type=_seed, default=None,
                       help="override the scenario's run seed")
     runp.add_argument("--out", type=_path, help="write the full report as JSON")
     runp.add_argument("--csv", type=_path, help="write the energy tables as CSV")

@@ -40,11 +40,6 @@ TRUSTED = "trusted"       # ack processed, trust list installed
 HALTED = "halted"         # boot integrity failure
 TERMINATED = "terminated" # removed by the base station
 
-# Trust database statuses.
-ST_REGISTERED = "registered"
-ST_TRUSTED = "trusted"
-ST_TERMINATED = "terminated"
-
 BS_IDENTITY = "bs"
 BS_WIRE_ID = 0
 
@@ -242,56 +237,40 @@ def ake_message_from_bytes(registry: Registry, params: ibe.PublicParams,
 
 @dataclass
 class TrustRecord:
-    identity: str
     trust_value: str
-    status: str = ST_REGISTERED
     seen_nonces: set = field(default_factory=set)
 
 
 class TrustDB:
     """Trust records by identity, plus the sorted tuple of trusted ones.
 
-    Every status change goes through register, admit or terminate, which
-    keep the tuple current, so reading it costs no scan.
+    A node is trusted exactly when its identity is in `trusted`.  admit
+    and revoke keep the tuple sorted by bisection, so reading it costs
+    no scan.
     """
 
     def __init__(self):
         self.records: dict[str, TrustRecord] = {}
-        self._trusted: tuple[str, ...] = ()
-
-    def __contains__(self, identity: str) -> bool:
-        return identity in self.records
-
-    def get(self, identity: str) -> TrustRecord:
-        return self.records[identity]
+        self.trusted: tuple[str, ...] = ()
 
     def register(self, identity: str, trust_value: str):
-        """Store or refresh a registration; replay history survives re-flash."""
-        existing = self.records.get(identity)
-        if existing is None:
-            self.records[identity] = TrustRecord(identity, trust_value)
-        else:
-            existing.trust_value = trust_value
-            self._set_status(existing, ST_REGISTERED)
+        """Store or refresh a registration, untrusted until the next report."""
+        rec = self.records.setdefault(identity, TrustRecord(trust_value))
+        rec.trust_value = trust_value  # a re-flash keeps the replay history
+        self.revoke(identity)
 
     def admit(self, identity: str):
-        self._set_status(self.records[identity], ST_TRUSTED)
+        ids = self.trusted
+        i = bisect.bisect_left(ids, identity)
+        if ids[i:i + 1] != (identity,):
+            self.trusted = ids[:i] + (identity,) + ids[i:]
 
-    def terminate(self, identity: str):
-        self._set_status(self.records[identity], ST_TERMINATED)
-
-    def trusted_identities(self) -> tuple[str, ...]:
-        return self._trusted
-
-    def _set_status(self, rec: TrustRecord, status: str):
-        if (rec.status == ST_TRUSTED) != (status == ST_TRUSTED):
-            ids = self._trusted
-            i = bisect.bisect_left(ids, rec.identity)
-            if status == ST_TRUSTED:
-                self._trusted = ids[:i] + (rec.identity,) + ids[i:]
-            else:
-                self._trusted = ids[:i] + ids[i + 1:]
-        rec.status = status
+    def revoke(self, identity: str):
+        """Drop an identity from the trusted tuple; an untrusted one is a no-op."""
+        ids = self.trusted
+        i = bisect.bisect_left(ids, identity)
+        if ids[i:i + 1] == (identity,):
+            self.trusted = ids[:i] + ids[i + 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +296,9 @@ class Node:
         self.pending_nonce: bytes | None = None
         self.sessions: dict[str, ake_mod.SessionKey] = {}
         self.ake_nonces: dict[str, set] = {}
-        # known gap: key exchange reads this normal-world copy, not world.access
+        # known gap: key exchange reads this normal-world copy, not world.key()
         self._private_key = key
-        self.world = WorldState(mode=SECURE)
-        self.world.put("ibe_private_key", key)
-        self.world.switch(NORMAL)  # provisioning: not billed
+        self.world = WorldState(key)
         self.world.on_switch = lambda: self.ledger.add("switch", self.constants.e_switch)
 
     def bill_tx(self, frames, note: str):
@@ -413,8 +390,6 @@ def ta_request(node: Node, rng) -> list[codec.Frame]:
     """
     if node.phase != DY:
         raise Reject("not_ready", f"phase {node.phase!r}")
-    if node.trust_value is None:
-        raise Reject("not_ready", "no trust value")
     nonce = rng.randbytes(2)
     node.pending_nonce = nonce
     record = encode_ta_record(node.wire_id, node.trust_value, nonce)
@@ -458,17 +433,18 @@ def bs_handle_ta(bs: BaseStation, frames, rng) -> list[codec.Frame]:
     """
     blob = _reassemble(frames, "decrypt_failure")
     wire, claimed, nonce = decode_ta_record(_decrypt(bs.params, bs.key, blob))
-    if wire not in bs.registry or bs.registry.identity(wire) not in bs.db:
+    identity = bs.registry.identity(wire) if wire in bs.registry else None
+    rec = bs.db.records.get(identity)
+    if rec is None:
         raise Reject("unknown_id", f"wire id {wire}")
-    rec = bs.db.get(bs.registry.identity(wire))
     if claimed != rec.trust_value:
-        raise Reject("trust_mismatch", rec.identity)
+        raise Reject("trust_mismatch", identity)
     if bs.nonce_check and nonce in rec.seen_nonces:
-        raise Reject("nonce_replay", rec.identity)
+        raise Reject("nonce_replay", identity)
     rec.seen_nonces.add(nonce)
-    bs.db.admit(rec.identity)
-    ack = encode_ack_record(nonce, map(bs.registry.wire_id, bs.db.trusted_identities()))
-    blob = encrypt_message(bs.params, rec.identity, ack, rng)
+    bs.db.admit(identity)
+    ack = encode_ack_record(nonce, map(bs.registry.wire_id, bs.db.trusted))
+    blob = encrypt_message(bs.params, identity, ack, rng)
     return codec.fragment(wire, bs.wire_id, blob)
 
 
@@ -478,12 +454,12 @@ def node_handle_ack(node: Node, frames) -> None:
     Known gap: the pairing e(d_ID, U) of each block, fresh U, is not billed.
     """
     node.bill_rx(frames, "ta-ack")
-    if node.phase != TA or node.pending_nonce is None:
+    if node.phase != TA:
         raise Reject("not_waiting", f"phase {node.phase!r}")
     blob = _reassemble(frames, "decrypt_failure")
     node.world.switch(SECURE)
     try:
-        record = _decrypt(node.params, node.world.access("ibe_private_key"), blob)
+        record = _decrypt(node.params, node.world.key(), blob)
     finally:
         node.world.switch(NORMAL)
     nonce, wire_ids = decode_ack_record(record)
@@ -496,12 +472,9 @@ def node_handle_ack(node: Node, frames) -> None:
     node.phase = TRUSTED
 
 
-def bs_terminate(bs: BaseStation, identity: str) -> bool:
+def bs_terminate(bs: BaseStation, identity: str) -> None:
     """Remove a node from the trust list; an unknown id is a no-op."""
-    if identity not in bs.db:
-        return False
-    bs.db.terminate(identity)
-    return True
+    bs.db.revoke(identity)
 
 
 def ake_initiate(node: Node, peer: str, rng) -> tuple[list[codec.Frame], ake_mod.SessionKey]:

@@ -33,6 +33,7 @@ LABELS = ("ta-request", "ta-ack", "ake")
 BLOCKED = "blocked"
 SUCCEEDED = "succeeded"
 NO_OP = "no-op"
+ADVERSARY = "adversary"  # origin of the frames an attack forges
 # JSON admits lone surrogates ("\ud800"); UTF-8 can neither encode nor print them
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
@@ -162,8 +163,8 @@ def parse_scenario(text: str, name: str = "<memory>") -> Scenario:
         if not isinstance(nid, str) or not nid or _SURROGATE.search(nid):
             problems.append(f"{where}: id must be a non-empty string without lone surrogates")
             continue
-        if nid == protocol.BS_IDENTITY:
-            problems.append(f"{where}: id {protocol.BS_IDENTITY!r} is reserved")
+        if nid in (protocol.BS_IDENTITY, ADVERSARY):
+            problems.append(f"{where}: id {nid!r} is reserved")
         if nid in ids:
             problems.append(f"{where}: duplicate id {nid!r}")
         ids.add(nid)
@@ -541,7 +542,7 @@ class Simulation:
         return self.bs.registry.identity(wire)
 
     def snapshot(self, time: float):
-        ids = self.bs.db.trusted_identities()
+        ids = self.bs.db.trusted
         self.trust_snapshots.append((time, ids))
         self._note(time, f"trust list now [{', '.join(ids)}]")
 
@@ -689,7 +690,7 @@ class Simulation:
             frames = codec.fragment(protocol.BS_WIRE_ID, spec.claimed_wire, blob)
             self._note(t, f"attack fake_node: wire {spec.claimed_wire} "
                           f"claims trust value {hm}")
-            self.transmit(t, Transmission("adversary", "ta-request", frames, attack))
+            self.transmit(t, Transmission(ADVERSARY, "ta-request", frames, attack))
         else:  # impersonate
             r = self.rng_adversary.randrange(1, self.params.q)
             big_r = self.params.curve.mul(r, self.params.generator)
@@ -703,7 +704,7 @@ class Simulation:
                 self.bs.registry.wire_id(spec.claimed), blob)
             self._note(t, f"attack impersonate: claiming {spec.claimed} "
                           f"towards {spec.target} without its key")
-            self.transmit(t, Transmission("adversary", "ake", frames, attack))
+            self.transmit(t, Transmission(ADVERSARY, "ake", frames, attack))
 
     # -- run
 
@@ -721,7 +722,7 @@ class Simulation:
         report = energy.build_report(
             {name: node.ledger for name, node in self.nodes.items()},
             self.constants,
-            trusted_count=len(self.bs.db.trusted_identities()),
+            trusted_count=len(self.bs.db.trusted),
         )
         return SimReport(
             scenario=self.scenario.name,

@@ -201,48 +201,41 @@ class TestBoot:
 
 class TestWorldState:
     def test_normal_mode_denied(self):
-        w = boot.WorldState(mode=boot.NORMAL)
-        with pytest.raises(AccessViolation, match="read of 'private_key' from normal world"):
-            w.access("private_key")
+        w = boot.WorldState(b"\x01\x02")
+        assert w.mode == boot.NORMAL  # installed at the factory, handed over in normal mode
+        with pytest.raises(AccessViolation, match="key read from normal world"):
+            w.key()
 
     def test_secure_mode_granted(self):
-        w = boot.WorldState(mode=boot.SECURE)
-        w.put("private_key", b"\x01\x02")
-        assert w.access("private_key") == b"\x01\x02"
-
-    def test_put_from_normal_denied(self):
-        w = boot.WorldState(mode=boot.NORMAL)
-        with pytest.raises(AccessViolation, match="write to 'private_key' from normal world"):
-            w.put("private_key", b"x")
+        w = boot.WorldState(b"\x01\x02")
         w.switch(boot.SECURE)
-        with pytest.raises(KeyError):  # the denied write stored nothing
-            w.access("private_key")
-
-    def test_missing_asset(self):
-        w = boot.WorldState(mode=boot.SECURE)
-        with pytest.raises(KeyError):
-            w.access("nope")
+        assert w.key() == b"\x01\x02"
+        w.switch(boot.NORMAL)
+        with pytest.raises(AccessViolation):
+            w.key()
 
     def test_switch_counting(self):
         fired = []
-        w = boot.WorldState(mode=boot.NORMAL)
+        w = boot.WorldState(1)
         w.on_switch = lambda: fired.append(w.mode)
         w.switch(boot.SECURE)
-        w.put("k", 1)
-        assert w.access("k") == 1
+        assert w.key() == 1
         w.switch(boot.NORMAL)
         assert fired == [boot.SECURE, boot.NORMAL]
 
     def test_same_mode_is_noop(self):
         fired = []
-        w = boot.WorldState(mode=boot.SECURE)
+        w = boot.WorldState(1)
         w.on_switch = lambda: fired.append(w.mode)
+        w.switch(boot.NORMAL)
         w.switch(boot.SECURE)
-        assert fired == [] and w.mode == boot.SECURE
+        w.switch(boot.SECURE)
+        assert fired == [boot.SECURE] and w.mode == boot.SECURE
 
     def test_unknown_mode(self):
-        with pytest.raises(ConfigError):
-            boot.WorldState(mode="hypervisor")
-        w = boot.WorldState()
+        fired = []
+        w = boot.WorldState(1)
+        w.on_switch = lambda: fired.append(w.mode)
         with pytest.raises(ConfigError):
             w.switch("hypervisor")
+        assert fired == [] and w.mode == boot.NORMAL

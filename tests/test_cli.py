@@ -330,6 +330,19 @@ class TestUsage:
         assert e.value.code == 2
         assert "path holds a NUL byte" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["keygen", "--seed", "-3", "--out-dir", "k"],
+        ["run", "--scenario", "demo", "--seed", "-42"],
+    ], ids=["keygen", "run"])
+    def test_negative_seed_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        # random.Random(-n) would silently repeat the run or keys of seed n
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as e:
+            run_cli(argv)
+        assert e.value.code == 2
+        assert "--seed: must be a non-negative integer, got '-" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # keygen wrote nothing
+
     def test_nul_in_a_scenario_name(self, capsys):
         # --scenario also takes bundled names, so no file path check applies
         assert run_cli(["run", "--scenario", "demo\0"]) == 2

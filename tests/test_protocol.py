@@ -216,14 +216,14 @@ class TestProvisioning:
         bs = make_bs(toy_params)
         node = protocol.dp_provision(bs, "node-001", chain_for("node-001"))
         with pytest.raises(AccessViolation):
-            node.world.access("ibe_private_key")
+            node.world.key()
 
     def test_pdp_register(self, toy_params):
         bs = make_bs(toy_params)
         node = provision_ready(bs, "node-001")
         assert node.phase == protocol.PDP
-        rec = bs.db.get("node-001")
-        assert rec.status == protocol.ST_REGISTERED
+        rec = bs.db.records["node-001"]
+        assert "node-001" not in bs.db.trusted
         assert rec.trust_value == node.trust_value
         assert len(rec.trust_value) == 8
 
@@ -235,17 +235,17 @@ class TestProvisioning:
             protocol.pdp_register(bs, node)
         assert e.value.reason == "boot_failure"
         assert node.phase == protocol.HALTED
-        assert "node-001" not in bs.db
+        assert "node-001" not in bs.db.records
 
     def test_reregistration_overwrites(self, toy_params):
         bs = make_bs(toy_params)
         node = provision_ready(bs, "node-001")
-        first = bs.db.get("node-001").trust_value
+        first = bs.db.records["node-001"].trust_value
         node.chain = BootChain.from_images([b"loader", b"kernel-v2", b"app"])
         protocol.pdp_register(bs, node)
-        second = bs.db.get("node-001").trust_value
+        second = bs.db.records["node-001"].trust_value
         assert first != second
-        assert bs.db.get("node-001").status == protocol.ST_REGISTERED
+        assert "node-001" not in bs.db.trusted
 
     def test_register_from_field_phase_rejected(self, toy_params):
         bs = make_bs(toy_params)
@@ -263,7 +263,7 @@ class TestTrustedAuthentication:
         full_ta(bs, node, rng)
         assert node.phase == protocol.TRUSTED
         assert node.trust_list == ("node-001",)
-        assert bs.db.get("node-001").status == protocol.ST_TRUSTED
+        assert bs.db.trusted == ("node-001",)
 
     def test_request_requires_deployed_phase(self, toy_params):
         bs = make_bs(toy_params)
@@ -341,7 +341,7 @@ class TestTrustedAuthentication:
         with pytest.raises(Reject) as e:
             protocol.bs_handle_ta(bs, codec.fragment(0, node.wire_id, blob), rng)
         assert e.value.reason == "trust_mismatch"
-        assert bs.db.get("node-001").status == protocol.ST_REGISTERED
+        assert "node-001" not in bs.db.trusted
 
     def test_garbled_request_rejected(self, toy_params):
         bs = make_bs(toy_params)
@@ -439,7 +439,7 @@ class TestPartialFrameLoss:
         with pytest.raises(Reject) as e:
             protocol.bs_handle_ta(bs, drop(frames), rng)
         assert (e.value.reason, e.value.detail) == ("decrypt_failure", detail)
-        assert bs.db.get("node-001").status == protocol.ST_REGISTERED
+        assert "node-001" not in bs.db.trusted
 
     @pytest.mark.parametrize("drop, detail", LOSSES)
     def test_node_refuses_incomplete_ack(self, toy_params, drop, detail):
@@ -468,44 +468,38 @@ class TestPartialFrameLoss:
 class TestTermination:
     def test_terminate_and_readmit(self, network):
         bs, nodes, rng = network
-        assert protocol.bs_terminate(bs, "n-b") is True
-        assert "n-b" not in bs.db.trusted_identities()
-        assert bs.db.get("n-b").status == protocol.ST_TERMINATED
+        protocol.bs_terminate(bs, "n-b")
+        assert bs.db.trusted == ("n-a", "n-c")
+        assert "n-b" in bs.db.records  # the record and its replay history stay
         # rebooting and re-running the authentication re-admits the node
         full_ta(bs, nodes["n-b"], rng)
-        assert bs.db.get("n-b").status == protocol.ST_TRUSTED
-        assert "n-b" in bs.db.trusted_identities()
+        assert bs.db.trusted == ("n-a", "n-b", "n-c")
 
     def test_terminate_unknown_warns(self, network):
         bs, _, _ = network
-        before = {name: rec.status for name, rec in bs.db.records.items()}
-        assert protocol.bs_terminate(bs, "ghost") is False
-        assert "ghost" not in bs.db
-        assert {name: rec.status for name, rec in bs.db.records.items()} == before
+        before = (bs.db.trusted, dict(bs.db.records))
+        protocol.bs_terminate(bs, "ghost")
+        assert (bs.db.trusted, bs.db.records) == before
 
-    def test_trusted_tuple_matches_a_fresh_scan(self, network):
-        bs, nodes, rng = network
-
-        def scan():
-            return tuple(sorted(r.identity for r in bs.db.records.values()
-                                if r.status == protocol.ST_TRUSTED))
-
-        new = []
-        steps = [
-            lambda: new.append(provision_ready(bs, "n-0")),  # register
-            lambda: full_ta(bs, new[0], rng),                # accept, first in order
-            lambda: full_ta(bs, nodes["n-b"], rng),          # accept, already trusted
-            lambda: protocol.bs_terminate(bs, "n-b"),        # terminate
-            lambda: protocol.bs_terminate(bs, "n-b"),        # terminate again
-            lambda: full_ta(bs, nodes["n-b"], rng),          # re-admit
-            lambda: bs.db.register("n-a", bs.db.get("n-a").trust_value),  # re-flash
-            lambda: full_ta(bs, nodes["n-a"], rng),          # accept
-        ]
-        assert bs.db.trusted_identities() == scan() == ("n-a", "n-b", "n-c")
-        for step in steps:
-            step()
-            assert bs.db.trusted_identities() == scan()
-        assert scan() == ("n-0", "n-a", "n-b", "n-c")
+    def test_trusted_tuple_matches_a_model_set(self):
+        db = protocol.TrustDB()
+        rng = random.Random(19)
+        names = [f"n-{i:02d}" for i in range(12)]
+        model = set()
+        for _ in range(600):
+            name = rng.choice(names)
+            step = rng.choice(("register", "admit", "revoke"))
+            if step == "register":  # a re-flash leaves the node untrusted
+                db.register(name, f"{rng.getrandbits(32):08x}")
+                model.discard(name)
+            elif step == "admit" and name in db.records:
+                db.admit(name)
+                model.add(name)
+            elif step == "revoke":
+                db.revoke(name)
+                model.discard(name)
+            assert db.trusted == tuple(sorted(model))
+        assert 0 < len(model) < len(names)  # the walk ended with both kinds
 
     def test_terminated_id_absent_from_new_acks(self, network):
         bs, nodes, rng = network
@@ -621,8 +615,6 @@ class TestSafetyInvariant:
         bs, nodes, rng = network
         protocol.bs_terminate(bs, "n-c")
         full_ta(bs, nodes["n-a"], rng)
-        trusted_now = set(bs.db.trusted_identities())
-        assert set(nodes["n-a"].trust_list) <= trusted_now
-        for rec in bs.db.records.values():
-            if rec.status == protocol.ST_TRUSTED:
-                assert rec.seen_nonces  # admitted only via a verified report
+        assert set(nodes["n-a"].trust_list) <= set(bs.db.trusted)
+        for identity in bs.db.trusted:
+            assert bs.db.records[identity].seen_nonces  # admitted only via a verified report

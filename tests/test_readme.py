@@ -60,3 +60,12 @@ def test_fragmentation_example(text):
 def test_attack_labels(text):
     listed = re.search(r"`label` \(([^)]*)\)", text).group(1)
     assert tuple(re.findall(r"`([^`]+)`", listed)) == sim.LABELS
+
+
+def test_module_map_lists_every_module():
+    raw = README.read_text(encoding="utf-8")
+    table = raw.split("## Module map", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `(\w+)`", table, flags=re.MULTILINE)
+    package = Path(protocol.__file__).parent
+    modules = {p.stem for p in package.glob("*.py")} - {"__init__", "__main__"}
+    assert sorted(listed) == sorted(modules)

@@ -58,14 +58,17 @@ class TestScenarioParsing:
     def test_all_violations_reported_together(self):
         bad = {
             "profile": "huge",
-            "nodes": [{"id": "bs", "images": []}],
+            "nodes": [{"id": "bs", "images": []},
+                      {"id": sim.ADVERSARY, "images": ["loader", "kernel"]}],
             "events": [{"time": -1, "kind": "dance"}],
             "mystery": True,
         }
         with pytest.raises(ConfigError) as e:
             scenario_from(bad)
         text = str(e.value)
-        for fragment in ("profile", "reserved", "images", "time", "dance", "mystery"):
+        for fragment in ("profile", "nodes[0]: id 'bs' is reserved",
+                         "nodes[1]: id 'adversary' is reserved",  # the forged frames' origin
+                         "images", "time", "dance", "mystery"):
             assert fragment in text
 
     def test_name_must_be_non_empty_string(self):
