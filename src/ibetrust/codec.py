@@ -1,12 +1,12 @@
 """Wire formats: 127-byte frames, the record MAC, fragmentation.
 
 A frame is a modelled object, never serialized: it holds the fields the
-simulator needs (destination, source, index within its message, flags)
+simulator needs (destination, source, index within its message, more)
 and at most 106 payload bytes, and its header is counted as the fixed
 21 bytes a real 802.15.4-style stack would occupy.  Only this module
 builds frames: blobs (serialized ciphertexts, trust lists) are split
-into raw 106-byte chunks numbered from 0 in each message, and the MORE
-flag marks every chunk but the last.  Each protocol record carries its
+into raw 106-byte chunks numbered from 0 in each message, and `more`
+marks every chunk but the last.  Each protocol record carries its
 own truncated_mac.
 """
 
@@ -19,8 +19,6 @@ HEADER_SIZE = 21
 MAX_FRAME = 127
 MAX_PAYLOAD = MAX_FRAME - HEADER_SIZE  # 106
 MAC_SIZE = 4
-
-FLAG_MORE = 0x01
 
 
 def truncated_mac(data: bytes) -> bytes:
@@ -35,7 +33,7 @@ class Frame:
     dst: int
     src: int
     seq: int
-    flags: int = 0
+    more: bool = False
     payload: bytes = b""
 
     def __post_init__(self):
@@ -43,18 +41,12 @@ class Frame:
             v = getattr(self, name)
             if not 0 <= v <= 0xFFFF:
                 raise ValueError(f"{name} out of range: {v}")
-        if not 0 <= self.flags <= 0xFF:
-            raise ValueError("flags out of range")
         if len(self.payload) > MAX_PAYLOAD:
             raise ValueError(f"payload over {MAX_PAYLOAD} bytes")
 
     @property
     def wire_size(self) -> int:
         return HEADER_SIZE + len(self.payload)
-
-    @property
-    def more(self) -> bool:
-        return bool(self.flags & FLAG_MORE)
 
 
 def fragment(dst: int, src: int, blob: bytes) -> list[Frame]:
@@ -68,7 +60,7 @@ def fragment(dst: int, src: int, blob: bytes) -> list[Frame]:
     if not chunks:
         chunks = [b""]
     last = len(chunks) - 1
-    return [Frame(dst, src, seq=i, flags=FLAG_MORE if i < last else 0, payload=chunk)
+    return [Frame(dst, src, seq=i, more=i < last, payload=chunk)
             for i, chunk in enumerate(chunks)]
 
 

@@ -87,17 +87,12 @@ def is_probable_prime(n: int, rounds: int = 32) -> bool:
 
 
 class Curve:
-    """y^2 = x^3 + 1 over F_p with a pairing on the order-q subgroup."""
+    """y^2 = x^3 + 1 over F_p with a pairing on the order-q subgroup.
+
+    p and q are one of ibe.PROFILES, checked where they enter the
+    program (ibe.setup and ibe.params_from_bytes), not here."""
 
     def __init__(self, p: int, q: int, generator: Point = None):
-        if p % 3 != 2:
-            raise ValueError("p must be 2 mod 3")
-        if (p + 1) % q != 0:
-            raise ValueError("q must divide p + 1")
-        if q in (2, 3):
-            # the 2- and 3-torsion points ((-1, 0), (0, +-1)) break the
-            # degeneracy-freedom the Miller loop relies on
-            raise ValueError("q must exceed 3")
         self.p = p
         self.q = q
         self.cofactor = (p + 1) // q
@@ -230,9 +225,8 @@ class Curve:
 
     def _fixed_base_table(self) -> list[tuple[Point, ...]]:
         """One row per 4-bit window i of q: (j * 16^i * P for j = 0..15),
-        affine, None where a multiple is infinity (always for j = 0).
-        The rows stop early if 16^i * P is infinity, since every later
-        window adds nothing."""
+        affine, None for j = 0.  P has prime order q > 15, so no other
+        entry is infinity."""
         chain: list[Jacobian] = []
         base = self.generator
         for _ in range((self.q.bit_length() + 3) // 4):
@@ -242,13 +236,11 @@ class Curve:
                 T = self._add_affine(T, base)[0]
                 chain.append(T)
             base = self._to_affine(self._add_affine(T, base)[0])
-            if base is None:
-                break
-        z_invs = self._batch_inv([Z or 1 for _, _, Z in chain])
+        z_invs = self._batch_inv([Z for _, _, Z in chain])
         points = []
-        for (X, Y, Z), zi in zip(chain, z_invs):
+        for (X, Y, _), zi in zip(chain, z_invs):
             zi2 = zi * zi % self.p
-            points.append((X * zi2 % self.p, Y * zi2 * zi % self.p) if Z else None)
+            points.append((X * zi2 % self.p, Y * zi2 * zi % self.p))
         return [(None, *points[i : i + 15]) for i in range(0, len(points), 15)]
 
     def _batch_inv(self, values: list[int]) -> list[int]:

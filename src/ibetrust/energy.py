@@ -21,7 +21,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from .codec import HEADER_SIZE, MAX_FRAME, MAX_PAYLOAD
 from .errors import ConfigError
@@ -113,8 +113,6 @@ DEFAULT_CONSTANTS = EnergyConstants()
 
 def joules(power_w: float, time_s: float) -> float:
     """Energy of running a power draw for a duration."""
-    if power_w < 0 or time_s < 0:
-        raise ValueError("power and time must be non-negative")
     return power_w * time_s
 
 
@@ -213,7 +211,7 @@ class EnergyReport:
     trustid_payload_bytes: int
     trustid_fractional_airtime: float
     trustid_framed_airtime: int
-    battery_j: float = field(default=1000.0)
+    battery_j: float
 
 
 def build_report(

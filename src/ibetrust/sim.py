@@ -480,6 +480,9 @@ class Simulation:
                  constants: energy.EnergyConstants = energy.DEFAULT_CONSTANTS,
                  nonce_check: bool = True,
                  keys: tuple[ibe.PublicParams, ibe.MasterKey] | None = None):
+        if seed is not None and seed < 0:
+            # random.Random takes abs(seed): -42 would replay seed 42
+            raise ConfigError(f"seed must be non-negative, got {seed}")
         self.scenario = scenario
         self.seed = scenario.seed if seed is None else seed
         self.constants = constants

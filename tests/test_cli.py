@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, files, and exit codes."""
 
+import dataclasses
 import json
 
 import pytest
@@ -92,6 +93,16 @@ class TestRun:
         captured = capsys.readouterr()
         assert "does not match the scenario's 'toy' profile" in captured.err
         assert captured.out == ""
+
+    def test_params_outside_the_profiles_refused(self, tmp_path, capsys):
+        keys = tmp_path / "keys"
+        run_cli(["keygen", "--profile", "toy", "--seed", "7", "--out-dir", str(keys)])
+        capsys.readouterr()
+        params = ibe.params_from_bytes((keys / "params.bin").read_bytes())
+        (keys / "params.bin").write_bytes(ibe.params_to_bytes(dataclasses.replace(params, n=256)))
+        rc = run_cli(["run", "--scenario", "demo", "--keys", str(keys)])
+        assert rc == 2
+        assert "not one of the profiles ['demo', 'toy']" in capsys.readouterr().err
 
     def test_missing_keys_dir(self, tmp_path, capsys):
         rc = run_cli(["run", "--scenario", "demo", "--keys", str(tmp_path)])

@@ -19,8 +19,6 @@ class TestFrameCodec:
     def test_field_ranges(self):
         with pytest.raises(ValueError):
             codec.Frame(dst=0x10000, src=0, seq=0)
-        with pytest.raises(ValueError):
-            codec.Frame(dst=0, src=0, seq=0, flags=0x100)
 
 
 class TestFragmentation:

@@ -65,12 +65,6 @@ class TestFormulas:
         assert energy.joules(0.072, 4.05) == pytest.approx(0.2916)
         assert energy.joules(0, 5) == 0
 
-    def test_joules_rejects_negative(self):
-        with pytest.raises(ValueError):
-            energy.joules(-1, 1)
-        with pytest.raises(ValueError):
-            energy.joules(1, -1)
-
     def test_e_comm_legs(self):
         assert energy.e_comm(319, 0) == pytest.approx(583.77e-6)
         assert energy.e_comm(0, 480) == pytest.approx(950.4e-6)

@@ -1,7 +1,6 @@
 """Identity-based encryption: frozen vectors, oracle cross-checks,
 roundtrips and tamper rejection."""
 
-import dataclasses
 import hashlib
 import random
 
@@ -10,6 +9,7 @@ import pytest
 import oracles
 import vectors
 from ibetrust import ibe
+from ibetrust.curve import is_probable_prime
 from ibetrust.errors import ConfigError, Reject
 
 
@@ -46,48 +46,56 @@ def master(toy_setup):
     return toy_setup[1]
 
 
+# (p, q, n) outside PROFILES, each once refused by an older per-value check
+NOT_PROFILES = [
+    pytest.param(43, 11, 128, id="p-1-mod-3"),
+    pytest.param(53, 27, 128, id="q-composite"),
+    pytest.param(35, 6, 128, id="p-composite"),
+    pytest.param(227, 17, 128, id="q-not-dividing"),
+    pytest.param(227, 2, 128, id="q-2"),
+    pytest.param(227, 3, 128, id="q-3"),
+    pytest.param(227, 0, 128, id="q-0"),
+    pytest.param(227, 57, 128, id="q-57"),  # 57 = 3 * 19 divides p + 1 = 228
+    pytest.param(227, 19, 0, id="n-0"),
+    pytest.param(227, 19, -8, id="n-negative"),
+    pytest.param(227, 19, 7, id="n-7"),
+    pytest.param(227, 19, 129, id="n-129"),
+    pytest.param(227, 19, 260, id="n-260"),
+    pytest.param(227, 19, 4096, id="n-4096"),
+    pytest.param(ibe.PROFILES["demo"]["p"], ibe.PROFILES["demo"]["q"], 256, id="demo-n-256"),
+]
+NOT_A_PROFILE = "not one of the profiles"
+
+
+def params_blob(p, q, n):
+    """A params.bin layout with the toy points and any (p, q, n)."""
+    fields = [p, q, n, *vectors.TOY_GENERATOR, *vectors.TOY_MASTER_PUB]
+    return (ibe._PARAMS_MAGIC + bytes([ibe._FORMAT_VERSION])
+            + b"".join(ibe._lp_int(v) for v in fields))
+
+
 class TestConfig:
-    def test_profiles_validate(self):
-        for name in ibe.PROFILES:
-            ibe.SecurityConfig.from_profile(name).validate()
+    @pytest.mark.parametrize("name", sorted(ibe.PROFILES))
+    def test_profiles_are_sound(self, name):
+        p, q, n = (ibe.PROFILES[name][k] for k in "pqn")
+        assert is_probable_prime(p) and p % 3 == 2
+        assert is_probable_prime(q) and q > 3 and (p + 1) % q == 0
+        assert 0 < n <= 256 and n % 8 == 0
 
     def test_unknown_profile(self):
         with pytest.raises(ConfigError):
             ibe.SecurityConfig.from_profile("huge")
 
-    def test_rejects_wrong_residue(self):
-        cfg = ibe.SecurityConfig(p=43, q=11, n=128)
-        with pytest.raises(ConfigError, match="2 mod 3"):
-            cfg.validate()
+    @pytest.mark.parametrize("p, q, n", NOT_PROFILES)
+    def test_setup_refuses_other_parameters(self, p, q, n):
+        with pytest.raises(ConfigError, match=NOT_A_PROFILE):
+            ibe.setup(ibe.SecurityConfig(p=p, q=q, n=n))
 
-    def test_rejects_composite_subgroup(self):
-        cfg = ibe.SecurityConfig(p=53, q=27, n=128)
-        with pytest.raises(ConfigError, match="q not prime"):
-            cfg.validate()
-
-    def test_rejects_composite_field(self):
-        cfg = ibe.SecurityConfig(p=35, q=6, n=128)
-        with pytest.raises(ConfigError, match="p not prime"):
-            cfg.validate()
-
-    def test_rejects_non_divisor(self):
-        cfg = ibe.SecurityConfig(p=227, q=17, n=128)
-        with pytest.raises(ConfigError, match="divide"):
-            cfg.validate()
-
-    def test_rejects_tiny_subgroup(self):
-        cfg = ibe.SecurityConfig(p=227, q=3, n=128)
-        with pytest.raises(ConfigError, match="exceed 3"):
-            cfg.validate()
-
-    def test_rejects_bad_block_size(self):
-        for n in (0, -8, 260):
-            cfg = ibe.SecurityConfig(p=227, q=19, n=n)
-            with pytest.raises(ConfigError, match="out of range"):
-                cfg.validate()
-        cfg = ibe.SecurityConfig(p=227, q=19, n=129)
-        with pytest.raises(ConfigError, match="whole number of bytes"):
-            cfg.validate()
+    # params.bin holds unsigned integers, so it cannot carry n = -8
+    @pytest.mark.parametrize("p, q, n", [c for c in NOT_PROFILES if c.values[2] >= 0])
+    def test_loader_refuses_other_parameters(self, p, q, n):
+        with pytest.raises(ConfigError, match=NOT_A_PROFILE):
+            ibe.params_from_bytes(params_blob(p, q, n))
 
 
 class TestSetup:
@@ -341,24 +349,6 @@ class TestSerialization:
             ibe.params_from_bytes(blob[:-1])
         with pytest.raises(ValueError):
             ibe.params_from_bytes(blob + b"\x00")
-
-    @pytest.mark.parametrize("field, value, problem", [
-        ("n", 0, "out of range"),
-        ("n", 7, "whole number of bytes"),
-        ("n", 4096, "out of range"),
-        ("q", 57, "q not prime"),  # 57 = 3 * 19 divides p + 1 = 228
-    ])
-    def test_params_checked_like_generated_ones(self, params, field, value, problem):
-        blob = ibe.params_to_bytes(dataclasses.replace(params, **{field: value}))
-        with pytest.raises(ConfigError, match=problem):
-            ibe.params_from_bytes(blob)
-
-    def test_params_with_zero_q_refused(self, params):
-        blob = bytearray(ibe.params_to_bytes(params))
-        assert blob[8:11] == b"\x00\x01\x13"  # q = 19, after magic, version and p
-        blob[10] = 0
-        with pytest.raises(ConfigError, match="does not divide"):
-            ibe.params_from_bytes(bytes(blob))
 
     def test_master_roundtrip(self, params, master):
         blob = ibe.master_key_to_bytes(master)

@@ -547,9 +547,9 @@ class TestPeerAuthentication:
         assert nodes["n-b"].ledger.category_total("pairing") == joules_before
 
     @pytest.mark.parametrize("damage, detail", [
-        (lambda f: [codec.Frame(f.dst, f.src, 0, codec.FLAG_MORE, f.payload)],
+        (lambda f: [codec.Frame(f.dst, f.src, 0, True, f.payload)],
          "reassembly: fragment chain broken"),
-        (lambda f: [codec.Frame(f.dst, f.src, 0, 0, f.payload[:-1])],
+        (lambda f: [codec.Frame(f.dst, f.src, 0, False, f.payload[:-1])],
          "ake message length 11"),
     ], ids=["broken-chain", "truncated"])
     def test_undecodable_message_billed_then_rejected(self, network, damage, detail):

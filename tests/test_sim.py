@@ -280,6 +280,13 @@ class TestHonestRuns:
         without = sim.run(sim.load_scenario("demo")).to_json()
         assert with_keys == without  # bundled scenario uses master_seed 7
 
+    def test_negative_seed_refused(self):
+        # random.Random(-42) is random.Random(42): the run would replay
+        # seed 42 under the label seed=-42
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            sim.run(sim.load_scenario("demo"), seed=-42)
+        assert sim.run(sim.load_scenario("demo"), seed=0).seed == 0
+
     def test_tampered_node_halts_and_cannot_send(self):
         sc = scenario_from(dict(
             MINIMAL,
