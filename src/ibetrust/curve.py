@@ -27,6 +27,18 @@ the first such mul with one batched inversion; kP is then one mixed
 addition per nonzero digit of k and no doubling (Brickell-Gordon-
 McCurley-Wilson, EUROCRYPT 1992).
 
+An identity point Q (one of identity_points) is the base of the key
+exchange's r*Q and h*Q, so from its second mul on, Q keeps a comb
+(Lim-Lee, CRYPTO 1994): with one tooth per 32 bits of q and a =
+ceil(bits(q) / teeth) columns, the sums of the bases 2^(a*j) * Q over
+every nonempty set of teeth.  On the demo profile that is 31 affine
+points (about 2 KB of coordinates, against about 38 KB for P's table),
+and kQ is at most 31 doublings and 32 mixed additions.  Q's first mul,
+extract at provisioning, runs the plain loop, so a point multiplied
+only once never pays for a comb.  The toy profile's q has 5 bits, and
+its one-tooth comb would be the plain loop with more bookkeeping, so
+toy points keep none.
+
 Every pairing in the program has one argument that never changes (P,
 P_pub or a private key), and callers pass it first.  The Miller loop's
 points depend on that argument alone, so its lines are computed once,
@@ -99,6 +111,11 @@ class Curve:
         # the fixed base of mul; its window table is built on first use
         self.generator = generator
         self._fixed_base: list[tuple[Point, ...]] | None = None
+        # identity point -> its comb (_comb_table), one tooth per 32 bits
+        # of q; None after the point's first mul, which runs the plain
+        # loop.  A q of at most 32 bits (toy) keeps no combs
+        self._comb_teeth = (q.bit_length() + 31) // 32
+        self._combs: dict[Point, tuple[Point, ...] | None] = {}
         # inverse of cubing: (x^3)^e = x for e = (2p-1)/3
         self.cube_root_exp = (2 * p - 1) // 3
         self.coord_size = (p.bit_length() + 7) // 8
@@ -194,10 +211,21 @@ class Curve:
 
     def mul(self, k: int, P: Point) -> Point:
         """kP by left-to-right double-and-add in Jacobian coordinates,
-        with one inversion to return to affine; for P the generator and
-        0 <= k < q, by the fixed-base table instead."""
+        with one inversion to return to affine.  Two fixed bases take a
+        kept table instead: the generator, for 0 <= k < q, by its window
+        table; an identity point, from its second mul on and for any k,
+        by its comb when q has more than 32 bits.  An identity point's
+        first mul (extract, at provisioning) keeps the plain loop, so a
+        point multiplied once never pays for a comb."""
         if P is not None and P == self.generator and 0 <= k < self.q:
             return self._mul_fixed_base(k)
+        if self._comb_teeth > 1 and P in self.identity_points:
+            if P in self._combs:
+                comb = self._combs[P]
+                if comb is None:
+                    comb = self._combs[P] = self._comb_table(P, self._comb_teeth)
+                return self._mul_comb(k, comb)
+            self._combs[P] = None
         if k < 0:
             k, P = -k, self.neg(P)
         if k == 0 or P is None:
@@ -236,12 +264,46 @@ class Curve:
                 T = self._add_affine(T, base)[0]
                 chain.append(T)
             base = self._to_affine(self._add_affine(T, base)[0])
-        z_invs = self._batch_inv([Z for _, _, Z in chain])
-        points = []
-        for (X, Y, _), zi in zip(chain, z_invs):
-            zi2 = zi * zi % self.p
-            points.append((X * zi2 % self.p, Y * zi2 * zi % self.p))
+        points = self._to_affine_all(chain)
         return [(None, *points[i : i + 15]) for i in range(0, len(points), 15)]
+
+    def _comb_table(self, Q: tuple[int, int], teeth: int) -> tuple[Point, ...]:
+        """The comb of a point Q of order q (Lim-Lee, CRYPTO 1994): with
+        a = ceil(bits(q) / teeth) columns and the bases B_j = 2^(a*j) * Q,
+        entry i is the sum of the B_j over the 1 bits j of i, for
+        i < 2^teeth; affine, None for i = 0 and for a sum that is
+        infinity.  Both the bases and the sums are made affine by one
+        batched inversion each."""
+        a = -(-self.q.bit_length() // teeth)
+        T = (Q[0], Q[1], 1)
+        chain = [T]
+        for _ in range(teeth - 1):
+            for _ in range(a):
+                T = self._double(T)[0]
+            chain.append(T)
+        sums: list[Jacobian] = [(1, 1, 0)]
+        for B in self._to_affine_all(chain):
+            sums += [self._add_affine(S, B)[0] for S in sums]
+        return (None, *self._to_affine_all(sums[1:]))
+
+    def _mul_comb(self, k: int, comb: tuple[Point, ...]) -> Point:
+        """kQ by Q's comb (_comb_table), for k mod q, which Q's order
+        allows.  Column c, from the top down, adds the entry whose bit j
+        is bit a*j + c of k; at most a - 1 doublings and a mixed
+        additions."""
+        teeth = len(comb).bit_length() - 1
+        a = -(-self.q.bit_length() // teeth)
+        k %= self.q
+        mask = (1 << a) - 1
+        rows = [format(k >> (a * j) & mask, f"0{a}b") for j in range(teeth - 1, -1, -1)]
+        T = (1, 1, 0)
+        for column in zip(*rows):
+            if T[2]:
+                T = self._double(T)[0]
+            A = comb[int("".join(column), 2)]
+            if A is not None:
+                T = self._add_affine(T, A)[0]
+        return self._to_affine(T)
 
     def _batch_inv(self, values: list[int]) -> list[int]:
         """1/v mod p for every (nonzero) v by one inversion: prefix
@@ -256,6 +318,21 @@ class Curve:
             out[i] = inv * prefix[i] % p
             inv = inv * values[i] % p
         return out
+
+    def _to_affine_all(self, chain: list[Jacobian]) -> list[Point]:
+        """Every point of chain made affine by one batched inversion;
+        Z = 0 is infinity."""
+        p = self.p
+        z_invs = iter(self._batch_inv([Z for _, _, Z in chain if Z]))
+        points: list[Point] = []
+        for X, Y, Z in chain:
+            if Z == 0:
+                points.append(None)
+                continue
+            zi = next(z_invs)
+            zi2 = zi * zi % p
+            points.append((X * zi2 % p, Y * zi2 * zi % p))
+        return points
 
     def _to_affine(self, T: Jacobian) -> Point:
         """(X/Z^2, Y/Z^3) with one inversion; Z = 0 is infinity."""

@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 
 from .codec import HEADER_SIZE, MAX_FRAME, MAX_PAYLOAD
@@ -62,9 +63,15 @@ class EnergyConstants:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            # bool is an int subclass; NaN fails the range test
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 <= v < math.inf:
+            # bool is an int subclass; NaN fails the range test, and so does
+            # an int too large for a float
+            if (isinstance(v, bool) or not isinstance(v, (int, float))
+                    or not 0 <= v <= sys.float_info.max):
                 raise ConfigError(f"{f.name} must be a finite non-negative number")
+            # kept as a float: an energy past the float range is then inf,
+            # which build_report refuses, where a product of ints would
+            # raise OverflowError on its way into a float
+            object.__setattr__(self, f.name, float(v))
         if self.battery_j == 0:
             raise ConfigError("battery_j must be positive (reports divide by it)")
 

@@ -123,7 +123,7 @@ def parse_scenario(text: str, name: str = "<memory>") -> Scenario:
         # a report names its scenario, and a saved report must hold a string
         problems.append("name must be a non-empty string without lone surrogates")
     profile = raw.get("profile")
-    if profile not in ibe.PROFILES:
+    if not isinstance(profile, str) or profile not in ibe.PROFILES:
         problems.append(f"profile must be one of {sorted(ibe.PROFILES)}, got {profile!r}")
     seed = raw.get("seed", 0)
     if not _is_int(seed) or seed < 0:
@@ -254,7 +254,7 @@ def parse_scenario(text: str, name: str = "<memory>") -> Scenario:
                 from_bs = atk.source == protocol.BS_IDENTITY
                 if atk.label not in LABELS:
                     problems.append(f"{where}: attack.label must be one of {LABELS}")
-                if atk.source not in ids and not from_bs:
+                if not isinstance(atk.source, str) or (atk.source not in ids and not from_bs):
                     problems.append(f"{where}: attack.source must be a declared node or "
                                     f"{protocol.BS_IDENTITY!r}")
                 elif atk.label in LABELS and from_bs != (atk.label == "ta-ack"):
@@ -280,9 +280,9 @@ def parse_scenario(text: str, name: str = "<memory>") -> Scenario:
                 _check_keys(problems, where, spec, {"kind", "claimed", "target"})
                 atk.claimed = spec.get("claimed", "")
                 atk.target = spec.get("target", "")
-                if atk.claimed not in ids:
+                if not isinstance(atk.claimed, str) or atk.claimed not in ids:
                     problems.append(f"{where}: attack.claimed must be a declared node")
-                if atk.target not in ids:
+                if not isinstance(atk.target, str) or atk.target not in ids:
                     problems.append(f"{where}: attack.target must be a declared node")
                 if atk.claimed and atk.claimed == atk.target:
                     problems.append(f"{where}: attack.claimed and target must differ")

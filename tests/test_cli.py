@@ -136,7 +136,8 @@ class TestRun:
         {"voltage": 1e308, "current": 1e308},   # inf process energies
         {"tx_j_per_byte": 1e306},               # inf transmit totals
         {"tx_j_per_byte": 1.7e306},             # finite events, sum overflows fsum
-    ], ids=["power", "tx-inf", "tx-fsum"])
+        {"voltage": 10**300, "current": 10**300},  # ints that each fit in a float
+    ], ids=["power", "tx-inf", "tx-fsum", "int-power"])
     def test_constants_that_overflow_refused(self, tmp_path, capsys, overrides):
         consts = tmp_path / "c.json"
         consts.write_text(json.dumps(overrides))
@@ -145,6 +146,13 @@ class TestRun:
         captured = capsys.readouterr()
         assert "energy figures overflow a float" in captured.err
         assert captured.out == ""
+
+    def test_constant_too_large_for_a_float_refused(self, tmp_path, capsys):
+        consts = tmp_path / "c.json"
+        consts.write_text(json.dumps({"boot_s": 10**400}))
+        rc = run_cli(["run", "--scenario", "demo", "--constants", str(consts)])
+        assert rc == 2
+        assert "boot_s must be a finite non-negative number" in capsys.readouterr().err
 
     def test_non_string_scenario_name_refused(self, tmp_path, capsys):
         path = tmp_path / "named.json"
@@ -169,6 +177,23 @@ class TestRun:
         assert "simulation report: custom run" in live
         assert run_cli(["report", "--in", str(out)]) == 0
         assert capsys.readouterr().out == live
+
+    @pytest.mark.parametrize("field", ["profile", "source", "claimed", "target"])
+    def test_unhashable_scenario_value_refused(self, tmp_path, capsys, field):
+        attack = ({"kind": "replay", "label": "ake", "source": []} if field == "source"
+                  else {"kind": "impersonate", "claimed": "n1", "target": "n2", field: {}})
+        scenario = {
+            "profile": [] if field == "profile" else "toy",
+            "nodes": [{"id": "n1", "images": ["loader", "kernel"]},
+                      {"id": "n2", "images": ["loader", "kernel"]}],
+            "events": [] if field == "profile" else [
+                {"time": 0, "kind": "attack", "attack": attack}],
+        }
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scenario))
+        rc = run_cli(["run", "--scenario", str(path)])
+        assert rc == 2
+        assert f"{field} must be" in capsys.readouterr().err
 
     def test_time_too_large_for_a_float_refused(self, tmp_path, capsys):
         path = tmp_path / "huge.json"

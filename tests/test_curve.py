@@ -1,12 +1,13 @@
 """Curve group law and pairing, cross-checked against the oracles."""
 
+import dataclasses
 import random
 
 import pytest
 
 import oracles
 import vectors
-from ibetrust import ake, ibe
+from ibetrust import ake, ibe, sim
 from ibetrust.curve import GT_ONE, Curve, is_probable_prime
 from ibetrust.errors import Reject
 
@@ -264,6 +265,21 @@ class TestDemoKernel:
         for k in (-1, -12345, q + 1, 2 * q + 7, rng.getrandbits(300)):
             assert curve.mul(k, P) == oracles.double_and_add(DEMO_P, k, P), k
 
+    def test_comb_matches_double_and_add(self, points):
+        Q = points[1]
+        curve = Curve(DEMO_P, DEMO_Q)
+        curve.identity_points.add(Q)
+        assert curve.mul(7, Q) == oracles.double_and_add(DEMO_P, 7, Q)
+        assert curve._combs == {Q: None}  # the first mul keeps the plain loop
+        rng = random.Random(22)
+        q = DEMO_Q
+        ks = [rng.randrange(q) for _ in range(60)] + [0, 1, -1, q - 1, q, q + 1, 2**160 - 1]
+        for k in ks:
+            assert curve.mul(k, Q) == oracles.double_and_add(DEMO_P, k, Q), k
+        # 5 teeth of 32 columns: 31 entries, none of them infinity
+        comb = curve._combs[Q]
+        assert len(comb) == 32 and comb.count(None) == 1
+
     def test_cached_lines_give_the_cold_value(self, demo, points):
         rng = random.Random(13)
         pairs = [(points[i % 2], demo.mul(rng.randrange(1, DEMO_Q), points[2]))
@@ -298,6 +314,49 @@ class TestFixedBase:
         for k in range(TOY_Q + 1):
             assert curve.mul(k, P) == oracles.double_and_add(TOY_P, k, P), k
         assert curve._fixed_base is None
+
+
+class TestComb:
+    """mul(k, Q) for an identity point Q reads Q's comb from Q's second
+    mul on."""
+
+    def test_every_toy_scalar_for_every_tooth_count(self, toy):
+        rng = random.Random(21)
+        points = {oracles.map_to_point(TOY_P, TOY_Q, f"id-{rng.getrandbits(32):08x}")
+                  for _ in range(40)}
+        ks = range(-2 * TOY_Q, 2 * TOY_Q + 1)
+        for Q in points:
+            expected = [oracles.naive_mul(TOY_P, k, Q) for k in ks]
+            for teeth in range(1, 6):
+                comb = toy._comb_table(Q, teeth)
+                assert len(comb) == 2**teeth
+                assert [toy._mul_comb(k, comb) for k in ks] == expected, (Q, teeth)
+            # with 5 teeth the bases are 2^j * Q, and Q + 2Q + 16Q is infinity
+            assert comb[0b10011] is None
+        # mul keeps no comb on toy, whose q needs one tooth: the plain loop
+        curve = Curve(TOY_P, TOY_Q)
+        curve.identity_points.add(Q)
+        assert [curve.mul(k, Q) for k in ks] == expected
+        assert curve._combs == {}
+
+    def test_built_on_the_second_mul_of_an_identity_point(self):
+        scenario = dataclasses.replace(sim.load_scenario("demo"), profile="demo")
+        simulation = sim.Simulation(scenario)
+        params = simulation.params
+        curve = params.curve
+        # provisioning multiplies each identity point once, by extract
+        assert set(curve._combs) == curve.identity_points
+        assert not any(curve._combs.values())
+        a, b = simulation.nodes["node-001"], simulation.nodes["node-002"]
+        msg, session = ake.initiate(params, a.identity, a._private_key, b.identity,
+                                    random.Random(3))
+        assert ake.respond(params, b._private_key, msg) == session
+        ct = ibe.encrypt(params, b.identity, bytes(params.n // 8), random.Random(4))
+        assert ibe.decrypt(params, b._private_key, ct) == bytes(params.n // 8)
+        built = [Q for Q, comb in curve._combs.items() if comb is not None]
+        assert built == [ibe.hash_to_point(params, a.identity)]
+        assert set(curve._combs) == curve.identity_points
+        assert msg.big_r not in curve._combs and ct.u not in curve._combs
 
 
 @pytest.mark.parametrize("p, q", [(TOY_P, TOY_Q), (DEMO_P, DEMO_Q)], ids=["toy", "demo"])

@@ -30,7 +30,8 @@ class TestConstants:
     def test_non_numbers_and_non_finite_rejected(self, tmp_path):
         path = tmp_path / "constants.json"
         for text in ('{"voltage": "3.6"}', '{"voltage": true}', '{"current": NaN}',
-                     '{"battery_j": Infinity}', '{"pairing_s": -Infinity}'):
+                     '{"battery_j": Infinity}', '{"pairing_s": -Infinity}',
+                     '{"boot_s": 1' + '0' * 400 + '}'):  # an int too large for a float
             path.write_text(text)
             with pytest.raises(ConfigError, match="finite non-negative number"):
                 energy.EnergyConstants.from_file(path)

@@ -168,6 +168,23 @@ class TestScenarioParsing:
             scenario_from(dict(MINIMAL, events=[
                 {"time": 0, "kind": "attack", "attack": spec}]))
 
+    @pytest.mark.parametrize("value", [[], {}, ["n1"], {"n1": 1}],
+                             ids=["empty-list", "empty-object", "list", "object"])
+    def test_unhashable_values_refused(self, value):
+        # each is typed before the membership test that would hash it
+        attacks = [
+            ({"kind": "replay", "label": "ake", "source": value}, "attack.source must be"),
+            ({"kind": "modify", "label": "ake", "source": value}, "attack.source must be"),
+            ({"kind": "impersonate", "claimed": value, "target": "n1"}, "attack.claimed must"),
+            ({"kind": "impersonate", "claimed": "n1", "target": value}, "attack.target must"),
+        ]
+        cases = [(dict(MINIMAL, profile=value), "profile must be one of")]
+        cases += [(dict(MINIMAL, events=[{"time": 0, "kind": "attack", "attack": spec}]),
+                   fragment) for spec, fragment in attacks]
+        for bad, fragment in cases:
+            with pytest.raises(ConfigError, match=fragment):
+                scenario_from(bad)
+
     def test_bools_and_non_finite_numbers_rejected(self):
         bad = dict(
             MINIMAL, seed=True, bs={"master_seed": False, "trust_offset": True},
