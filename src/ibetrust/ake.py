@@ -88,8 +88,6 @@ def initiate(
     r is redrawn in the measure-zero case r + h = 0 (mod q), which
     would otherwise degenerate the key to the identity element.
     """
-    if not id_b:
-        raise ValueError("receiver identity must be non-empty")
     curve = params.curve
     q_a = hash_to_point(params, id_a)
     while True:

@@ -3,11 +3,11 @@
 A frame is a modelled object, never serialized: it holds the fields the
 simulator needs (destination, source, index within its message, more)
 and at most 106 payload bytes, and its header is counted as the fixed
-21 bytes a real 802.15.4-style stack would occupy.  Only this module
-builds frames: blobs (serialized ciphertexts, trust lists) are split
-into raw 106-byte chunks numbered from 0 in each message, and `more`
-marks every chunk but the last.  Each protocol record carries its
-own truncated_mac.
+21 bytes a real 802.15.4-style stack would occupy.  Only `fragment`
+builds frames, so Frame checks no field: blobs are cut into raw 106-byte
+chunks numbered from 0, `more` marks every chunk but the last, and the
+ids are 2-byte wire ids (the registry's, or a scenario's checked
+claimed_wire).  Each protocol record carries its own truncated_mac.
 """
 
 from __future__ import annotations
@@ -35,14 +35,6 @@ class Frame:
     seq: int
     more: bool = False
     payload: bytes = b""
-
-    def __post_init__(self):
-        for name in ("dst", "src", "seq"):
-            v = getattr(self, name)
-            if not 0 <= v <= 0xFFFF:
-                raise ValueError(f"{name} out of range: {v}")
-        if len(self.payload) > MAX_PAYLOAD:
-            raise ValueError(f"payload over {MAX_PAYLOAD} bytes")
 
     @property
     def wire_size(self) -> int:

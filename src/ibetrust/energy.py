@@ -5,7 +5,9 @@ processes (boot, encryption, hashing, world switching, pairing), a
 per-bit cost for encryption work, and per-byte radio costs for
 transmit and receive.  Each simulated node owns a ledger of entries
 (category, joules, note, quantity) and no times: the report reads only
-sums.  Category totals are correctly rounded sums (math.fsum), so they
+sums.  The constants are checked once, by EnergyConstants; the ledger
+and the airtime formulas take the categories and amounts that callers
+derive from them as given.  Category totals are correctly rounded sums (math.fsum), so they
 do not depend on the order of the entries, and together they conserve
 the sum of the ledger's entries to within one rounding per category.
 
@@ -152,15 +154,11 @@ def fractional_airtime(payload_bytes: float) -> float:
     The simulator's true on-air count rounds up to whole frames; this
     estimate is kept because the nominal figures were derived with it.
     """
-    if payload_bytes < 0:
-        raise ValueError("payload must be non-negative")
     return payload_bytes / MAX_PAYLOAD * MAX_FRAME
 
 
 def framed_airtime(payload_bytes: int) -> int:
     """True on-air bytes in MAX_PAYLOAD-byte frames with HEADER_SIZE-byte headers."""
-    if payload_bytes < 0:
-        raise ValueError("payload must be non-negative")
     frames = max(1, math.ceil(payload_bytes / MAX_PAYLOAD))
     return payload_bytes + HEADER_SIZE * frames
 
@@ -180,15 +178,9 @@ class EnergyLedger:
         self.events: list[EnergyEvent] = []
 
     def add(self, category: str, amount_j: float, note: str = "", quantity: float = 0.0):
-        if category not in CATEGORIES:
-            raise ValueError(f"unknown category {category!r}")
-        if amount_j < 0:
-            raise ValueError("energy must be non-negative")
         self.events.append(EnergyEvent(category, amount_j, note, quantity))
 
     def category_total(self, category: str) -> float:
-        if category not in CATEGORIES:
-            raise ValueError(f"unknown category {category!r}")
         return math.fsum(e.joules for e in self.events if e.category == category)
 
     def by_category(self) -> dict[str, float]:

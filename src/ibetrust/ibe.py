@@ -142,8 +142,6 @@ def hash_to_point(params: PublicParams, identity: str) -> Point:
     Q = params._h1.get(identity)
     if Q is not None:
         return Q
-    if not identity:
-        raise ValueError("identity must be non-empty")
     attempt = identity
     counter = 0
     while Q is None:
@@ -168,8 +166,6 @@ def hash_to_scalar(q: int, data: bytes) -> int:
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
-    if len(a) != len(b):
-        raise ValueError("xor length mismatch")
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 

@@ -85,13 +85,7 @@ class Registry:
 
 def encode_ta_record(wire_id: int, trust_value: str, nonce: bytes) -> bytes:
     """Trust report plaintext: id(2) | trust value(8 hex chars) | nonce(2) | mac(4)."""
-    if not 0 <= wire_id <= 0xFFFF:
-        raise ValueError("wire id out of range")
     value = trust_value.encode("ascii")
-    if len(value) != 8 or any(c not in b"0123456789abcdef" for c in value):
-        raise ValueError("trust value must be 8 lowercase hex characters")
-    if len(nonce) != 2:
-        raise ValueError("nonce must be 2 bytes")
     body = wire_id.to_bytes(2, "big") + value + nonce
     return body + codec.truncated_mac(body)
 
@@ -113,16 +107,12 @@ def trust_list_bytes(wire_ids) -> bytes:
     """Serialize a trusted set as sorted 2-byte ids (2 bytes per node)."""
     out = bytearray()
     for wire in sorted(set(wire_ids)):
-        if not 0 <= wire <= 0xFFFF:
-            raise ValueError("wire id out of range")
         out += wire.to_bytes(2, "big")
     return bytes(out)
 
 
 def encode_ack_record(nonce: bytes, wire_ids) -> bytes:
     """Ack plaintext: nonce echo(2) | trust list(2 per id) | mac(4)."""
-    if len(nonce) != 2:
-        raise ValueError("nonce must be 2 bytes")
     body = nonce + trust_list_bytes(wire_ids)
     return body + codec.truncated_mac(body)
 
@@ -155,8 +145,6 @@ def encrypt_message(params: ibe.PublicParams, identity: str, message: bytes, rng
     """
     block = params.block_bytes
     chunks = [message[i : i + block] for i in range(0, len(message), block)] or [b""]
-    if len(chunks) > 0xFFFF:
-        raise ValueError("message too long")
     out = bytearray(len(chunks).to_bytes(2, "big"))
     for chunk in chunks:
         ct = ibe.encrypt(params, identity, chunk, rng=rng)

@@ -84,12 +84,6 @@ class Scenario:
     events: list[Event]
 
 
-def _check_keys(problems, where, obj, allowed):
-    for key in obj:
-        if key not in allowed:
-            problems.append(f"{where}: unknown key {key!r}")
-
-
 def _is_int(v) -> bool:
     # JSON true/false arrive as bool, which is a subclass of int
     return isinstance(v, int) and not isinstance(v, bool)
@@ -103,54 +97,131 @@ def _is_real(v) -> bool:
         return False
 
 
+def _is_text(v) -> bool:
+    return isinstance(v, str) and not _SURROGATE.search(v)
+
+
+def _is(kind):
+    return lambda v: isinstance(v, kind)
+
+
+def _int_in(lo, hi=math.inf):
+    return lambda v: _is_int(v) and lo <= v <= hi
+
+
+_REF = "{where}: {key} must reference a declared node, got {value!r}"
+# the fields every event (and every attack) has, read before its kind picks its table
+_EVENT = {"time": (None, lambda v: _is_real(v) and v >= 0,
+                   "{where}: time must be a non-negative number"),
+          "kind": (None, _is(str), "{where}: unknown event kind {value!r}")}
+_ATTACK = {"kind": (None, lambda v: isinstance(v, str) and v in ATTACK_KINDS,
+                    f"{{where}}: attack.kind must be one of {ATTACK_KINDS}")}
+_SELECTOR = {**_ATTACK,
+             "label": ("", lambda v: isinstance(v, str) and v in LABELS,
+                       f"{{where}}: attack.label must be one of {LABELS}"),
+             "source": ("", _is(str), "{where}: attack.source must be a declared node or "
+                                      f"{protocol.BS_IDENTITY!r}")}
+_NAME = "must be a non-empty string without lone surrogates"
+
+# Every field of every scenario object: key -> (default, type-first test,
+# message); a table's keys are its object's allowed keys.  A missing key
+# reads as the default, which is tested like any value.
+_FIELDS = {
+    "scenario": {
+        "name": (None, lambda v: _is_text(v) and v != "", f"name {_NAME}"),
+        "profile": (None, lambda v: isinstance(v, str) and v in ibe.PROFILES,
+                    f"profile must be one of {sorted(ibe.PROFILES)}, got {{value!r}}"),
+        "seed": (0, _int_in(0), "seed must be a non-negative integer"),
+        "bs": ({}, _is(dict), "bs must be an object"),
+        "nodes": ([], _is(list), "nodes must be a list"),
+        "channel": ({}, _is(dict), "channel must be an object"),
+        "events": ([], _is(list), "events must be a list"),
+    },
+    "bs": {
+        "master_seed": (0, _int_in(0), "bs.master_seed must be a non-negative integer"),
+        "trust_offset": (DEFAULT_TRUST_OFFSET, _int_in(0, 56),
+                         "bs.trust_offset must be an integer in [0, 56]"),
+    },
+    "node": {
+        "id": (None, lambda v: _is_text(v) and v != "", f"{{where}}: id {_NAME}"),
+        # the trust value is read from the level-2 image
+        "images": (None,
+                   lambda v: isinstance(v, list) and len(v) >= 2 and all(map(_is_text, v)),
+                   "{where}: images must be a list of at least two strings "
+                   "without lone surrogates"),
+        "tamper_level": (None, lambda v: v is None or _is_int(v),
+                         "{where}: tamper_level must be in [2, {levels}]"),
+    },
+    "channel": {
+        "loss": (0.0, lambda v: _is_real(v) and 0 <= v <= 1,
+                 "channel.loss must be a number in [0, 1]"),
+        "adversary_taps": (True, _is(bool), "channel.adversary_taps must be a boolean"),
+    },
+    "event": {
+        **dict.fromkeys(("boot", "ta", "terminate"), {**_EVENT, "node": (None, _is(str), _REF)}),
+        "ake": {**_EVENT, "initiator": (None, _is(str), _REF), "peer": (None, _is(str), _REF)},
+        "attack": {**_EVENT, "attack": (None, _is(dict), "{where}: attack must be an object")},
+    },
+    "attack": {
+        "replay": {**_SELECTOR, "occurrence": (1, _int_in(1),
+                                               "{where}: attack.occurrence must be >= 1")},
+        "modify": {**_SELECTOR, "bit": (0, _int_in(0), "{where}: attack.bit must be >= 0")},
+        "fake_node": {**_ATTACK, "claimed_wire": (
+            0xFFFF, _int_in(1, 0xFFFF), "{where}: attack.claimed_wire must be in [1, 65535]")},
+        "impersonate": {
+            **_ATTACK,
+            "claimed": ("", _is(str), "{where}: attack.claimed must be a declared node"),
+            "target": ("", _is(str), "{where}: attack.target must be a declared node"),
+        },
+    },
+}
+
+
+def _reader(problems, where, obj, table, check_keys=True):
+    """Report obj's keys outside table; return read(key, rule, default, **context),
+    which returns obj[key] (`default` or the table's when absent) if the table's
+    test and then the cross-field rule pass it, and else adds the message,
+    formatted with where, key, value and context, to problems and returns the
+    table default."""
+    if check_keys:
+        problems.extend(f"{where}: unknown key {key!r}" for key in obj if key not in table)
+
+    def read(key, rule=None, default=None, **context):
+        fallback, test, message = table[key]
+        value = obj.get(key, fallback if default is None else default)
+        if test(value) and (rule is None or rule(value)):
+            return value
+        problems.append(message.format(where=where, key=key, value=value, **context))
+        return fallback
+
+    return read
+
+
 def parse_scenario(text: str, name: str = "<memory>") -> Scenario:
-    """Parse and validate scenario text, reporting every problem at once."""
+    """Parse and validate scenario text, reporting every problem at once.
+
+    Each field is read through its object's `_FIELDS` table, so a Scenario
+    holds only checked values and nothing downstream checks them again.
+    The rules that tie fields together are the code below.
+    """
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{name}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    problems: list[str] = []
     if not isinstance(raw, dict):
         raise ConfigError(f"{name}: scenario must be an object")
-    _check_keys(problems, name, raw,
-                {"name", "profile", "seed", "bs", "nodes", "channel", "events"})
-
-    scenario_name = raw.get("name", name)
-    if (not isinstance(scenario_name, str) or not scenario_name
-            or _SURROGATE.search(scenario_name)):
-        # a report names its scenario, and a saved report must hold a string
-        problems.append("name must be a non-empty string without lone surrogates")
-    profile = raw.get("profile")
-    if not isinstance(profile, str) or profile not in ibe.PROFILES:
-        problems.append(f"profile must be one of {sorted(ibe.PROFILES)}, got {profile!r}")
-    seed = raw.get("seed", 0)
-    if not _is_int(seed) or seed < 0:
-        problems.append("seed must be a non-negative integer")
-        seed = 0
-
-    bs_cfg = raw.get("bs", {})
-    master_seed, trust_offset = 0, DEFAULT_TRUST_OFFSET
-    if not isinstance(bs_cfg, dict):
-        problems.append("bs must be an object")
-    else:
-        _check_keys(problems, "bs", bs_cfg, {"master_seed", "trust_offset"})
-        master_seed = bs_cfg.get("master_seed", 0)
-        trust_offset = bs_cfg.get("trust_offset", DEFAULT_TRUST_OFFSET)
-        if not _is_int(master_seed) or master_seed < 0:
-            problems.append("bs.master_seed must be a non-negative integer")
-            master_seed = 0
-        if not _is_int(trust_offset) or not 0 <= trust_offset <= 56:
-            problems.append("bs.trust_offset must be an integer in [0, 56]")
-            trust_offset = DEFAULT_TRUST_OFFSET
+    problems: list[str] = []
+    top = _reader(problems, name, raw, _FIELDS["scenario"])
+    # a report names its scenario, and a saved report must hold a string
+    scenario_name, profile, seed = top("name", default=name), top("profile"), top("seed")
+    bs = _reader(problems, "bs", top("bs"), _FIELDS["bs"])
+    master_seed, trust_offset = bs("master_seed"), bs("trust_offset")
 
     nodes: list[NodeSpec] = []
     ids: set[str] = set()
-    raw_nodes = raw.get("nodes", [])
-    if not isinstance(raw_nodes, list):
-        problems.append("nodes must be a list")
-        raw_nodes = []
+    raw_nodes = top("nodes")
     if len(raw_nodes) > 0xFFFF:  # 2-byte wire ids, and the base station holds 0
         problems.append(f"nodes: {len(raw_nodes)} listed, but 2-byte wire ids fit 65535")
     for i, entry in enumerate(raw_nodes):
@@ -158,151 +229,76 @@ def parse_scenario(text: str, name: str = "<memory>") -> Scenario:
         if not isinstance(entry, dict):
             problems.append(f"{where}: must be an object")
             continue
-        _check_keys(problems, where, entry, {"id", "images", "tamper_level"})
-        nid = entry.get("id")
-        if not isinstance(nid, str) or not nid or _SURROGATE.search(nid):
-            problems.append(f"{where}: id must be a non-empty string without lone surrogates")
+        node = _reader(problems, where, entry, _FIELDS["node"])
+        if (nid := node("id")) is None:
             continue
         if nid in (protocol.BS_IDENTITY, ADVERSARY):
             problems.append(f"{where}: id {nid!r} is reserved")
         if nid in ids:
             problems.append(f"{where}: duplicate id {nid!r}")
         ids.add(nid)
-        images = entry.get("images")
-        if (not isinstance(images, list) or len(images) < 2
-                or not all(isinstance(s, str) and not _SURROGATE.search(s) for s in images)):
-            # the trust value is read from the level-2 image
-            problems.append(f"{where}: images must be a list of at least two strings "
-                            "without lone surrogates")
-            images = ["?", "?"]
-        tamper = entry.get("tamper_level")
-        if tamper is not None and (
-                not _is_int(tamper) or not 2 <= tamper <= len(images)):
-            problems.append(f"{where}: tamper_level must be in [2, {len(images)}]")
-            tamper = None
+        images = node("images") or ["?", "?"]  # a refused list counts two levels
+        levels = len(images)
+        tamper = node("tamper_level", lambda v: v is None or 2 <= v <= levels, levels=levels)
         nodes.append(NodeSpec(nid, list(images), tamper))
 
-    loss, taps = 0.0, True
-    channel = raw.get("channel", {})
-    if not isinstance(channel, dict):
-        problems.append("channel must be an object")
-    else:
-        _check_keys(problems, "channel", channel, {"loss", "adversary_taps"})
-        loss = channel.get("loss", 0.0)
-        taps = channel.get("adversary_taps", True)
-        if not _is_real(loss) or not 0 <= loss <= 1:
-            problems.append("channel.loss must be a number in [0, 1]")
-            loss = 0.0
-        if not isinstance(taps, bool):
-            problems.append("channel.adversary_taps must be a boolean")
-            taps = True
+    channel = _reader(problems, "channel", top("channel"), _FIELDS["channel"])
+    loss, taps = channel("loss"), channel("adversary_taps")
 
     events: list[Event] = []
-    raw_events = raw.get("events", [])
-    if not isinstance(raw_events, list):
-        problems.append("events must be a list")
-        raw_events = []
     last_time = None
-    for i, entry in enumerate(raw_events):
+    for i, entry in enumerate(top("events")):
         where = f"events[{i}]"
         if not isinstance(entry, dict):
             problems.append(f"{where}: must be an object")
             continue
-        t = entry.get("time")
-        if not _is_real(t) or t < 0:
-            problems.append(f"{where}: time must be a non-negative number")
-            t = 0.0
+        head = _reader(problems, where, entry, _EVENT, check_keys=False)
+        t = head("time")
+        t = 0.0 if t is None else t  # the order check reads a refused time as 0
         if last_time is not None and t < last_time:
             problems.append(f"{where}: timestamps must be non-decreasing")
         last_time = max(t, last_time or 0)
-        kind = entry.get("kind")
-
-        def need_node(field_name):
-            value = entry.get(field_name)
-            if not isinstance(value, str) or value not in ids:
-                problems.append(
-                    f"{where}: {field_name} must reference a declared node, got {value!r}")
-                return ""
-            return value
-
-        if kind in ("boot", "ta", "terminate"):
-            _check_keys(problems, where, entry, {"time", "kind", "node"})
-            events.append(Event(t, kind, node=need_node("node")))
-        elif kind == "ake":
-            _check_keys(problems, where, entry, {"time", "kind", "initiator", "peer"})
-            a, b = need_node("initiator"), need_node("peer")
+        if (kind := head("kind", lambda v: v in _FIELDS["event"])) is None:
+            continue
+        field = _reader(problems, where, entry, _FIELDS["event"][kind])
+        if kind == "ake":
+            a, b = field("initiator", ids.__contains__), field("peer", ids.__contains__)
             if a and a == b:
                 problems.append(f"{where}: initiator and peer must differ")
             events.append(Event(t, kind, initiator=a, peer=b))
-        elif kind == "attack":
-            _check_keys(problems, where, entry, {"time", "kind", "attack"})
-            spec = entry.get("attack")
-            if not isinstance(spec, dict):
-                problems.append(f"{where}: attack must be an object")
-                continue
-            akind = spec.get("kind")
-            if akind not in ATTACK_KINDS:
-                problems.append(f"{where}: attack.kind must be one of {ATTACK_KINDS}")
-                continue
-            atk = AttackSpec(kind=akind)
-            if akind in ("replay", "modify"):
-                allowed = {"kind", "label", "source"}
-                allowed |= {"occurrence"} if akind == "replay" else {"bit"}
-                _check_keys(problems, where, spec, allowed)
-                atk.label = spec.get("label", "")
-                atk.source = spec.get("source", "")
-                from_bs = atk.source == protocol.BS_IDENTITY
-                if atk.label not in LABELS:
-                    problems.append(f"{where}: attack.label must be one of {LABELS}")
-                if not isinstance(atk.source, str) or (atk.source not in ids and not from_bs):
-                    problems.append(f"{where}: attack.source must be a declared node or "
-                                    f"{protocol.BS_IDENTITY!r}")
-                elif atk.label in LABELS and from_bs != (atk.label == "ta-ack"):
-                    # only the base station sends ta-acks, and it sends nothing else
-                    sender = (repr(protocol.BS_IDENTITY) if atk.label == "ta-ack"
-                              else "a declared node")
-                    problems.append(f"{where}: attack.source of a {atk.label} must be "
-                                    f"{sender}")
-                if akind == "replay":
-                    atk.occurrence = spec.get("occurrence", 1)
-                    if not _is_int(atk.occurrence) or atk.occurrence < 1:
-                        problems.append(f"{where}: attack.occurrence must be >= 1")
-                else:
-                    atk.bit = spec.get("bit", 0)
-                    if not _is_int(atk.bit) or atk.bit < 0:
-                        problems.append(f"{where}: attack.bit must be >= 0")
-            elif akind == "fake_node":
-                _check_keys(problems, where, spec, {"kind", "claimed_wire"})
-                atk.claimed_wire = spec.get("claimed_wire", 0xFFFF)
-                if not _is_int(atk.claimed_wire) or not 1 <= atk.claimed_wire <= 0xFFFF:
-                    problems.append(f"{where}: attack.claimed_wire must be in [1, 65535]")
-            else:  # impersonate
-                _check_keys(problems, where, spec, {"kind", "claimed", "target"})
-                atk.claimed = spec.get("claimed", "")
-                atk.target = spec.get("target", "")
-                if not isinstance(atk.claimed, str) or atk.claimed not in ids:
-                    problems.append(f"{where}: attack.claimed must be a declared node")
-                if not isinstance(atk.target, str) or atk.target not in ids:
-                    problems.append(f"{where}: attack.target must be a declared node")
-                if atk.claimed and atk.claimed == atk.target:
-                    problems.append(f"{where}: attack.claimed and target must differ")
-            events.append(Event(t, "attack", attack=atk))
-        else:
-            problems.append(f"{where}: unknown event kind {kind!r}")
+        elif kind != "attack":
+            events.append(Event(t, kind, node=field("node", ids.__contains__)))
+        elif (spec := field("attack")) is not None:
+            akind = _reader(problems, where, spec, _ATTACK, check_keys=False)("kind")
+            if akind is not None:
+                events.append(Event(t, kind, attack=_attack(problems, where, spec, akind, ids)))
 
     if problems:
         raise ConfigError(f"{name}: " + "; ".join(problems))
-    return Scenario(
-        name=scenario_name,
-        profile=profile,
-        seed=seed,
-        master_seed=master_seed,
-        trust_offset=trust_offset,
-        nodes=nodes,
-        loss=float(loss),
-        adversary_taps=taps,
-        events=events,
-    )
+    return Scenario(scenario_name, profile, seed, master_seed, trust_offset, nodes,
+                    float(loss), taps, events)
+
+
+def _attack(problems, where, spec, kind, ids) -> AttackSpec:
+    field = _reader(problems, where, spec, _FIELDS["attack"][kind])
+    if kind == "fake_node":
+        return AttackSpec(kind, claimed_wire=field("claimed_wire"))
+    if kind == "impersonate":
+        atk = AttackSpec(kind, claimed=field("claimed", ids.__contains__),
+                         target=field("target", ids.__contains__))
+        claimed = spec.get("claimed")  # as given: equal undeclared names also collide
+        if claimed and claimed == spec.get("target"):
+            problems.append(f"{where}: attack.claimed and target must differ")
+        return atk
+    label = field("label")
+    source = field("source", lambda v: v in ids or v == protocol.BS_IDENTITY)
+    if label and source and (source == protocol.BS_IDENTITY) != (label == "ta-ack"):
+        # only the base station sends ta-acks, and it sends nothing else
+        sender = repr(protocol.BS_IDENTITY) if label == "ta-ack" else "a declared node"
+        problems.append(f"{where}: attack.source of a {label} must be {sender}")
+    if kind == "replay":
+        return AttackSpec(kind, label, source, occurrence=field("occurrence"))
+    return AttackSpec(kind, label, source, bit=field("bit"))
 
 
 def bundled_scenarios() -> list[str]:

@@ -233,11 +233,3 @@ class TestWorldState:
         w.switch(boot.SECURE)
         w.switch(boot.SECURE)
         assert fired == [boot.SECURE] and w.mode == boot.SECURE
-
-    def test_unknown_mode(self):
-        fired = []
-        w = boot.WorldState(1)
-        w.on_switch = lambda: fired.append(w.mode)
-        with pytest.raises(ConfigError):
-            w.switch("hypervisor")
-        assert fired == [] and w.mode == boot.NORMAL

@@ -85,15 +85,11 @@ class TestFormulas:
         assert round(energy.fractional_airtime(400), 2) == 479.25
         assert energy.fractional_airtime(106) == pytest.approx(127)
         assert energy.fractional_airtime(0) == 0
-        with pytest.raises(ValueError):
-            energy.fractional_airtime(-1)
 
     def test_framed_airtime(self):
         assert energy.framed_airtime(400) == 484
         assert energy.framed_airtime(106) == 127
         assert energy.framed_airtime(107) == 107 + 42
-        with pytest.raises(ValueError):
-            energy.framed_airtime(-1)
 
 
 class TestLedger:
@@ -130,18 +126,6 @@ class TestLedger:
             bound = (sum(Fraction(math.ulp(t)) for t in totals)
                      + Fraction(math.ulp(direct)) + Fraction(math.ulp(regrouped))) / 2
             assert abs(Fraction(direct) - Fraction(regrouped)) <= bound
-
-    def test_rejects_unknown_category(self):
-        led = energy.EnergyLedger()
-        with pytest.raises(ValueError):
-            led.add("gpu", 1.0)
-        with pytest.raises(ValueError):
-            led.category_total("gpu")
-
-    def test_rejects_negative_energy(self):
-        led = energy.EnergyLedger()
-        with pytest.raises(ValueError):
-            led.add("tx", -1.0)
 
     def test_totals_by_note(self):
         led = energy.EnergyLedger()

@@ -162,10 +162,6 @@ class TestHashToPoint:
                                     params.generator, params.master_pub)
             assert ibe.hash_to_point(cold, ident) == warm
 
-    def test_empty_identity(self, params):
-        with pytest.raises(ValueError):
-            ibe.hash_to_point(params, "")
-
 
 class TestExtract:
     def test_frozen_key(self, params, master):
@@ -311,8 +307,6 @@ class TestEncryptDecrypt:
         assert ibe._xor(b"\x00\x5a\xff", b"\x00\x5a\xff") == bytes(3)
         assert ibe._xor(b"\x01\x00", b"\x01\x80") == b"\x00\x80"
         assert ibe._xor(b"", b"") == b""
-        with pytest.raises(ValueError, match="length mismatch"):
-            ibe._xor(b"\x00", b"")
 
     def test_basic_variant_lacks_integrity(self, params, master):
         # the stripped-down variant roundtrips but cannot notice tampering;

@@ -89,16 +89,6 @@ class TestTaRecord:
             with pytest.raises(Reject):
                 protocol.decode_ta_record(bytes(bad))
 
-    def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            protocol.encode_ta_record(0x10000, "deadbeef", b"ab")
-        with pytest.raises(ValueError):
-            protocol.encode_ta_record(1, "DEADBEEF", b"ab")  # uppercase
-        with pytest.raises(ValueError):
-            protocol.encode_ta_record(1, "deadbee", b"ab")  # short
-        with pytest.raises(ValueError):
-            protocol.encode_ta_record(1, "deadbeef", b"abc")
-
     def test_wrong_size_rejected(self):
         with pytest.raises(Reject) as e:
             protocol.decode_ta_record(b"x" * 15)

@@ -62,6 +62,23 @@ def test_attack_labels(text):
     assert tuple(re.findall(r"`([^`]+)`", listed)) == sim.LABELS
 
 
+def test_scenario_fields():
+    raw = README.read_text(encoding="utf-8")
+    section = raw.split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+
+    def keys(table):
+        for key, entry in table.items():
+            yield key
+            if isinstance(entry, dict):
+                yield from keys(entry)
+
+    named = {key for table in sim._FIELDS.values() for key in keys(table)}
+    assert len(named) == 35  # 27 field keys and 9 kinds, "attack" being both
+    missing = [key for key in sorted(named)
+               if not re.search(rf'[`."]{re.escape(key)}[`"]', section)]
+    assert missing == []
+
+
 def test_module_map_lists_every_module():
     raw = README.read_text(encoding="utf-8")
     table = raw.split("## Module map", 1)[1].split("\n## ", 1)[0]

@@ -71,6 +71,82 @@ class TestScenarioParsing:
                          "images", "time", "dance", "mystery"):
             assert fragment in text
 
+    def test_error_text_names_every_object_in_order(self):
+        # one broken field in each object; the whole message is pinned
+        bad = {
+            "profile": "tiny", "seed": -1, "colour": "red",
+            "bs": {"master_seed": "7", "trust_offset": 57, "extra": 0},
+            "nodes": [
+                {"id": "", "images": ["a"], "tamper_level": 9},  # the rest is skipped
+                {"id": "n1", "images": ["a"], "tamper_level": 3},
+                {"id": "n1", "images": ["a", "b"]},
+                {"id": "bs", "images": ["a", "b"], "colour": 1},
+                "n3",
+            ],
+            "channel": {"loss": 2, "adversary_taps": "yes"},
+            "events": [
+                {"time": 1, "kind": "boot", "node": "ghost"},
+                {"time": 0, "kind": "ta"},
+                {"time": -1, "kind": "terminate", "node": "n1", "colour": 1},
+                {"time": 2, "kind": "ake", "initiator": "n1", "peer": "n1"},
+                {"time": 3, "kind": "attack", "attack": {
+                    "kind": "replay", "label": "ta-ack", "source": "n1", "occurrence": 0}},
+                {"time": 4, "kind": "attack", "attack": {
+                    "kind": "modify", "label": "ack", "source": "nobody", "bit": -1,
+                    "colour": 1}},
+                {"time": 5, "kind": "attack", "attack": {"kind": "fake_node",
+                                                         "claimed_wire": 0}},
+                {"time": 6, "kind": "attack", "attack": {
+                    "kind": "impersonate", "claimed": "ghost", "target": "ghost"}},
+                {"time": 7, "kind": "attack", "attack": {"kind": "flood", "colour": 1}},
+                {"time": 8, "kind": "attack", "attack": "replay"},
+                {"time": 9, "kind": "dance", "colour": 1},
+                7,
+            ],
+        }
+        problems = (
+            "<memory>: unknown key 'colour'",
+            "profile must be one of ['demo', 'toy'], got 'tiny'",
+            "seed must be a non-negative integer",
+            "bs: unknown key 'extra'",
+            "bs.master_seed must be a non-negative integer",
+            "bs.trust_offset must be an integer in [0, 56]",
+            "nodes[0]: id must be a non-empty string without lone surrogates",
+            "nodes[1]: images must be a list of at least two strings without lone surrogates",
+            "nodes[1]: tamper_level must be in [2, 2]",
+            "nodes[2]: duplicate id 'n1'",
+            "nodes[3]: unknown key 'colour'",
+            "nodes[3]: id 'bs' is reserved",
+            "nodes[4]: must be an object",
+            "channel.loss must be a number in [0, 1]",
+            "channel.adversary_taps must be a boolean",
+            "events[0]: node must reference a declared node, got 'ghost'",
+            "events[1]: timestamps must be non-decreasing",
+            "events[1]: node must reference a declared node, got None",
+            "events[2]: time must be a non-negative number",
+            "events[2]: timestamps must be non-decreasing",
+            "events[2]: unknown key 'colour'",
+            "events[3]: initiator and peer must differ",
+            "events[4]: attack.source of a ta-ack must be 'bs'",
+            "events[4]: attack.occurrence must be >= 1",
+            "events[5]: unknown key 'colour'",
+            "events[5]: attack.label must be one of ('ta-request', 'ta-ack', 'ake')",
+            "events[5]: attack.source must be a declared node or 'bs'",
+            "events[5]: attack.bit must be >= 0",
+            "events[6]: attack.claimed_wire must be in [1, 65535]",
+            "events[7]: attack.claimed must be a declared node",
+            "events[7]: attack.target must be a declared node",
+            "events[7]: attack.claimed and target must differ",
+            "events[8]: attack.kind must be one of "
+            "('replay', 'modify', 'fake_node', 'impersonate')",
+            "events[9]: attack must be an object",
+            "events[10]: unknown event kind 'dance'",
+            "events[11]: must be an object",
+        )
+        with pytest.raises(ConfigError) as e:
+            scenario_from(bad)
+        assert str(e.value) == "<memory>: " + "; ".join(problems)
+
     def test_name_must_be_non_empty_string(self):
         for name in (5, "", None, ["demo"]):
             with pytest.raises(ConfigError) as e:
