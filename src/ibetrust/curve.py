@@ -50,7 +50,14 @@ the value itself never changes either, and it is kept: g_ID =
 e(P_pub, Q_ID) for encryption (Boneh-Franklin, CRYPTO 2001) and the
 AKE initiator's e(d_A, Q_B).  The final exponentiation starts with the
 Frobenius map, which is the conjugation (a + bz)^p = (a - b) - bz here
-(Barreto-Kim-Lynn-Scott, CRYPTO 2002).
+(Barreto-Kim-Lynn-Scott, CRYPTO 2002).  _miller_lines says why a
+Miller step then costs three F_p products for its line and vertical.
+
+GT, the order-q subgroup of F_p^2* that pairings land in, has norm 1,
+so gt_pow raises an element to a power through its trace alone: a
+Lucas ladder of two F_p products per exponent bit, then one inversion
+to recover the element (Scott-Barreto, "Compressed pairings", CRYPTO
+2004).  f2_pow, plain square-and-multiply, is for the rest of F_p^2.
 """
 
 from __future__ import annotations
@@ -391,7 +398,37 @@ class Curve:
             e >>= 1
         return result
 
-    gt_pow = f2_pow
+    def gt_pow(self, x: Fp2, k: int) -> Fp2:
+        """x^k for x in GT, the order-q subgroup of F_p^2*, and any int k.
+
+        x has norm x^(p+1) = 1, since q divides p + 1, so its inverse is
+        its conjugate and V_k = Tr(x^k) = x^k + x^-k is an F_p value with
+        V_(m+n) = V_m*V_n - V_(m-n).  A Lucas ladder keeps (V_k, V_k+1)
+        from V_1 = 2a - b for x = a + bz, two F_p products per bit of
+        k mod q, against about three and a half F_p^2-sized ones for
+        square-and-multiply (Scott-Barreto, CRYPTO 2004):
+        V_2k = V_k^2 - 2 and V_2k+1 = V_k*V_k+1 - V_1.  Then
+        x^k = a_k + b_k*z follows from Tr(x^k) = V_k and
+        Tr(x^(k+1)) = V_k+1: a_k = ((a + b)V_k - V_k+1) / (3b) and
+        b_k = 2a_k - V_k.  b = 0 only for x = 1, the one element of GT
+        in F_p, which returns early like k = 0 mod q.  Outside GT the
+        answer is wrong; the final exponentiation's power, of an
+        element whose order need not be q, stays with f2_pow.
+        """
+        p = self.p
+        k %= self.q
+        if k == 0 or x == GT_ONE:
+            return GT_ONE
+        a, b = x
+        v1 = (2 * a - b) % p
+        v, w = v1, (v1 * v1 - 2) % p  # V_1, V_2
+        for bit in bin(k)[3:]:
+            if bit == "1":
+                v, w = (v * w - v1) % p, (w * w - 2) % p
+            else:
+                v, w = (v * v - 2) % p, (v * w - v1) % p
+        a_k = ((a + b) * v - w) * pow(3 * b, -1, p) % p
+        return (a_k, (2 * a_k - v) % p)
 
     # ---- pairing ----
 
@@ -416,9 +453,9 @@ class Curve:
         point.  Dividing by a vertical v is multiplying by its
         conjugate, since v * conj(v) is the norm, in F_p, and the final
         exponent (p^2 - 1)/q is a multiple of p - 1, so every c in F_p*
-        has c^(p-1) = 1.  The last step is the chord through
-        (q - 1)A = -A, the vertical x = xA, and the vertical at qA =
-        infinity is 1.
+        has c^(p-1) = 1; _miller_lines drops one more F_p factor per
+        step.  The last step is the chord through (q - 1)A = -A, the
+        vertical x = xA, and the vertical at qA = infinity is 1.
 
         The final exponentiation, to (p^2 - 1)/q, puts the result in the
         order-q subgroup of F_p^2*.  It splits into (p - 1) and
@@ -447,31 +484,56 @@ class Curve:
         if lines is None:
             lines = self._lines[A] = self._miller_lines(A)
 
-        xB, yB = B
-        vb = -xB % p  # the z coefficient of every conjugated vertical
-        f = GT_ONE
+        X, Y = B
+        XX = X * X % p
+        a, b = 1, 0  # f = a + bz
         steps = iter(lines)
-        for doubling, lam, c, x_new in zip(self._doublings, steps, steps, steps):
+        for doubling, s, u, x_new in zip(self._doublings, steps, steps, steps):
             if doubling:
-                f = self._f2_sqr(f)
-            # the line y + c - lam*x at (z*xB, yB), and conj(z*xB - x_new)
-            line = ((yB + c) % p, -lam * xB % p)
-            f = self.f2_mul(f, self.f2_mul(line, ((vb - x_new) % p, vb)))
-        f = self.f2_mul(f, (-lines[-1] % p, xB))
+                a, b = (a - b) * (a + b) % p, b * (2 * a - b) % p
+            # g: the line times the conjugated vertical, over -lam
+            t = (Y * s + u) % p
+            g0 = ((X + x_new) * t + XX) % p
+            g1 = X * (t - x_new) % p
+            ag = a * g0
+            bg = b * g1
+            a, b = (ag - bg) % p, ((a + b) * (g0 + g1) - ag - 2 * bg) % p
+        f = self.f2_mul((a, b), (-lines[-1] % p, X))
         # Frobenius: f^(p-1) = conj(f) / f
         a, b = f
         f = self.f2_mul(((a - b) % p, -b % p), self.f2_inv(f))
         return self.f2_pow(f, (p + 1) // self.q)
 
     def _miller_lines(self, A: tuple[int, int]) -> tuple[int, ...]:
-        """The Miller lines of A, flat: (lam, c, x_new) per step of
+        """The Miller lines of A, flat: (1/lam, c/lam, x_new) per step of
         self._doublings, then xA for the last chord, through -A.
 
         The line through T with slope lam is y + c - lam*x for
         c = lam*xT - yT, and x_new is the x of the step's result.  The
         points come from the Jacobian chain of _double and _add_affine,
         whose slopes are numerator / Z_new; one batched inversion
-        (Montgomery's trick) makes every Z affine.
+        (Montgomery's trick) makes every Z affine and inverts every
+        numerator, so 1/lam = Z_new / numerator.
+
+        At the distorted image (zX, Y) of B = (X, Y), with z^2 = -z - 1,
+        the line times the conjugated vertical at the new point is
+
+            ((Y + c) - lam*X*z) * (-(X + x_new) - X*z)
+              = -((X + x_new)(Y + c) + X^2*lam, X*(Y + c - lam*x_new)),
+
+        and over -lam, with t = Y/lam + c/lam, it is
+
+            ((X + x_new)*t + X^2, X*(t - x_new)):
+
+        three F_p products per step, Y*(1/lam) among them.  -lam is in
+        F_p, and the final exponentiation sends every F_p factor to 1
+        (Barreto-Kim-Lynn-Scott, CRYPTO 2002).  lam is never 0: the
+        tangent slope 3xT^2/(2yT) is 0 only at xT = 0, a point of order
+        3, and the chord slope through T and A only at yT = yA, which
+        makes xT = xA, since cubing is a bijection, so T = A.  For X = 0
+        every factor is in F_p and the pairing is 1.  None is 0: x_new
+        is not, and (0, +-1) lies on no line through multiples of A, so
+        t is not either.
         """
         p = self.p
         T = (A[0], A[1], 1)
@@ -480,14 +542,15 @@ class Curve:
             T, num = self._double(T) if doubling else self._add_affine(T, A)
             chain.append(T)
             slopes.append(num)
-        z_invs = self._batch_inv([Z for _, _, Z in chain])
+        n = len(chain)
+        invs = self._batch_inv([Z for _, _, Z in chain] + slopes)
         lines = []
         xT, yT = A
-        for (X, Y, _), zi, num in zip(chain, z_invs, slopes):
-            lam = num * zi % p
+        for (X, Y, Z), zi, num_inv in zip(chain, invs[:n], invs[n:]):
+            s = Z * num_inv % p  # 1/lam
             zi2 = zi * zi % p
             x_new = X * zi2 % p
-            lines += (lam, (lam * xT - yT) % p, x_new)
+            lines += (s, (xT - yT * s) % p, x_new)
             xT, yT = x_new, Y * zi2 * zi % p
         # T never reaches infinity, 2-torsion or A itself on the way to
         # (q - 1)A = -A, which holds for A of order q

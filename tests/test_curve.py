@@ -126,7 +126,7 @@ class TestPairing:
 
     def test_output_order(self, toy, gen):
         e = toy.pairing(gen, gen)
-        assert toy.gt_pow(e, TOY_Q) == GT_ONE
+        assert toy.f2_pow(e, TOY_Q) == GT_ONE
 
     def test_random_pairs_match_oracle(self, toy, gen):
         rng = random.Random(3)
@@ -252,6 +252,33 @@ class TestDemoKernel:
         for A, B in ((points[0], points[1]), (points[2], points[3])):
             assert demo.pairing(A, B) == oracles.pairing(DEMO_P, DEMO_Q, A, B)
 
+    def test_seeded_pairs_match_divisor_oracle(self, demo, points):
+        # the three-product Miller step against the oracle's lines over
+        # F_p^2, on fresh multiples of the class's points
+        rng = random.Random(15)
+        for _ in range(5):
+            A = oracles.double_and_add(DEMO_P, rng.randrange(1, DEMO_Q), points[0])
+            B = oracles.double_and_add(DEMO_P, rng.randrange(1, DEMO_Q), points[1])
+            assert demo.pairing(A, B) == oracles.pairing(DEMO_P, DEMO_Q, A, B), (A, B)
+
+    def test_bilinear(self, points):
+        # B = points[3] is an identity point, so e(A, B) is the kept
+        # value; a repeat computes nothing
+        curve = Curve(DEMO_P, DEMO_Q)
+        curve.identity_points.add(points[3])
+        rng = random.Random(16)
+        for i in range(5):
+            A, B = (points[0], points[1]) if i % 2 else (points[2], points[3])
+            a, b = rng.randrange(1, DEMO_Q), rng.randrange(1, DEMO_Q)
+            base = curve.pairing(A, B)
+            assert base != GT_ONE
+            lhs = curve.pairing(oracles.double_and_add(DEMO_P, a, A),
+                                oracles.double_and_add(DEMO_P, b, B))
+            assert lhs == curve.gt_pow(base, a * b), (a, b)
+        assert curve._values.keys() == {(points[2], points[3])}
+        # 5 calls on the multiples, 2 for (points[0], points[1]), 1 kept
+        assert curve.pairings_computed == 8
+
     def test_fixed_base_matches_double_and_add(self, points):
         P = points[0]
         curve = Curve(DEMO_P, DEMO_Q, P)
@@ -372,3 +399,31 @@ def test_in_subgroup_rejects_small_orders(p, q):
         assert curve.contains(bad)
         assert not curve.in_subgroup(bad)
     assert curve.in_subgroup(curve.mul(curve.cofactor, U))
+
+
+class TestGtPow:
+    """gt_pow's Lucas ladder against square-and-multiply in the oracle."""
+
+    def test_every_toy_element_and_exponent(self, toy, gen):
+        g = oracles.pairing(TOY_P, TOY_Q, gen, gen)
+        group = [oracles.f2_pow(TOY_P, g, i) for i in range(TOY_Q)]
+        assert len(set(group)) == TOY_Q
+        for x in group:
+            for k in range(-2 * TOY_Q, 2 * TOY_Q + 1):
+                assert toy.gt_pow(x, k) == oracles.f2_pow(TOY_P, x, k % TOY_Q), (x, k)
+
+    def test_demo_exponents(self):
+        curve = Curve(DEMO_P, DEMO_Q)
+        A = curve.subgroup_point(5)
+        x = oracles.pairing(DEMO_P, DEMO_Q, A, curve.mul(7, A))
+        assert x != GT_ONE and oracles.f2_pow(DEMO_P, x, DEMO_Q) == GT_ONE
+        rng = random.Random(23)
+        q = DEMO_Q
+        ks = [rng.randrange(2**161) for _ in range(40)] + [0, 1, 2, q - 1, q, q + 1]
+        # square-and-multiply never ends on a negative exponent; gt_pow
+        # reduces k mod q first
+        ks += [-1, -2, -(q - 1), -rng.randrange(q)]
+        for k in ks:
+            assert curve.gt_pow(x, k) == oracles.f2_pow(DEMO_P, x, k % q), k
+        assert curve.gt_pow(GT_ONE, ks[0]) == GT_ONE
+

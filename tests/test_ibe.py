@@ -9,7 +9,7 @@ import pytest
 import oracles
 import vectors
 from ibetrust import ibe
-from ibetrust.curve import is_probable_prime
+from ibetrust.curve import GT_ONE, is_probable_prime
 from ibetrust.errors import ConfigError, Reject
 
 
@@ -401,3 +401,20 @@ class TestDemoProfile:
             ct = ibe.encrypt(params, "node-001", b"secret", rng)
             with pytest.raises(Reject):
                 ibe.decrypt(params, wrong, ct)
+
+    def test_demo_degenerate_u_fails_the_reencryption_check(self, demo_setup):
+        # at xU = 0 every Miller factor lies in F_p, so the pairing is 1;
+        # (p - 1, 0) has order 2, and the uncleared point lies outside the
+        # subgroup.  Each pairs without error, then fails the
+        # re-encryption check
+        params, master = demo_setup
+        p, curve = params.p, params.curve
+        key = ibe.extract(params, master, "node-001")
+        for U in ((0, 1), (0, p - 1)):
+            assert curve.pairing(key.point, U) == GT_ONE
+        ct = ibe.encrypt(params, "node-001", b"attest", random.Random(5))
+        uncleared = curve.point_from_y(5)
+        assert not curve.in_subgroup(uncleared)
+        for U in ((0, 1), (0, p - 1), (p - 1, 0), uncleared):
+            with pytest.raises(Reject, match="fo_mismatch"):
+                ibe.decrypt(params, key, ibe.Ciphertext(U, ct.v, ct.w))
