@@ -20,24 +20,23 @@ coordinates, (X, Y, Z) standing for (X/Z^2, Y/Z^3): a doubling or an
 addition of an affine point is a handful of multiplications, and mul
 inverts once at the end to return an affine point.
 
-The generator P is the base of most scalar mults (rP in encryption and
-in the re-encryption check), so a Curve given P keeps a fixed-base
-table of j * 16^i * P for every 4-bit window i and digit j, built on
-the first such mul with one batched inversion; kP is then one mixed
-addition per nonzero digit of k and no doubling (Brickell-Gordon-
-McCurley-Wilson, EUROCRYPT 1992).
-
-An identity point Q (one of identity_points) is the base of the key
-exchange's r*Q and h*Q, so from its second mul on, Q keeps a comb
-(Lim-Lee, CRYPTO 1994): with one tooth per 32 bits of q and a =
-ceil(bits(q) / teeth) columns, the sums of the bases 2^(a*j) * Q over
-every nonempty set of teeth.  On the demo profile that is 31 affine
-points (about 2 KB of coordinates, against about 38 KB for P's table),
-and kQ is at most 31 doublings and 32 mixed additions.  Q's first mul,
-extract at provisioning, runs the plain loop, so a point multiplied
-only once never pays for a comb.  The toy profile's q has 5 bits, and
-its one-tooth comb would be the plain loop with more bookkeeping, so
-toy points keep none.
+Two kinds of point are the base of many scalar mults: the generator P
+(rP in encryption and in the re-encryption check) and an identity point
+Q (one of identity_points, the base of the key exchange's r*Q and h*Q).
+Each keeps a comb (Lim-Lee, CRYPTO 1994): with t teeth and a =
+ceil(bits(q) / t) columns, the sums of the bases 2^(a*j) * Q over every
+set of teeth, made affine by one batched inversion, so that kQ is at
+most a - 1 doublings and a mixed additions.  P's comb has min(8,
+bits(q)) teeth and is built on P's first mul: on the demo profile that
+is 255 points (about 16 KB of coordinates) and at most 19 doublings and
+20 additions per rP; on the toy profile, i*P for i < 32 and at most
+one addition.  Q's comb has one tooth per 32 bits of q and is built on Q's
+second mul, since the first, extract at provisioning, runs the plain
+loop and a point multiplied only once should not pay for a comb.  On
+the demo profile that is 31 points (about 2 KB) and kQ is at most 31
+doublings and 32 additions.  The toy profile's q has 5 bits, and a
+one-tooth comb would be the plain loop with more bookkeeping, so toy
+identity points keep none.
 
 Every pairing in the program has one argument that never changes (P,
 P_pub or a private key), and callers pass it first.  The Miller loop's
@@ -115,14 +114,15 @@ class Curve:
         self.p = p
         self.q = q
         self.cofactor = (p + 1) // q
-        # the fixed base of mul; its window table is built on first use
+        # the fixed base of mul; its comb (_comb_table), min(8, bits(q))
+        # teeth, is built on first use
         self.generator = generator
-        self._fixed_base: list[tuple[Point, ...]] | None = None
-        # identity point -> its comb (_comb_table), one tooth per 32 bits
-        # of q; None after the point's first mul, which runs the plain
-        # loop.  A q of at most 32 bits (toy) keeps no combs
+        self._generator_comb: dict[int, Point] | None = None
+        # identity point -> its comb, one tooth per 32 bits of q; None
+        # after the point's first mul, which runs the plain loop.  A q
+        # of at most 32 bits (toy) keeps no combs
         self._comb_teeth = (q.bit_length() + 31) // 32
-        self._combs: dict[Point, tuple[Point, ...] | None] = {}
+        self._combs: dict[Point, dict[int, Point] | None] = {}
         # inverse of cubing: (x^3)^e = x for e = (2p-1)/3
         self.cube_root_exp = (2 * p - 1) // 3
         self.coord_size = (p.bit_length() + 7) // 8
@@ -218,14 +218,19 @@ class Curve:
 
     def mul(self, k: int, P: Point) -> Point:
         """kP by left-to-right double-and-add in Jacobian coordinates,
-        with one inversion to return to affine.  Two fixed bases take a
-        kept table instead: the generator, for 0 <= k < q, by its window
-        table; an identity point, from its second mul on and for any k,
-        by its comb when q has more than 32 bits.  An identity point's
-        first mul (extract, at provisioning) keeps the plain loop, so a
-        point multiplied once never pays for a comb."""
+        with one inversion to return to affine.  Two fixed bases read a
+        kept comb instead (_comb_table): the generator, for 0 <= k < q,
+        from its first such mul on; an identity point, from its second
+        mul on and for any k, when q has more than 32 bits.  A comb
+        reduces k mod q, so the generator's bound keeps mul(q, P), and
+        with it in_subgroup of a generator not yet checked, on the
+        plain loop, where a generator of order 2q fails."""
         if P is not None and P == self.generator and 0 <= k < self.q:
-            return self._mul_fixed_base(k)
+            comb = self._generator_comb
+            if comb is None:
+                comb = self._generator_comb = self._comb_table(
+                    P, min(8, self.q.bit_length()))
+            return self._mul_comb(k, comb)
         if self._comb_teeth > 1 and P in self.identity_points:
             if P in self._combs:
                 comb = self._combs[P]
@@ -244,43 +249,13 @@ class Curve:
                 T = self._add_affine(T, P)[0]
         return self._to_affine(T)
 
-    def _mul_fixed_base(self, k: int) -> Point:
-        """kP for the generator P: the table's digit * 16^i * P for each
-        4-bit digit of k, summed by mixed addition."""
-        table = self._fixed_base
-        if table is None:
-            table = self._fixed_base = self._fixed_base_table()
-        T = (1, 1, 0)
-        for row in table:
-            A = row[k & 15]
-            k >>= 4
-            if A is not None:
-                T = self._add_affine(T, A)[0]
-        return self._to_affine(T)
-
-    def _fixed_base_table(self) -> list[tuple[Point, ...]]:
-        """One row per 4-bit window i of q: (j * 16^i * P for j = 0..15),
-        affine, None for j = 0.  P has prime order q > 15, so no other
-        entry is infinity."""
-        chain: list[Jacobian] = []
-        base = self.generator
-        for _ in range((self.q.bit_length() + 3) // 4):
-            T = (base[0], base[1], 1)
-            chain.append(T)
-            for _ in range(14):
-                T = self._add_affine(T, base)[0]
-                chain.append(T)
-            base = self._to_affine(self._add_affine(T, base)[0])
-        points = self._to_affine_all(chain)
-        return [(None, *points[i : i + 15]) for i in range(0, len(points), 15)]
-
-    def _comb_table(self, Q: tuple[int, int], teeth: int) -> tuple[Point, ...]:
+    def _comb_table(self, Q: tuple[int, int], teeth: int) -> dict[int, Point]:
         """The comb of a point Q of order q (Lim-Lee, CRYPTO 1994): with
         a = ceil(bits(q) / teeth) columns and the bases B_j = 2^(a*j) * Q,
-        entry i is the sum of the B_j over the 1 bits j of i, for
-        i < 2^teeth; affine, None for i = 0 and for a sum that is
-        infinity.  Both the bases and the sums are made affine by one
-        batched inversion each."""
+        the sum of the B_j over each set of teeth, keyed by its spread
+        bit pattern, the sum of 2^(a*j) over those j; affine, None for
+        the empty set and for a sum that is infinity.  Both the bases
+        and the sums are made affine by one batched inversion each."""
         a = -(-self.q.bit_length() // teeth)
         T = (Q[0], Q[1], 1)
         chain = [T]
@@ -288,26 +263,26 @@ class Curve:
             for _ in range(a):
                 T = self._double(T)[0]
             chain.append(T)
-        sums: list[Jacobian] = [(1, 1, 0)]
-        for B in self._to_affine_all(chain):
-            sums += [self._add_affine(S, B)[0] for S in sums]
-        return (None, *self._to_affine_all(sums[1:]))
+        sums: dict[int, Jacobian] = {0: (1, 1, 0)}
+        for j, B in enumerate(self._to_affine_all(chain)):
+            sums.update({key | 1 << a * j: self._add_affine(S, B)[0]
+                         for key, S in sums.items()})
+        return dict(zip(sums, self._to_affine_all(list(sums.values()))))
 
-    def _mul_comb(self, k: int, comb: tuple[Point, ...]) -> Point:
+    def _mul_comb(self, k: int, comb: dict[int, Point]) -> Point:
         """kQ by Q's comb (_comb_table), for k mod q, which Q's order
-        allows.  Column c, from the top down, adds the entry whose bit j
-        is bit a*j + c of k; at most a - 1 doublings and a mixed
-        additions."""
+        allows.  Column c, from the top down, adds the entry keyed by
+        k >> c masked to the teeth's bits a*j, that is, bits a*j + c of
+        k; at most a - 1 doublings and a mixed additions."""
         teeth = len(comb).bit_length() - 1
         a = -(-self.q.bit_length() // teeth)
+        mask = ((1 << a * teeth) - 1) // ((1 << a) - 1)  # sum of 2^(a*j)
         k %= self.q
-        mask = (1 << a) - 1
-        rows = [format(k >> (a * j) & mask, f"0{a}b") for j in range(teeth - 1, -1, -1)]
         T = (1, 1, 0)
-        for column in zip(*rows):
+        for c in range(a - 1, -1, -1):
             if T[2]:
                 T = self._double(T)[0]
-            A = comb[int("".join(column), 2)]
+            A = comb[k >> c & mask]
             if A is not None:
                 T = self._add_affine(T, A)[0]
         return self._to_affine(T)
@@ -342,10 +317,13 @@ class Curve:
         return points
 
     def _to_affine(self, T: Jacobian) -> Point:
-        """(X/Z^2, Y/Z^3) with one inversion; Z = 0 is infinity."""
+        """(X/Z^2, Y/Z^3) with one inversion; Z = 0 is infinity, and
+        Z = 1, a comb's sum of one entry (all of toy rP), needs none."""
         X, Y, Z = T
         if Z == 0:
             return None
+        if Z == 1:
+            return (X, Y)
         p = self.p
         zi = pow(Z, -1, p)
         zi2 = zi * zi % p

@@ -9,7 +9,7 @@ and rejects any ciphertext that does not re-encrypt to itself.
 What never changes is computed once per PublicParams: hash_to_point
 keeps each identity's point, the Curve keeps g_ID = e(P_pub, Q_ID) for
 every identity encrypted to, and rP in encrypt and decrypt comes from
-the Curve's fixed-base table for the generator P.
+the Curve's comb for the generator P.
 
 Two parameter profiles ship with the package: "toy" (p = 227, q = 19)
 small enough for exhaustive checks, and "demo" with a 256-bit field and

@@ -284,10 +284,11 @@ class TestDemoKernel:
         curve = Curve(DEMO_P, DEMO_Q, P)
         rng = random.Random(14)
         q = DEMO_Q
-        for k in [rng.randrange(q) for _ in range(20)] + [1, q - 1]:
+        for k in [rng.randrange(q) for _ in range(20)] + [0, 1, q - 1]:
             assert curve.mul(k, P) == oracles.double_and_add(DEMO_P, k, P), k
-        assert len(curve._fixed_base) == 40
-        assert sum(A is not None for row in curve._fixed_base for A in row) == 600
+        # 8 teeth of 20 columns: 255 entries, none of them infinity
+        comb = curve._generator_comb
+        assert len(comb) == 256 and list(comb.values()).count(None) == 1
         assert curve.mul(q, P) is None
         for k in (-1, -12345, q + 1, 2 * q + 7, rng.getrandbits(300)):
             assert curve.mul(k, P) == oracles.double_and_add(DEMO_P, k, P), k
@@ -305,7 +306,35 @@ class TestDemoKernel:
             assert curve.mul(k, Q) == oracles.double_and_add(DEMO_P, k, Q), k
         # 5 teeth of 32 columns: 31 entries, none of them infinity
         comb = curve._combs[Q]
-        assert len(comb) == 32 and comb.count(None) == 1
+        assert len(comb) == 32 and list(comb.values()).count(None) == 1
+
+    def test_comb_operation_counts(self, points, gen):
+        # per mul once the comb is built, counted by shadowing the
+        # Jacobian steps on the instance: at most a - 1 doublings and a
+        # additions for a columns, and the bound is reached
+        P, Q = points[0], points[1]
+        identity = Curve(DEMO_P, DEMO_Q)
+        identity.identity_points.add(Q)
+        rng = random.Random(25)
+        counts = {}
+        for curve, base, doublings, additions in (
+            (Curve(DEMO_P, DEMO_Q, P), P, 19, 20),
+            (identity, Q, 31, 32),
+            (Curve(TOY_P, TOY_Q, gen), gen, 0, 1),
+        ):
+            curve.mul(1, base)
+            curve.mul(1, base)  # an identity point's comb comes with its second mul
+            for name in ("_double", "_add_affine"):
+                def counted(*args, step=getattr(curve, name), name=name):
+                    counts[name] += 1
+                    return step(*args)
+                setattr(curve, name, counted)
+            most = {"_double": 0, "_add_affine": 0}
+            for k in [rng.randrange(curve.q) for _ in range(50)]:
+                counts.update(_double=0, _add_affine=0)
+                curve.mul(k, base)
+                most = {name: max(most[name], counts[name]) for name in most}
+            assert most == {"_double": doublings, "_add_affine": additions}, base
 
     def test_cached_lines_give_the_cold_value(self, demo, points):
         rng = random.Random(13)
@@ -323,14 +352,17 @@ class TestDemoKernel:
 
 
 class TestFixedBase:
-    """mul(k, generator) for 0 <= k < q reads the fixed-base table."""
+    """mul(k, generator) for 0 <= k < q reads the generator's comb."""
 
     def test_every_toy_scalar(self, gen):
         curve = Curve(TOY_P, TOY_Q, gen)
-        assert curve._fixed_base is None
+        assert curve._generator_comb is None
         for k in range(TOY_Q + 1):
             assert curve.mul(k, gen) == oracles.double_and_add(TOY_P, k, gen), k
-        assert curve._fixed_base is not None
+        # 5 teeth of one column: entry i is i * P, infinity at 0 and q
+        comb = curve._generator_comb
+        assert comb == {i: oracles.naive_mul(TOY_P, i, gen) for i in range(32)}
+        assert [i for i, A in comb.items() if A is None] == [0, TOY_Q]
         assert curve.mul(TOY_Q, gen) is None
         for k in (-1, -7, -TOY_Q, TOY_Q + 1, 3 * TOY_Q + 5):
             assert curve.mul(k, gen) == oracles.double_and_add(TOY_P, k, gen), k
@@ -340,7 +372,7 @@ class TestFixedBase:
         P = oracles.double_and_add(TOY_P, 5, gen)
         for k in range(TOY_Q + 1):
             assert curve.mul(k, P) == oracles.double_and_add(TOY_P, k, P), k
-        assert curve._fixed_base is None
+        assert curve._generator_comb is None and curve._combs == {}
 
 
 class TestComb:
@@ -382,6 +414,7 @@ class TestComb:
         assert ibe.decrypt(params, b._private_key, ct) == bytes(params.n // 8)
         built = [Q for Q, comb in curve._combs.items() if comb is not None]
         assert built == [ibe.hash_to_point(params, a.identity)]
+        assert len(curve._combs[built[0]]) == 32
         assert set(curve._combs) == curve.identity_points
         assert msg.big_r not in curve._combs and ct.u not in curve._combs
 

@@ -1,6 +1,7 @@
 """Identity-based encryption: frozen vectors, oracle cross-checks,
 roundtrips and tamper rejection."""
 
+import dataclasses
 import hashlib
 import random
 
@@ -343,6 +344,21 @@ class TestSerialization:
             ibe.params_from_bytes(blob[:-1])
         with pytest.raises(ValueError):
             ibe.params_from_bytes(blob + b"\x00")
+
+    @pytest.mark.parametrize("profile", ["toy", "demo"])
+    @pytest.mark.parametrize("field", ["generator", "master_pub"])
+    @pytest.mark.parametrize("order", [2, "2q"])
+    def test_params_point_of_even_order_rejected(self, profile, field, order):
+        # mul(q, P) for a generator P of order 2q must not take P's comb,
+        # which reduces the scalar mod q
+        good, _ = ibe.setup(ibe.SecurityConfig.from_profile(profile, seed=5))
+        p = good.p
+        two = (p - 1, 0)
+        bad = two if order == 2 else oracles.add(p, good.generator, two)
+        assert oracles.double_and_add(p, 2 * good.q, bad) is None
+        blob = ibe.params_to_bytes(dataclasses.replace(good, **{field: bad}))
+        with pytest.raises(ValueError, match="params point invalid"):
+            ibe.params_from_bytes(blob)
 
     def test_master_roundtrip(self, params, master):
         blob = ibe.master_key_to_bytes(master)

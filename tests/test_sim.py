@@ -348,11 +348,11 @@ class TestHonestRuns:
         assert len(values) <= (len(keys) + 2) * len(identities)
 
     def test_construction_builds_no_fixed_base_table(self):
-        # the table is built by the run's first rP, never by setup
+        # the generator's comb is built by the run's first rP, never by setup
         simulation = sim.Simulation(sim.load_scenario("demo"))
-        assert simulation.params.curve._fixed_base is None
+        assert simulation.params.curve._generator_comb is None
         simulation.run()
-        assert simulation.params.curve._fixed_base is not None
+        assert simulation.params.curve._generator_comb is not None
 
     def test_energy_accumulation(self):
         report = sim.run(sim.load_scenario("demo"))
