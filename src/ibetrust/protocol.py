@@ -334,6 +334,13 @@ class BaseStation:
         self.key = ibe.extract(params, master, BS_IDENTITY)
         self.registry = Registry()
         self.db = TrustDB()
+        # the reassembled ciphertext of each accepted trust report -> its
+        # decoded record (wire, claimed, nonce).  Decryption is a function
+        # of self.key and the blob alone, so a replay is recognised here
+        # without a pairing.  An entry is added only next to a nonce in
+        # a record's seen_nonces, so while nonce_check is on there are
+        # no more entries than nonces in the histories
+        self.accepted: dict[bytes, tuple[int, str, bytes]] = {}
         # Disabled only by the harness mutation test, to show the replay
         # defence is load-bearing.
         self.nonce_check = True
@@ -418,9 +425,18 @@ def bs_handle_ta(bs: BaseStation, frames, rng) -> list[codec.Frame]:
     shape (anyone can encrypt one to the BS).  A terminated node that
     reports a matching trust value is re-admitted, covering the
     reboot-and-re-authenticate path.
+
+    An accepted report's ciphertext is kept with its decoded record
+    (BaseStation.accepted).  A replay is recognised by its bytes and
+    skips decryption, so it costs the base station no pairing and no
+    rP; it meets the same checks as any report and fails nonce_replay,
+    or trust_mismatch after a re-flash.
     """
     blob = _reassemble(frames, "decrypt_failure")
-    wire, claimed, nonce = decode_ta_record(_decrypt(bs.params, bs.key, blob))
+    record = bs.accepted.get(blob)
+    if record is None:
+        record = decode_ta_record(_decrypt(bs.params, bs.key, blob))
+    wire, claimed, nonce = record
     identity = bs.registry.identity(wire) if wire in bs.registry else None
     rec = bs.db.records.get(identity)
     if rec is None:
@@ -430,6 +446,7 @@ def bs_handle_ta(bs: BaseStation, frames, rng) -> list[codec.Frame]:
     if bs.nonce_check and nonce in rec.seen_nonces:
         raise Reject("nonce_replay", identity)
     rec.seen_nonces.add(nonce)
+    bs.accepted[blob] = record
     bs.db.admit(identity)
     ack = encode_ack_record(nonce, map(bs.registry.wire_id, bs.db.trusted))
     blob = encrypt_message(bs.params, identity, ack, rng)

@@ -294,10 +294,61 @@ class TestTrustedAuthentication:
         node.power_on()
         frames = protocol.ta_request(node, rng)
         protocol.bs_handle_ta(bs, frames, rng)
+        curve = bs.params.curve
+        counts = (curve.pairing_count, curve.pairings_computed)
         with pytest.raises(Reject) as e:
             protocol.bs_handle_ta(bs, list(frames), rng)
-        assert e.value.reason == "nonce_replay"
-        assert e.value.detail == "node-001"
+        assert (e.value.reason, e.value.detail) == ("nonce_replay", "node-001")
+        # the accepted ciphertext is recognised before decryption
+        assert (curve.pairing_count, curve.pairings_computed) == counts
+        assert list(bs.accepted) == [codec.reassemble(frames)]
+
+    def test_replay_after_reflash_is_trust_mismatch(self, toy_params):
+        bs = make_bs(toy_params)
+        node = provision_ready(bs, "node-001")
+        rng = random.Random(9)
+        node.power_on()
+        frames = protocol.ta_request(node, rng)
+        protocol.bs_handle_ta(bs, frames, rng)
+        reflashed = "0" * 8 if node.trust_value != "0" * 8 else "1" * 8
+        bs.db.register("node-001", reflashed)
+        with pytest.raises(Reject) as e:
+            protocol.bs_handle_ta(bs, list(frames), rng)
+        assert (e.value.reason, e.value.detail) == ("trust_mismatch", "node-001")
+
+    def test_replay_readmitted_without_nonce_check(self, toy_params):
+        bs = make_bs(toy_params)
+        bs.nonce_check = False
+        node = provision_ready(bs, "node-001")
+        rng = random.Random(9)
+        node.power_on()
+        frames = protocol.ta_request(node, rng)
+        protocol.bs_handle_ta(bs, frames, rng)
+        protocol.bs_terminate(bs, "node-001")
+        ack = protocol.bs_handle_ta(bs, list(frames), rng)
+        assert bs.db.trusted == ("node-001",)
+        protocol.node_handle_ack(node, ack)
+        assert (node.phase, node.trust_list) == (protocol.TRUSTED, ("node-001",))
+
+    @pytest.mark.parametrize("reason", ["unknown_id", "trust_mismatch", "decrypt_failure"])
+    def test_refused_report_is_not_kept(self, toy_params, reason):
+        bs = make_bs(toy_params)
+        node = provision_ready(bs, "node-001")
+        rng = random.Random(20)
+        wire, value = node.wire_id, node.trust_value
+        if reason == "unknown_id":
+            wire = 999
+        elif reason == "trust_mismatch":
+            value = "0" * 8 if value != "0" * 8 else "1" * 8
+        blob = protocol.encrypt_message(
+            bs.params, "bs", protocol.encode_ta_record(wire, value, b"qq"), rng)
+        if reason == "decrypt_failure":
+            blob = blob[:-1]
+        for _ in range(2):  # a second copy is refused the same way
+            with pytest.raises(Reject) as e:
+                protocol.bs_handle_ta(bs, codec.fragment(0, node.wire_id, blob), rng)
+            assert e.value.reason == reason
+        assert bs.accepted == {}
 
     def test_unknown_id_rejected(self, toy_params):
         bs = make_bs(toy_params)

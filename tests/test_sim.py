@@ -1,5 +1,6 @@
 """Scenario loading, discrete-event runs, and the attack suite."""
 
+import hashlib
 import json
 import random
 
@@ -321,6 +322,14 @@ class TestHonestRuns:
         assert (nodes["node-002"].sessions["node-003"].key
                 == nodes["node-003"].sessions["node-002"].key)
 
+    @pytest.mark.parametrize("name, digest", [
+        ("attacks", "8054ccab1363a7382848d7aca5ce9fb70852b3d5891de89252e4dd1e3009bfda"),
+        ("demo", "b65d68281b7d1c3286757486de3b5a30c91398ef5e76f8370ef2561998b9439f"),
+    ])
+    def test_bundled_report_bytes_pinned(self, name, digest):
+        text = sim.run(sim.load_scenario(name)).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_reports_byte_identical(self):
         a = sim.run(sim.load_scenario("demo"), seed=42).to_json()
         b = sim.run(sim.load_scenario("demo"), seed=42).to_json()
@@ -482,6 +491,18 @@ class TestAttacks:
         report = sim.run(sc)
         assert report.attacks[-1]["verdict"] == "blocked"
         assert report.attacks[-1]["detail"] == "nonce_replay"
+
+    def test_replayed_report_computes_no_pairing(self):
+        replay = {"time": 30, "kind": "attack", "attack": {
+            "kind": "replay", "label": "ta-request", "source": "n1"}}
+        computed = []
+        for extra in ([], [replay]):
+            simulation = sim.Simulation(attack_scenario(extra))
+            report = simulation.run()
+            computed.append(simulation.params.curve.pairings_computed)
+        assert report.attacks == [
+            {"kind": "replay", "verdict": "blocked", "detail": "nonce_replay"}]
+        assert computed[0] == computed[1]
 
     def test_replay_before_any_capture_is_noop(self):
         sc = scenario_from(dict(MINIMAL, events=[
