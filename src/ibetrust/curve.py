@@ -61,47 +61,11 @@ to recover the element (Scott-Barreto, "Compressed pairings", CRYPTO
 
 from __future__ import annotations
 
-import random
-
 Fp2 = tuple[int, int]
 Point = tuple[int, int] | None
 Jacobian = tuple[int, int, int]
 
 GT_ONE: Fp2 = (1, 0)
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
-
-def is_probable_prime(n: int, rounds: int = 32) -> bool:
-    """Miller-Rabin with witnesses drawn from an n-seeded generator.
-
-    Seeding from n keeps the answer reproducible run to run while
-    avoiding a fixed witness list that an adversarial input could be
-    built against.  Error probability is at most 4**-rounds.
-    """
-    if n < 2:
-        return False
-    for sp in _SMALL_PRIMES:
-        if n % sp == 0:
-            return n == sp
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    rng = random.Random(n)
-    for _ in range(rounds):
-        a = rng.randrange(2, n - 1)
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 class Curve:

@@ -75,12 +75,9 @@ class PublicParams:
 
     def __post_init__(self):
         self.curve = Curve(self.p, self.q, self.generator)
+        self.block_bytes = self.n // 8
         # hash_to_point's memo: identity -> Q_id
         self._h1: dict[str, Point] = {}
-
-    @property
-    def block_bytes(self) -> int:
-        return self.n // 8
 
 
 @dataclass
@@ -165,22 +162,6 @@ def hash_to_scalar(q: int, data: bytes) -> int:
     return int.from_bytes(hashlib.sha256(data).digest(), "big") % (q - 1) + 1
 
 
-def _xor(a: bytes, b: bytes) -> bytes:
-    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
-
-
-def _h2(params: PublicParams, g: Fp2) -> bytes:
-    return hashlib.sha256(gt_to_bytes(params, g)).digest()[: params.block_bytes]
-
-
-def _h3(params: PublicParams, sigma: bytes, message: bytes) -> int:
-    return hash_to_scalar(params.q, sigma + message)
-
-
-def _h4(params: PublicParams, sigma: bytes) -> bytes:
-    return hashlib.sha256(sigma).digest()[: params.block_bytes]
-
-
 def encrypt(
     params: PublicParams,
     identity: str,
@@ -192,22 +173,34 @@ def encrypt(
 
     sigma is the n-bit commitment seed, normally drawn from rng; tests
     may pass it explicitly to pin the whole ciphertext.
+
+    The hashes are written out here and in decrypt, one block per call:
+    r = H3(sigma, m) = hash_to_scalar(q, sigma | m),
+    V = sigma XOR H2(g^r) with H2(g) = SHA-256(gt_to_bytes(g)),
+    W = m XOR H4(sigma) with H4(sigma) = SHA-256(sigma),
+    each mask cut to the length of what it covers.
     """
-    if len(message) > params.block_bytes:
-        raise ValueError(f"message over {params.block_bytes} bytes, chunk it first")
+    block = params.block_bytes
+    if len(message) > block:
+        raise ValueError(f"message over {block} bytes, chunk it first")
     if sigma is None:
         if rng is None:
             raise ValueError("need an rng when sigma is not fixed")
-        sigma = rng.randbytes(params.block_bytes)
-    elif len(sigma) != params.block_bytes:
+        sigma = rng.randbytes(block)
+    elif len(sigma) != block:
         raise ValueError("sigma must be exactly one block")
-    r = _h3(params, sigma, message)
+    sha256 = hashlib.sha256
+    r = int.from_bytes(sha256(sigma + message).digest(), "big") % (params.q - 1) + 1
     curve = params.curve
     U = curve.mul(r, params.generator)
     g = curve.pairing(params.master_pub, hash_to_point(params, identity))
-    mask = _h2(params, curve.gt_pow(g, r))
-    V = _xor(sigma, mask)
-    W = _xor(message, _h4(params, sigma)[: len(message)])
+    x, y = curve.gt_pow(g, r)
+    cs = curve.coord_size
+    mask = sha256(x.to_bytes(cs, "big") + y.to_bytes(cs, "big")).digest()[:block]
+    V = (int.from_bytes(sigma, "big") ^ int.from_bytes(mask, "big")).to_bytes(block, "big")
+    size = len(message)
+    mask = sha256(sigma).digest()[:size]
+    W = (int.from_bytes(message, "big") ^ int.from_bytes(mask, "big")).to_bytes(size, "big")
     return Ciphertext(u=U, v=V, w=W)
 
 
@@ -223,14 +216,22 @@ def decrypt(params: PublicParams, key: PrivateKey, ct: Ciphertext) -> bytes:
     when xU = 0, and (0, +-1) lies on no line through multiples of d.
     """
     curve = params.curve
-    if ct.u is None or not curve.contains(ct.u):
+    u, v, w = ct.u, ct.v, ct.w
+    if u is None or not curve.contains(u):
         raise Reject("malformed_point")
-    if len(ct.v) != params.block_bytes or len(ct.w) > params.block_bytes:
+    block = params.block_bytes
+    if len(v) != block or len(w) > block:
         raise Reject("malformed_ciphertext")
-    g = curve.pairing(key.point, ct.u)
-    sigma = _xor(ct.v, _h2(params, g))
-    message = _xor(ct.w, _h4(params, sigma)[: len(ct.w)])
-    if curve.mul(_h3(params, sigma, message), params.generator) != ct.u:
+    sha256 = hashlib.sha256
+    x, y = curve.pairing(key.point, u)
+    cs = curve.coord_size
+    mask = sha256(x.to_bytes(cs, "big") + y.to_bytes(cs, "big")).digest()[:block]
+    sigma = (int.from_bytes(v, "big") ^ int.from_bytes(mask, "big")).to_bytes(block, "big")
+    size = len(w)
+    mask = sha256(sigma).digest()[:size]
+    message = (int.from_bytes(w, "big") ^ int.from_bytes(mask, "big")).to_bytes(size, "big")
+    r = int.from_bytes(sha256(sigma + message).digest(), "big") % (params.q - 1) + 1
+    if curve.mul(r, params.generator) != u:
         raise Reject("fo_mismatch")
     return message
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import bisect
 import hmac
+import struct
 from dataclasses import dataclass, field
 
 from . import ake as ake_mod
@@ -74,6 +75,15 @@ class Registry:
     def identity(self, wire: int) -> str:
         return self._by_wire[wire]
 
+    def wire_ids(self, identities) -> list[int]:
+        """The wire id of each identity, in order."""
+        return list(map(self._by_name.__getitem__, identities))
+
+    def identities(self, wires) -> list[str]:
+        """The identity of each registered wire id, in order; an
+        unregistered id is skipped."""
+        return [name for name in map(self._by_wire.get, wires) if name is not None]
+
     def __contains__(self, key) -> bool:
         table = self._by_wire if isinstance(key, int) else self._by_name
         return key in table
@@ -105,10 +115,8 @@ def decode_ta_record(data: bytes) -> tuple[int, str, bytes]:
 
 def trust_list_bytes(wire_ids) -> bytes:
     """Serialize a trusted set as sorted 2-byte ids (2 bytes per node)."""
-    out = bytearray()
-    for wire in sorted(set(wire_ids)):
-        out += wire.to_bytes(2, "big")
-    return bytes(out)
+    ids = sorted(set(wire_ids))
+    return struct.pack(f">{len(ids)}H", *ids)
 
 
 def encode_ack_record(nonce: bytes, wire_ids) -> bytes:
@@ -123,10 +131,7 @@ def decode_ack_record(data: bytes) -> tuple[bytes, tuple[int, ...]]:
     body, mac = data[:-4], data[-4:]
     if not hmac.compare_digest(mac, codec.truncated_mac(body)):
         raise Reject("mac_mismatch", "ack record mac")
-    ids = tuple(
-        int.from_bytes(body[i : i + 2], "big") for i in range(2, len(body), 2)
-    )
-    return body[0:2], ids
+    return body[0:2], struct.unpack(f">{len(body) // 2 - 1}H", body[2:])
 
 
 # ---------------------------------------------------------------------------
@@ -144,15 +149,15 @@ def encrypt_message(params: ibe.PublicParams, identity: str, message: bytes, rng
     differently.
     """
     block = params.block_bytes
+    cs = params.curve.coord_size
     chunks = [message[i : i + block] for i in range(0, len(message), block)] or [b""]
-    out = bytearray(len(chunks).to_bytes(2, "big"))
+    parts = [len(chunks).to_bytes(2, "big")]
     for chunk in chunks:
         ct = ibe.encrypt(params, identity, chunk, rng=rng)
-        out += ibe.point_to_bytes(params, ct.u)
-        out += ct.v
-        out += len(ct.w).to_bytes(2, "big")
-        out += ct.w
-    return bytes(out)
+        x, y = ct.u  # ibe.point_to_bytes, inlined; U = rP is never infinity
+        parts += (x.to_bytes(cs, "big"), y.to_bytes(cs, "big"), ct.v,
+                  len(ct.w).to_bytes(2, "big"), ct.w)
+    return b"".join(parts)
 
 
 def decrypt_message(params: ibe.PublicParams, key: ibe.PrivateKey, blob: bytes) -> bytes:
@@ -164,26 +169,28 @@ def decrypt_message(params: ibe.PublicParams, key: ibe.PrivateKey, blob: bytes) 
     nblocks = int.from_bytes(blob[0:2], "big")
     if nblocks == 0:
         raise Reject("malformed_ciphertext", "zero blocks")
+    size = len(blob)
+    need = 2 * cs + block + _LEN_BYTES
     pos = 2
-    out = bytearray()
+    out = []
     for _ in range(nblocks):
-        need = 2 * cs + block + _LEN_BYTES
-        if len(blob) - pos < need:
+        if size - pos < need:
             raise Reject("malformed_ciphertext", "truncated block")
-        u = ibe.point_from_bytes(params, blob[pos : pos + 2 * cs])
-        pos += 2 * cs
-        v = blob[pos : pos + block]
-        pos += block
-        wlen = int.from_bytes(blob[pos : pos + _LEN_BYTES], "big")
-        pos += _LEN_BYTES
-        if wlen > block or len(blob) - pos < wlen:
+        # U is read as ibe.point_from_bytes reads it; ibe.decrypt checks
+        # that it is on the curve
+        v_at = pos + 2 * cs
+        w_at = v_at + block + _LEN_BYTES
+        u = (int.from_bytes(blob[pos : pos + cs], "big"),
+             int.from_bytes(blob[pos + cs : v_at], "big"))
+        wlen = int.from_bytes(blob[w_at - _LEN_BYTES : w_at], "big")
+        pos = w_at + wlen
+        if wlen > block or pos > size:
             raise Reject("malformed_ciphertext", "bad chunk length")
-        w = blob[pos : pos + wlen]
-        pos += wlen
-        out += ibe.decrypt(params, key, ibe.Ciphertext(u, v, w))
-    if pos != len(blob):
+        ct = ibe.Ciphertext(u, blob[v_at : v_at + block], blob[w_at:pos])
+        out.append(ibe.decrypt(params, key, ct))
+    if pos != size:
         raise Reject("malformed_ciphertext", "trailing bytes")
-    return bytes(out)
+    return b"".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +455,7 @@ def bs_handle_ta(bs: BaseStation, frames, rng) -> list[codec.Frame]:
     rec.seen_nonces.add(nonce)
     bs.accepted[blob] = record
     bs.db.admit(identity)
-    ack = encode_ack_record(nonce, map(bs.registry.wire_id, bs.db.trusted))
+    ack = encode_ack_record(nonce, bs.registry.wire_ids(bs.db.trusted))
     blob = encrypt_message(bs.params, identity, ack, rng)
     return codec.fragment(wire, bs.wire_id, blob)
 
@@ -470,9 +477,7 @@ def node_handle_ack(node: Node, frames) -> None:
     nonce, wire_ids = decode_ack_record(record)
     if nonce != node.pending_nonce:
         raise Reject("stale_nonce", nonce.hex())
-    node.trust_list = tuple(sorted(
-        node.registry.identity(w) for w in wire_ids if w in node.registry
-    ))
+    node.trust_list = tuple(sorted(node.registry.identities(wire_ids)))
     node.pending_nonce = None
     node.phase = TRUSTED
 

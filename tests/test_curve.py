@@ -8,7 +8,8 @@ import pytest
 import oracles
 import vectors
 from ibetrust import ake, ibe, sim
-from ibetrust.curve import GT_ONE, Curve, is_probable_prime
+from gen_demo_params import is_probable_prime
+from ibetrust.curve import GT_ONE, Curve
 from ibetrust.errors import Reject
 
 TOY_P, TOY_Q = 227, 19

@@ -7,7 +7,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import gen_demo_params
 from ibetrust import ibe
+from ibetrust.curve import Curve
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -29,3 +31,11 @@ def test_demo_profile_matches_the_search():
              for name, value in re.findall(r"^([pq]) = (0x[0-9a-f]+)$", out, re.M)}
     demo = ibe.PROFILES["demo"]
     assert found == {"p": demo["p"], "q": demo["q"]}
+
+
+def test_demo_search_reproduces_the_profile():
+    q, p = gen_demo_params.search()
+    demo = ibe.PROFILES["demo"]
+    assert (p, q) == (demo["p"], demo["q"])
+    cofactor = (p + 1) // q
+    assert cofactor % 3 == 0 and cofactor == Curve(p, q).cofactor

@@ -10,7 +10,8 @@ import pytest
 import oracles
 import vectors
 from ibetrust import ibe
-from ibetrust.curve import GT_ONE, is_probable_prime
+from gen_demo_params import is_probable_prime
+from ibetrust.curve import GT_ONE
 from ibetrust.errors import ConfigError, Reject
 
 
@@ -18,17 +19,23 @@ from ibetrust.errors import ConfigError, Reject
 # the masking algebra and the hardening layer are separable concerns.
 
 
+def h2(params, g):
+    return hashlib.sha256(ibe.gt_to_bytes(params, g)).digest()[: params.block_bytes]
+
+
+def xor(a, b):
+    return bytes(x ^ y for x, y in zip(a, b))
+
+
 def basic_encrypt(params, identity, message, r):
     curve = params.curve
     U = curve.mul(r, params.generator)
     g = curve.pairing(ibe.hash_to_point(params, identity), params.master_pub)
-    mask = ibe._h2(params, curve.gt_pow(g, r))
-    return U, ibe._xor(message, mask[: len(message)])
+    return U, xor(message, h2(params, curve.gt_pow(g, r)))
 
 
 def basic_decrypt(params, key, U, V):
-    mask = ibe._h2(params, params.curve.pairing(key.point, U))
-    return ibe._xor(V, mask[: len(V)])
+    return xor(V, h2(params, params.curve.pairing(key.point, U)))
 
 
 @pytest.fixture(scope="module")
@@ -304,10 +311,16 @@ class TestEncryptDecrypt:
             with pytest.raises(Reject, match="fo_mismatch"):
                 ibe.decrypt(params, key, ibe.Ciphertext(U, ct.v, ct.w))
 
-    def test_xor_keeps_leading_zero_bytes(self):
-        assert ibe._xor(b"\x00\x5a\xff", b"\x00\x5a\xff") == bytes(3)
-        assert ibe._xor(b"\x01\x00", b"\x01\x80") == b"\x00\x80"
-        assert ibe._xor(b"", b"") == b""
+    def test_xor_keeps_leading_zero_bytes(self, params, master):
+        # W = m XOR SHA-256(sigma)[:len(m)] and the recovered sigma and m
+        # keep their lengths when their leading bytes are zero
+        key = ibe.extract(params, master, "node-001")
+        for sigma in (bytes(range(16)), bytes(16)):
+            pad = hashlib.sha256(sigma).digest()
+            for message in (pad[:3], pad[:1] + b"\x80", b"\x00\x00\x01", b""):
+                ct = ibe.encrypt(params, "node-001", message, sigma=sigma)
+                assert ct.w == xor(message, pad)
+                assert ibe.decrypt(params, key, ct) == message
 
     def test_basic_variant_lacks_integrity(self, params, master):
         # the stripped-down variant roundtrips but cannot notice tampering;

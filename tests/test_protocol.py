@@ -1,5 +1,6 @@
 """Lifecycle protocol: records, trust database, node/BS state machines."""
 
+import hashlib
 import random
 
 import pytest
@@ -119,6 +120,15 @@ class TestAckRecord:
                 protocol.decode_ack_record(blob)
             assert e.value.reason == "malformed_record"
 
+    @pytest.mark.parametrize("wire_ids", [
+        [0xFFFF, 1, 0], [1, 0xFFFF, 0, 1, 0xFFFF, 0], [0xFFFF], [0],
+    ])
+    def test_roundtrip_edge_ids(self, wire_ids):
+        rec = protocol.encode_ack_record(b"\xff\x00", wire_ids)
+        ids = tuple(sorted(set(wire_ids)))
+        assert rec[2:-4] == b"".join(w.to_bytes(2, "big") for w in ids)
+        assert protocol.decode_ack_record(rec) == (b"\xff\x00", ids)
+
     def test_trust_list_two_bytes_per_node(self):
         blob = protocol.trust_list_bytes(range(1, 201))
         assert len(blob) == 400
@@ -148,14 +158,45 @@ class TestSecureMessage:
         b = protocol.encrypt_message(params, "x", b"hello", random.Random(42))
         assert a == b
 
+    # sha256 of a seeded three-block blob (16 + 16 + 8 bytes), per profile
+    FRAMING_DIGESTS = {
+        "toy": "826e3c280544c08f93064d71c92fa78cfc2302ee1dd331aa6cdfaa732875edb8",
+        "demo": "712dbcd2e7d8a22b85ac3911f824e1c5db33f9dbd0907d0f3080424d772f8df4",
+    }
+
+    @pytest.mark.parametrize("profile", ["toy", "demo"])
+    def test_three_block_blob_pinned(self, profile):
+        params, master = ibe.setup(ibe.SecurityConfig.from_profile(profile, seed=7))
+        message = bytes(range(40))
+        blob = protocol.encrypt_message(params, "node-001", message, random.Random(9))
+        cs, block = params.curve.coord_size, params.block_bytes
+        assert int.from_bytes(blob[0:2], "big") == 3
+        assert len(blob) == 2 + 3 * (2 * cs + block + 2) + len(message)
+        assert hashlib.sha256(blob).hexdigest() == self.FRAMING_DIGESTS[profile]
+        key = ibe.extract(params, master, "node-001")
+        assert protocol.decrypt_message(params, key, blob) == message
+
     def test_structural_rejects(self, toy_params):
         params, master = toy_params
         key = ibe.extract(params, master, "node-001")
         good = protocol.encrypt_message(params, "node-001", b"abc", random.Random(1))
-        for blob in (b"", b"\x00\x00", good[:-2], good + b"x"):
+        wlen_at = 2 + 2 * params.curve.coord_size + params.block_bytes
+        too_long = (params.block_bytes + 1).to_bytes(2, "big")
+        cases = [
+            (b"", "missing block count"),
+            (b"\x01", "missing block count"),
+            (b"\x00\x00", "zero blocks"),
+            (good[:wlen_at], "truncated block"),
+            (b"\x00\x02" + good[2:], "truncated block"),
+            (good[:-2], "bad chunk length"),
+            (good[:wlen_at] + too_long + good[wlen_at + 2:], "bad chunk length"),
+            (good[:wlen_at] + too_long + bytes(params.block_bytes + 1), "bad chunk length"),
+            (good + b"x", "trailing bytes"),
+        ]
+        for blob, detail in cases:
             with pytest.raises(Reject) as e:
                 protocol.decrypt_message(params, key, blob)
-            assert e.value.reason == "malformed_ciphertext"
+            assert (e.value.reason, e.value.detail) == ("malformed_ciphertext", detail)
 
     def test_tamper_never_silently_accepted(self, toy_params):
         """Any flipped byte either rejects or changes the plaintext."""
@@ -432,6 +473,23 @@ class TestTrustedAuthentication:
         assert e.value.reason == "stale_nonce"
         assert node.phase == protocol.TA
         assert node.trust_list == ()
+
+    def test_ack_installs_only_registered_ids(self, toy_params):
+        bs = make_bs(toy_params)
+        # registered against name order, so the list is sorted by name
+        # rather than kept in wire order
+        nodes = [provision_ready(bs, name) for name in ("n-c", "n-a", "n-b")]
+        node = nodes[0]
+        rng = random.Random(19)
+        node.power_on()
+        protocol.ta_request(node, rng)
+        wires = [9, nodes[2].wire_id, 0xFFFF, nodes[1].wire_id, node.wire_id, 4]
+        assert 4 not in bs.registry and 9 not in bs.registry
+        ack = protocol.encode_ack_record(node.pending_nonce, wires)
+        blob = protocol.encrypt_message(bs.params, "n-c", ack, rng)
+        protocol.node_handle_ack(node, codec.fragment(node.wire_id, bs.wire_id, blob))
+        assert node.phase == protocol.TRUSTED
+        assert node.trust_list == ("n-a", "n-b", "n-c")
 
     def test_replayed_ack_after_success(self, toy_params):
         bs = make_bs(toy_params)
