@@ -32,21 +32,14 @@ def measure(image: bytes) -> str:
 
 
 def trust_value(digest: str, offset: int) -> str:
-    """Cut the 8-character trust value out of a digest.  The offset is
-    BootChain's, checked when the chain is built."""
-    if len(digest) != 64:
-        raise ConfigError("digest must be 64 hex characters")
+    """Cut the 8-character trust value out of a 64-character digest.
+    The offset is BootChain's, checked when the chain is built."""
     return digest[offset : offset + TRUST_VALUE_LEN]
 
 
 @dataclass
-class BootImage:
-    data: bytes
-
-
-@dataclass
 class BootChain:
-    images: list[BootImage]
+    images: list[bytes]
     reference_digests: tuple[str, ...]  # levels 2..N, held with level 1
     trust_offset: int = DEFAULT_TRUST_OFFSET
 
@@ -61,7 +54,7 @@ class BootChain:
     @classmethod
     def from_images(cls, blobs: list[bytes], trust_offset: int = DEFAULT_TRUST_OFFSET):
         """Build a chain whose references match the given images (provisioning)."""
-        return cls(images=[BootImage(b) for b in blobs],
+        return cls(images=list(blobs),
                    reference_digests=tuple(measure(b) for b in blobs[1:]),
                    trust_offset=trust_offset)
 
@@ -82,7 +75,7 @@ def verify_level(chain: BootChain, k: int) -> int:
         raise ConfigError(f"level {k} outside chain of depth {len(chain.images)}")
     if k == 1:
         return 1
-    return 1 if measure(chain.images[k - 1].data) == chain.reference_digests[k - 2] else 0
+    return 1 if measure(chain.images[k - 1]) == chain.reference_digests[k - 2] else 0
 
 
 def boot(chain: BootChain) -> BootResult:

@@ -121,11 +121,6 @@ class Curve:
             return False
         return y * y % self.p == (x * x * x + 1) % self.p
 
-    def neg(self, P: Point) -> Point:
-        if P is None:
-            return None
-        return (P[0], -P[1] % self.p)
-
     def in_subgroup(self, P: Point) -> bool:
         """True when P is a finite curve point of order q.
 
@@ -181,15 +176,15 @@ class Curve:
         return (X3, (r * (V - X3) - Y * HHH) % p, Z * H % p), r
 
     def mul(self, k: int, P: Point) -> Point:
-        """kP by left-to-right double-and-add in Jacobian coordinates,
-        with one inversion to return to affine.  Two fixed bases read a
-        kept comb instead (_comb_table): the generator, for 0 <= k < q,
-        from its first such mul on; an identity point, from its second
-        mul on and for any k, when q has more than 32 bits.  A comb
-        reduces k mod q, so the generator's bound keeps mul(q, P), and
-        with it in_subgroup of a generator not yet checked, on the
+        """kP for k >= 0 by left-to-right double-and-add in Jacobian
+        coordinates, with one inversion to return to affine.  Two fixed
+        bases read a kept comb instead (_comb_table): the generator, for
+        k < q, from its first such mul on; an identity point, from its
+        second mul on and for any k, when q has more than 32 bits.  A
+        comb reduces k mod q, so the generator's bound keeps mul(q, P),
+        and with it in_subgroup of a generator not yet checked, on the
         plain loop, where a generator of order 2q fails."""
-        if P is not None and P == self.generator and 0 <= k < self.q:
+        if P is not None and P == self.generator and k < self.q:
             comb = self._generator_comb
             if comb is None:
                 comb = self._generator_comb = self._comb_table(
@@ -202,8 +197,6 @@ class Curve:
                     comb = self._combs[P] = self._comb_table(P, self._comb_teeth)
                 return self._mul_comb(k, comb)
             self._combs[P] = None
-        if k < 0:
-            k, P = -k, self.neg(P)
         if k == 0 or P is None:
             return None
         T = (P[0], P[1], 1)

@@ -7,9 +7,11 @@ transmit and receive.  Each simulated node owns a ledger of entries
 (category, joules, note, quantity) and no times: the report reads only
 sums.  The constants are checked once, by EnergyConstants; the ledger
 and the airtime formulas take the categories and amounts that callers
-derive from them as given.  Category totals are correctly rounded sums (math.fsum), so they
-do not depend on the order of the entries, and together they conserve
-the sum of the ledger's entries to within one rounding per category.
+derive from them as given.  Category, ta-only and per-node totals are
+correctly rounded sums (math.fsum), so they depend neither on the order
+of the entries nor on the Python version (3.12 made builtin sum of
+floats compensated), and the category totals conserve the sum of the
+ledger's entries to within one rounding per category.
 
 The report renders three tables: per-process energies derived from the
 constants, communication legs with both the simulator's true on-air
@@ -256,13 +258,12 @@ def build_report(
         for category in ("tx", "rx"):
             for note, (j, qty) in led.totals_by_note(category).items():
                 comm_rows.append((name, f"{category}:{note}", qty, j))
-        ta = sum(
+        ta_totals[name] = math.fsum(
             e.joules
             for e in led.events
             if e.category in ("boot", "switch", "encrypt")
             or (e.category in ("tx", "rx") and e.note.startswith("ta"))
         )
-        ta_totals[name] = ta
     nominal_rows = [
         ("ta request tx", NOMINAL_TA_TX_BYTES, e_comm(NOMINAL_TA_TX_BYTES, 0, constants)),
         ("ta ack rx", NOMINAL_TA_RX_BYTES, e_comm(0, NOMINAL_TA_RX_BYTES, constants)),
@@ -333,7 +334,7 @@ def render_text(report: EnergyReport) -> str:
         [
             [n]
             + [report.per_node[n][c] * 1e3 for c in CATEGORIES]
-            + [sum(report.per_node[n].values()) * 1e3, report.ta_totals[n] * 1e3]
+            + [math.fsum(report.per_node[n].values()) * 1e3, report.ta_totals[n] * 1e3]
             for n in sorted(report.per_node)
         ],
     )

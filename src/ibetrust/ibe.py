@@ -162,17 +162,10 @@ def hash_to_scalar(q: int, data: bytes) -> int:
     return int.from_bytes(hashlib.sha256(data).digest(), "big") % (q - 1) + 1
 
 
-def encrypt(
-    params: PublicParams,
-    identity: str,
-    message: bytes,
-    rng: random.Random | None = None,
-    sigma: bytes | None = None,
-) -> Ciphertext:
-    """Encrypt one block (at most n/8 bytes) to an identity.
-
-    sigma is the n-bit commitment seed, normally drawn from rng; tests
-    may pass it explicitly to pin the whole ciphertext.
+def encrypt(params: PublicParams, identity: str, message: bytes,
+            rng: random.Random) -> Ciphertext:
+    """Encrypt one block (at most n/8 bytes) to an identity, under a
+    fresh n-bit commitment seed sigma drawn from rng.
 
     The hashes are written out here and in decrypt, one block per call:
     r = H3(sigma, m) = hash_to_scalar(q, sigma | m),
@@ -183,12 +176,7 @@ def encrypt(
     block = params.block_bytes
     if len(message) > block:
         raise ValueError(f"message over {block} bytes, chunk it first")
-    if sigma is None:
-        if rng is None:
-            raise ValueError("need an rng when sigma is not fixed")
-        sigma = rng.randbytes(block)
-    elif len(sigma) != block:
-        raise ValueError("sigma must be exactly one block")
+    sigma = rng.randbytes(block)
     sha256 = hashlib.sha256
     r = int.from_bytes(sha256(sigma + message).digest(), "big") % (params.q - 1) + 1
     curve = params.curve
@@ -208,20 +196,20 @@ def decrypt(params: PublicParams, key: PrivateKey, ct: Ciphertext) -> bytes:
     """Decrypt one block; raises Reject unless the ciphertext re-encrypts
     to itself under the recovered seed.
 
-    U is only checked to be a finite curve point.  The re-encryption
-    check accepts only U = r*P, which has order q, so it also proves U
-    is in the subgroup (Fujisaki-Okamoto); a U outside it fails with
-    fo_mismatch.  The pairing cannot fail on such a U: a line or
-    vertical of the Miller loop vanishes at the distorted image only
-    when xU = 0, and (0, +-1) lies on no line through multiples of d.
+    The decoder, protocol.decrypt_message, gives a finite U, a V of one
+    block and a W of at most one; U is only checked to be a curve point.
+    The re-encryption check accepts only U = r*P, which has order q, so
+    it also proves U is in the subgroup (Fujisaki-Okamoto); a U outside
+    it fails with fo_mismatch.  The pairing cannot fail on such a U: a
+    line or vertical of the Miller loop vanishes at the distorted image
+    only when xU = 0, and (0, +-1) lies on no line through multiples
+    of d.
     """
     curve = params.curve
     u, v, w = ct.u, ct.v, ct.w
-    if u is None or not curve.contains(u):
+    if not curve.contains(u):
         raise Reject("malformed_point")
     block = params.block_bytes
-    if len(v) != block or len(w) > block:
-        raise Reject("malformed_ciphertext")
     sha256 = hashlib.sha256
     x, y = curve.pairing(key.point, u)
     cs = curve.coord_size
@@ -240,15 +228,14 @@ def decrypt(params: PublicParams, key: PrivateKey, ct: Ciphertext) -> bytes:
 
 
 def point_to_bytes(params: PublicParams, P: Point) -> bytes:
-    if P is None:
-        raise ValueError("cannot serialize the point at infinity")
+    """Fixed-width x | y of a finite point."""
     w = params.curve.coord_size
     return P[0].to_bytes(w, "big") + P[1].to_bytes(w, "big")
 
 
 def point_from_bytes(params: PublicParams, data: bytes) -> Point:
     """Decode point_to_bytes' fixed-width x | y layout.  No curve or
-    subgroup check: callers validate (decrypt for U, ake.respond for R)."""
+    subgroup check: ake.respond validates the R it decodes."""
     w = params.curve.coord_size
     if len(data) != 2 * w:
         raise ValueError(f"point encoding must be {2 * w} bytes")

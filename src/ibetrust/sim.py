@@ -307,9 +307,10 @@ def bundled_scenarios() -> list[str]:
 
 
 def load_scenario(source: str) -> Scenario:
-    """Load a scenario from a file path or a bundled scenario name."""
+    """Load a scenario from a file path or a bundled scenario name.  A
+    directory is neither; "" names the working directory."""
     path = Path(source)
-    if path.exists():
+    if path.exists() and not path.is_dir():
         try:
             return parse_scenario(path.read_text(encoding="utf-8"), name=path.name)
         except UnicodeDecodeError as exc:
@@ -517,8 +518,7 @@ class Simulation:
             node = protocol.dp_provision(self.bs, spec.id, chain, constants)
             protocol.pdp_register(self.bs, node)
             if spec.tamper_level is not None:
-                image = node.chain.images[spec.tamper_level - 1]
-                image.data += b"\x00tampered"
+                node.chain.images[spec.tamper_level - 1] += b"\x00tampered"
                 self._note(0, f"{spec.id} image at level {spec.tamper_level} "
                               "tampered in the field")
             self.nodes[spec.id] = node
@@ -739,6 +739,5 @@ class Simulation:
 
 def run(scenario: Scenario, seed: int | None = None,
         constants: energy.EnergyConstants = energy.DEFAULT_CONSTANTS,
-        nonce_check: bool = True,
         keys: tuple[ibe.PublicParams, ibe.MasterKey] | None = None) -> SimReport:
-    return Simulation(scenario, seed, constants, nonce_check, keys).run()
+    return Simulation(scenario, seed, constants, keys=keys).run()

@@ -230,3 +230,15 @@ def full_encrypt(p, q, n, generator, master_pub, identity, message, sigma):
     pad = hashlib.sha256(sigma).digest()[: len(message)]
     W = bytes(a ^ b for a, b in zip(message, pad))
     return U, V, W
+
+
+class FixedSeed:
+    """A stand-in for ibe.encrypt's rng whose randbytes returns one
+    frozen seed, which pins the whole ciphertext."""
+
+    def __init__(self, sigma):
+        self.sigma = sigma
+
+    def randbytes(self, n):
+        assert n == len(self.sigma)
+        return self.sigma

@@ -15,6 +15,7 @@ from ibetrust.boot import BootChain, boot, trust_value, verify_level
 from ibetrust.curve import GT_ONE
 from ibetrust.errors import Reject
 
+from oracles import FixedSeed
 from vectors import (
     FO_EXHAUSTIVE_IDENTITY,
     FO_EXHAUSTIVE_MESSAGE,
@@ -137,7 +138,7 @@ def test_criterion_5_crypto_correctness(toy_setup, demo_setup):
     toy_params, toy_master = toy_setup
     toy_key = ibe.extract(toy_params, toy_master, FO_EXHAUSTIVE_IDENTITY)
     toy_ct = ibe.encrypt(toy_params, FO_EXHAUSTIVE_IDENTITY, FO_EXHAUSTIVE_MESSAGE,
-                         sigma=FO_EXHAUSTIVE_SIGMA)
+                         FixedSeed(FO_EXHAUSTIVE_SIGMA))
     flips_toy = _check_every_flip_rejected(toy_params, toy_key, toy_ct)
     demo_params, demo_master = demo_setup
     demo_key = ibe.extract(demo_params, demo_master, "node-001")
@@ -183,7 +184,7 @@ def test_criterion_7_secure_boot():
         tampered = []
         for level in (2, 3, 4):
             if pattern & (1 << (level - 2)):
-                chain.images[level - 1].data += b"!evil"
+                chain.images[level - 1] += b"!evil"
                 tampered.append(level)
         result = boot(chain)
         product = 1
@@ -215,7 +216,7 @@ def test_criterion_8_attack_suite():
     assert counts, "rejection log must be nonempty"
     for attack in report.attacks:
         assert counts.get(attack["detail"], 0) >= 1, attack
-    mutated = sim.run(sim.load_scenario("attacks"), nonce_check=False)
+    mutated = sim.Simulation(sim.load_scenario("attacks"), nonce_check=False).run()
     verdicts = {a["kind"]: a["verdict"] for a in mutated.attacks}
     assert verdicts["replay"] == "succeeded"
     print(f"criterion 8: PASS (4/4 attacks blocked, reasons {sorted(counts)}; "

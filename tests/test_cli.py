@@ -2,10 +2,17 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ibetrust import cli, ibe, sim
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(argv):
@@ -53,6 +60,31 @@ class TestRun:
         rc = run_cli(["run", "--scenario", "no-such-file.json"])
         assert rc == 2
         assert "neither a file nor a bundled name" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["", ".", "dir"])
+    def test_directory_is_not_a_scenario(self, tmp_path, monkeypatch, capsys, source):
+        # "" names the working directory; a directory is skipped, so the
+        # name falls through to the bundled lookup and its ConfigError
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "dir").mkdir()
+        assert run_cli(["run", "--scenario", source]) == 2
+        assert "neither a file nor a bundled name" in capsys.readouterr().err
+
+    def test_directory_does_not_hide_a_bundled_name(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "demo").mkdir()
+        assert run_cli(["run", "--scenario", "demo"]) == 0
+        assert "simulation report: demo" in capsys.readouterr().out
+
+    def test_scenario_from_stdin(self):
+        scenario = {"profile": "toy", "nodes": [{"id": "n1", "images": ["loader", "kernel"]}],
+                    "events": []}
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run([sys.executable, "-m", "ibetrust", "run", "--scenario", "/dev/stdin"],
+                              input=json.dumps(scenario), capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "simulation report: stdin" in done.stdout
 
     def test_invalid_scenario_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -95,13 +95,10 @@ class TestGroupLaw:
         for k in range(0, 40):
             assert toy.mul(k, gen) == oracles.naive_mul(TOY_P, k, gen)
 
-    def test_negative_scalar(self, toy, gen):
-        assert toy.mul(-3, gen) == toy.neg(toy.mul(3, gen))
-
     def test_identity_and_inverse(self, toy, gen):
         assert toy.add(gen, None) == gen
         assert toy.add(None, gen) == gen
-        assert toy.add(gen, toy.neg(gen)) is None
+        assert toy.add(gen, (gen[0], -gen[1] % TOY_P)) is None
 
     def test_closure(self, toy, gen):
         rng = random.Random(2)
@@ -235,7 +232,6 @@ class TestDemoKernel:
         q = DEMO_Q
         ks = [0, 1, 2, q - 1, q, q + 1, 2 * q]
         ks += [rng.randrange(1, q) for _ in range(4)] + [rng.getrandbits(300)]
-        ks += [-k for k in ks[-5:]]
         for P in points[:2]:
             for k in ks:
                 assert demo.mul(k, P) == oracles.double_and_add(DEMO_P, k, P), k
@@ -393,10 +389,11 @@ class TestComb:
                 assert [toy._mul_comb(k, comb) for k in ks] == expected, (Q, teeth)
             # with 5 teeth the bases are 2^j * Q, and Q + 2Q + 16Q is infinity
             assert comb[0b10011] is None
-        # mul keeps no comb on toy, whose q needs one tooth: the plain loop
+        # mul keeps no comb on toy, whose q needs one tooth: the plain
+        # loop, for k >= 0
         curve = Curve(TOY_P, TOY_Q)
         curve.identity_points.add(Q)
-        assert [curve.mul(k, Q) for k in ks] == expected
+        assert [curve.mul(k, Q) for k in range(2 * TOY_Q + 1)] == expected[2 * TOY_Q:]
         assert curve._combs == {}
 
     def test_built_on_the_second_mul_of_an_identity_point(self):

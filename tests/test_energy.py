@@ -168,6 +168,26 @@ class TestReport:
         )
         assert report.ta_totals["node-001"] == pytest.approx(expected)
 
+    def test_ta_totals_are_correctly_rounded(self):
+        # builtin sum of floats is compensated only from CPython 3.12;
+        # math.fsum gives the report the same bytes on every version
+        led = energy.EnergyLedger()
+        for _ in range(10):
+            led.add("boot", 0.1)
+        assert energy.build_report({"n1": led}).ta_totals == {"n1": 1.0}
+
+    def test_node_total_is_correctly_rounded(self):
+        # one entry per category; their left-to-right float sum renders
+        # as 100.005 mJ, their correctly rounded sum as 100.004
+        figures = [0.008865, 0.015694, 0.01973, 0.017072, 0.017962, 0.019681, 0.0010005]
+        led = energy.EnergyLedger()
+        for category, joules in zip(energy.CATEGORIES, figures):
+            led.add(category, joules)
+        text = energy.render_text(energy.build_report({"n1": led}))
+        rows = text.split("per-node totals (millijoules)\n")[1].splitlines()
+        header, row = rows[0].split(), rows[2].split()
+        assert row[header.index("total")] == "100.004"
+
     def test_trustid_sizing(self):
         report = energy.build_report({}, trusted_count=200)
         assert report.trustid_payload_bytes == 400

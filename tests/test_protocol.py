@@ -261,7 +261,7 @@ class TestProvisioning:
     def test_pdp_boot_failure(self, toy_params):
         bs = make_bs(toy_params)
         node = protocol.dp_provision(bs, "node-001", BootChain.from_images([b"loader", b"kernel"]))
-        node.chain.images[1].data = b"tampered"
+        node.chain.images[1] = b"tampered"
         with pytest.raises(Reject) as e:
             protocol.pdp_register(bs, node)
         assert e.value.reason == "boot_failure"
@@ -306,7 +306,7 @@ class TestTrustedAuthentication:
     def test_halted_node_cannot_request(self, toy_params):
         bs = make_bs(toy_params)
         node = provision_ready(bs, "node-001")
-        node.chain.images[1].data = b"evil"
+        node.chain.images[1] = b"evil"
         node.power_on()
         assert node.phase == protocol.HALTED
         with pytest.raises(Reject):

@@ -476,7 +476,7 @@ class TestAttacks:
 
     def test_nonce_check_is_load_bearing(self):
         """Disabling the replay defence must flip the verdict."""
-        report = sim.run(sim.load_scenario("attacks"), nonce_check=False)
+        report = sim.Simulation(sim.load_scenario("attacks"), nonce_check=False).run()
         verdicts = {a["kind"]: a["verdict"] for a in report.attacks}
         assert verdicts["replay"] == "succeeded"
         assert verdicts["modify"] == "blocked"
