@@ -18,7 +18,12 @@ inner loops avoid it (Cohen-Miyaji-Ono, ASIACRYPT 1998).  Scalar
 multiplication and the Miller loop keep their running point in Jacobian
 coordinates, (X, Y, Z) standing for (X/Z^2, Y/Z^3): a doubling or an
 addition of an affine point is a handful of multiplications, and mul
-inverts once at the end to return an affine point.
+inverts once at the end to return an affine point.  A 512-by-256-bit
+reduction mod p costs more than a 256-bit product, so a doubling is
+written with six reductions (Bernstein-Lange, Explicit-Formulas
+Database).  On the demo profile the plain loop reads its scalar in
+non-adjacent form (Morain-Olivos, 1990), adding P or -P, so a dense
+160-bit scalar is about 53 additions instead of 80.
 
 Two kinds of point are the base of many scalar mults: the generator P
 (rP in encryption and in the re-encryption check) and an identity point
@@ -142,17 +147,21 @@ class Curve:
     # is infinity.  Neither step inverts.
 
     def _double(self, T: Jacobian) -> tuple[Jacobian, int]:
-        """2T by the a = 0 doubling, and 3X^2, the numerator of the
-        tangent slope 3X^2 / (2YZ).  Y = 0 (order 2) gives Z = 0."""
+        """2T by the a = 0 doubling, and E = 3X^2, the numerator of the
+        tangent slope 3X^2 / (2YZ).  Y = 0 (order 2) gives Z = 0.
+
+        With D = 4XY^2: X3 = E^2 - 2D, Y3 = E(D - X3) - 8Y^4 and
+        Z3 = 2YZ.  Y^4 is left unreduced inside Y3's one reduction, so
+        a doubling is six reductions mod p, which cost more than the
+        products they reduce; the values are those of the dbl-2009-l
+        formula (Bernstein-Lange, Explicit-Formulas Database)."""
         p = self.p
         X, Y, Z = T
-        XX = X * X % p
         YY = Y * Y % p
-        YYYY = YY * YY % p
-        D = 2 * ((X + YY) ** 2 - XX - YYYY) % p
-        E = 3 * XX % p
+        D = 4 * X * YY % p
+        E = 3 * X * X % p
         X3 = (E * E - 2 * D) % p
-        return (X3, (E * (D - X3) - 8 * YYYY) % p, 2 * Y * Z % p), E
+        return (X3, (E * (D - X3) - 8 * YY * YY) % p, 2 * Y * Z % p), E
 
     def _add_affine(self, T: Jacobian, A: tuple[int, int]) -> tuple[Jacobian, int]:
         """T + A for finite affine A (mixed addition), and r, the numerator
@@ -177,13 +186,24 @@ class Curve:
 
     def mul(self, k: int, P: Point) -> Point:
         """kP for k >= 0 by left-to-right double-and-add in Jacobian
-        coordinates, with one inversion to return to affine.  Two fixed
-        bases read a kept comb instead (_comb_table): the generator, for
-        k < q, from its first such mul on; an identity point, from its
-        second mul on and for any k, when q has more than 32 bits.  A
-        comb reduces k mod q, so the generator's bound keeps mul(q, P),
-        and with it in_subgroup of a generator not yet checked, on the
-        plain loop, where a generator of order 2q fails."""
+        coordinates, with one inversion to return to affine.  When q
+        has more than 32 bits (demo), k is read in non-adjacent form
+        (Morain-Olivos, 1990): digits in {-1, 0, 1}, no two nonzero
+        digits adjacent, and a digit -1 adds -P = (x, -y).  A dense
+        160-bit k then costs about 53 mixed additions instead of about
+        80, for at most one more doubling; q keeps its 159 doublings
+        and 5 additions, and the cofactor its 96 and 3.  The toy
+        profile's scalars are below 2^5, where signed digits only cost
+        (12 = 1100 becomes 1 0 -1 0 0, one doubling more), so there k
+        keeps its binary digits.
+
+        Two fixed bases read a kept comb instead (_comb_table): the
+        generator, for k < q, from its first such mul on; an identity
+        point, from its second mul on and for any k, when q has more
+        than 32 bits.  A comb reduces k mod q, so the generator's bound
+        keeps mul(q, P), and with it in_subgroup of a generator not yet
+        checked, on the plain loop, where a generator of order 2q
+        fails."""
         if P is not None and P == self.generator and k < self.q:
             comb = self._generator_comb
             if comb is None:
@@ -199,11 +219,26 @@ class Curve:
             self._combs[P] = None
         if k == 0 or P is None:
             return None
+        # the digits after the leading one; "2" stands for -1 and
+        # occurs only in the signed digits, which set neg = -P
+        digits = bin(k)[3:]
+        if self._comb_teeth > 1:
+            # the non-adjacent form's digits +1 are the bits of 3k that
+            # k lacks, and its digits -1 those of k that 3k lacks, each
+            # shifted down one place.  No place holds both, so their
+            # binary digits, read as hexadecimal, add without a carry,
+            # and 2 * minus puts a "2" at each digit -1
+            h = 3 * k
+            plus, minus = (h & ~k) >> 1, (k & ~h) >> 1
+            digits = f"{int(f'{plus:b}', 16) + 2 * int(f'{minus:b}', 16):x}"[1:]
+            neg = (P[0], -P[1] % self.p)
         T = (P[0], P[1], 1)
-        for bit in bin(k)[3:]:
+        for digit in digits:
             T = self._double(T)[0]
-            if bit == "1":
+            if digit == "1":
                 T = self._add_affine(T, P)[0]
+            elif digit == "2":
+                T = self._add_affine(T, neg)[0]
         return self._to_affine(T)
 
     def _comb_table(self, Q: tuple[int, int], teeth: int) -> dict[int, Point]:

@@ -67,6 +67,32 @@ def double_and_add(p, k, P):
     return R
 
 
+def non_adjacent_form(k):
+    """The digits of k > 0 in non-adjacent form, top digit first, by the
+    textbook right-to-left recoding: an odd k takes the digit 2 - k mod 4."""
+    digits = []
+    while k:
+        d = 2 - k % 4 if k & 1 else 0
+        digits.append(d)
+        k = (k - d) // 2
+    return digits[::-1]
+
+
+def jacobian_double(p, T):
+    """2T for T = (X, Y, Z) on an a = 0 curve in Jacobian coordinates by
+    dbl-2009-l (Bernstein-Lange, Explicit-Formulas Database), reducing
+    after every product, and E = 3X^2, the tangent slope's numerator."""
+    X, Y, Z = T
+    A = X * X % p
+    B = Y * Y % p
+    C = B * B % p
+    D = 2 * ((X + B) ** 2 - A - C) % p
+    E = 3 * A % p
+    F = E * E % p
+    X3 = (F - 2 * D) % p
+    return (X3, (E * (D - X3) - 8 * C) % p, 2 * Y * Z % p), E
+
+
 def map_to_point(p, q, identity):
     """Identity to order-q point: sha256 -> y, cube root -> x, clear cofactor."""
     cofactor = (p + 1) // q

@@ -45,6 +45,18 @@ def assert_loaders_reject(gen, bad):
             ibe.params_from_bytes(blob)
 
 
+def counting(curve):
+    """Shadow curve's Jacobian steps on the instance; the returned dict
+    counts the calls to each."""
+    counts = {"_double": 0, "_add_affine": 0}
+    for name in counts:
+        def counted(*args, step=getattr(curve, name), name=name):
+            counts[name] += 1
+            return step(*args)
+        setattr(curve, name, counted)
+    return counts
+
+
 class TestPrimality:
     def test_small_numbers(self):
         primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53}
@@ -239,11 +251,34 @@ class TestDemoKernel:
         assert demo.mul(5, None) is None
 
     def test_mul_outside_subgroup(self, demo):
-        # an uncleared point, and the points of order 2 and 3
+        # an uncleared point, and the points of order 2 and 3, by sparse
+        # and by dense scalars, whose signed digits add -P
+        rng = random.Random(17)
         U = demo.point_from_y(5)
+        ks = (1, 2, 3, 4, 5, 6, 7, demo.cofactor, DEMO_Q, DEMO_P + 1,
+              2**65 - 1, 2**159 - 1, rng.getrandbits(160) | 1 << 159,
+              rng.getrandbits(300) | 1 << 299)
         for P in (U, (DEMO_P - 1, 0), (0, 1), (0, DEMO_P - 1)):
-            for k in (1, 2, 3, 4, 5, 6, 7, demo.cofactor, DEMO_Q, DEMO_P + 1):
+            for k in ks:
                 assert demo.mul(k, P) == oracles.double_and_add(DEMO_P, k, P), (P, k)
+        # 2^65 - 1 is 1, 64 zeros, -1: infinity plus -(p - 1, 0), whose y
+        # is 0, not p
+        assert demo.mul(2**65 - 1, (DEMO_P - 1, 0)) == (DEMO_P - 1, 0)
+
+    def test_double_matches_dbl_2009_l(self, demo):
+        # Jacobian forms (xZ^2, yZ^3, Z) of seeded curve points, then
+        # Y = 0 (order 2) and Z = 0 (infinity)
+        rng = random.Random(18)
+        inputs = []
+        for _ in range(200):
+            x, y = demo.point_from_y(rng.randrange(DEMO_P))
+            Z = rng.randrange(1, DEMO_P)
+            inputs.append((x * Z * Z % DEMO_P, y * Z**3 % DEMO_P, Z))
+        Z = rng.randrange(1, DEMO_P)
+        inputs += [((DEMO_P - 1) * Z * Z % DEMO_P, 0, Z), (1, 1, 0),
+                   (rng.randrange(DEMO_P), rng.randrange(DEMO_P), 0)]
+        for T in inputs:
+            assert demo._double(T) == oracles.jacobian_double(DEMO_P, T), T
 
     def test_pairing_matches_divisor_oracle(self, demo, points):
         for A, B in ((points[0], points[1]), (points[2], points[3])):
@@ -313,7 +348,6 @@ class TestDemoKernel:
         identity = Curve(DEMO_P, DEMO_Q)
         identity.identity_points.add(Q)
         rng = random.Random(25)
-        counts = {}
         for curve, base, doublings, additions in (
             (Curve(DEMO_P, DEMO_Q, P), P, 19, 20),
             (identity, Q, 31, 32),
@@ -321,11 +355,7 @@ class TestDemoKernel:
         ):
             curve.mul(1, base)
             curve.mul(1, base)  # an identity point's comb comes with its second mul
-            for name in ("_double", "_add_affine"):
-                def counted(*args, step=getattr(curve, name), name=name):
-                    counts[name] += 1
-                    return step(*args)
-                setattr(curve, name, counted)
+            counts = counting(curve)
             most = {"_double": 0, "_add_affine": 0}
             for k in [rng.randrange(curve.q) for _ in range(50)]:
                 counts.update(_double=0, _add_affine=0)
@@ -346,6 +376,51 @@ class TestDemoKernel:
             assert cold.pairing_count == 1
         # eight of the ten calls on warm reused the lines of points[0] or [1]
         assert set(warm._lines) == {points[0], points[1]}
+
+
+class TestPlainLoop:
+    """mul's double-and-add loop, signed digits on demo and binary ones
+    on toy, counted by shadowing the Jacobian steps on the instance."""
+
+    def test_sparse_scalars_keep_their_counts(self):
+        curve = Curve(DEMO_P, DEMO_Q)
+        R = curve.subgroup_point(7)
+        counts = counting(curve)
+        # mul(q, R): q = 2^159 + 299 has weight 6, and so has its
+        # non-adjacent form, 2^159 + 2^8 + 2^6 - 2^4 - 2^2 - 1
+        assert curve.in_subgroup(R)
+        assert counts == {"_double": 159, "_add_affine": 5}
+        counts.update(_double=0, _add_affine=0)
+        # the cofactor 2^96 + 146 has weight 4 and no adjacent 1s
+        assert curve.subgroup_point(8) is not None
+        assert counts == {"_double": 96, "_add_affine": 3}
+
+    def test_dense_scalars_add_once_per_signed_digit(self):
+        curve = Curve(DEMO_P, DEMO_Q)
+        R = curve.subgroup_point(9)
+        counts = counting(curve)
+        rng = random.Random(26)
+        for _ in range(20):
+            k = rng.getrandbits(160) | 1 << 159
+            digits = oracles.non_adjacent_form(k)
+            weight = len(digits) - digits.count(0)
+            counts.update(_double=0, _add_affine=0)
+            assert curve.mul(k, R) == oracles.double_and_add(DEMO_P, k, R), k
+            assert counts == {"_double": len(digits) - 1, "_add_affine": weight - 1}, k
+            assert weight < bin(k).count("1"), k
+
+    def test_toy_scalars_keep_their_binary_digits(self):
+        curve = Curve(TOY_P, TOY_Q)
+        # a point of order p + 1 = 228 = 4 * 3 * 19, so that no k < 32
+        # meets P or -P on the way and every step is counted once
+        U = next(U for U in map(curve.point_from_y, range(TOY_P))
+                 if all(oracles.naive_mul(TOY_P, (TOY_P + 1) // f, U) for f in (2, 3, 19)))
+        counts = counting(curve)
+        for k in range(1, 32):
+            counts.update(_double=0, _add_affine=0)
+            assert curve.mul(k, U) == oracles.naive_mul(TOY_P, k, U), k
+            assert counts == {"_double": k.bit_length() - 1,
+                              "_add_affine": bin(k).count("1") - 1}, k
 
 
 class TestFixedBase:
