@@ -46,16 +46,19 @@ identity points keep none.
 Every pairing in the program has one argument that never changes (P,
 P_pub or a private key), and callers pass it first.  The Miller loop's
 points depend on that argument alone, so its lines are computed once,
-with every Z made affine by one batched inversion, cached on the Curve,
-and evaluated at each new second point (Scott, Pairing 2007;
+with every Z made affine by one batched inversion, cached on the Curve
+as four values a step (the slope, the affine result and the line's
+constant), and evaluated at each new second point (Scott, Pairing 2007;
 Costello-Stebila, LATINCRYPT 2010).  When the second point is an
 identity point (one of identity_points, which ibe.hash_to_point fills)
 the value itself never changes either, and it is kept: g_ID =
 e(P_pub, Q_ID) for encryption (Boneh-Franklin, CRYPTO 2001) and the
 AKE initiator's e(d_A, Q_B).  The final exponentiation starts with the
 Frobenius map, which is the conjugation (a + bz)^p = (a - b) - bz here
-(Barreto-Kim-Lynn-Scott, CRYPTO 2002).  _miller_lines says why a
-Miller step then costs three F_p products for its line and vertical.
+(Barreto-Kim-Lynn-Scott, CRYPTO 2002), and the whole final
+exponentiation sends every F_p factor to 1, so a line is kept at any
+F_p scale.  _miller_lines says why a Miller step then costs three F_p
+products and two reductions for its line and vertical.
 
 GT, the order-q subgroup of F_p^2* that pairings land in, has norm 1,
 so gt_pow raises an element to a power through its trace alone: a
@@ -423,9 +426,12 @@ class Curve:
         point.  Dividing by a vertical v is multiplying by its
         conjugate, since v * conj(v) is the norm, in F_p, and the final
         exponent (p^2 - 1)/q is a multiple of p - 1, so every c in F_p*
-        has c^(p-1) = 1; _miller_lines drops one more F_p factor per
-        step.  The last step is the chord through (q - 1)A = -A, the
-        vertical x = xA, and the vertical at qA = infinity is 1.
+        has c^(p-1) = 1; _evaluate negates each step's factor, -1
+        being in F_p too.  No step's factor is 0, since the slope and
+        the new x of each step are not (_miller_lines), so no step
+        zeroes f.  The last step is the chord through (q - 1)A = -A,
+        the vertical x = xA, and the vertical at qA = infinity is 1.
+        For B = (0, y) every factor is in F_p* and the pairing is 1.
 
         The final exponentiation, to (p^2 - 1)/q, puts the result in the
         order-q subgroup of F_p^2*.  It splits into (p - 1) and
@@ -447,7 +453,16 @@ class Curve:
 
     def _evaluate(self, A: tuple[int, int], B: tuple[int, int]) -> Fp2:
         """The Miller loop over A's lines at B, then the final
-        exponentiation."""
+        exponentiation.
+
+        Per step, f is squared on a doubling and multiplied by
+        g = ((X + x_new)(Y + c) + lam*X^2, X*(Y + y_new)), the negated
+        line and conjugated vertical at the distorted image of
+        B = (X, Y): three F_p products and two reductions, for the
+        lines (c, lam, x_new, y_new) of _miller_lines.  g is never 0:
+        lam and x_new are not, and when X = 0, g = (x_new*(Y + c), 0)
+        with Y + c not 0 either, so f stays in F_p* and the pairing
+        is 1."""
         p = self.p
         self.pairings_computed += 1
         lines = self._lines.get(A)
@@ -458,13 +473,13 @@ class Curve:
         XX = X * X % p
         a, b = 1, 0  # f = a + bz
         steps = iter(lines)
-        for doubling, s, u, x_new in zip(self._doublings, steps, steps, steps):
+        for doubling, c, lam, x_new, y_new in zip(self._doublings, steps, steps,
+                                                  steps, steps):
             if doubling:
                 a, b = (a - b) * (a + b) % p, b * (2 * a - b) % p
-            # g: the line times the conjugated vertical, over -lam
-            t = (Y * s + u) % p
-            g0 = ((X + x_new) * t + XX) % p
-            g1 = X * (t - x_new) % p
+            # g: the line times the conjugated vertical, negated
+            g0 = ((X + x_new) * (Y + c) + lam * XX) % p
+            g1 = X * (Y + y_new) % p
             ag = a * g0
             bg = b * g1
             a, b = (ag - bg) % p, ((a + b) * (g0 + g1) - ag - 2 * bg) % p
@@ -475,15 +490,17 @@ class Curve:
         return self.f2_pow(f, (p + 1) // self.q)
 
     def _miller_lines(self, A: tuple[int, int]) -> tuple[int, ...]:
-        """The Miller lines of A, flat: (1/lam, c/lam, x_new) per step of
-        self._doublings, then xA for the last chord, through -A.
+        """The Miller lines of A, flat: (c, lam, x_new, y_new) per step
+        of self._doublings, then xA for the last chord, through -A.
 
-        The line through T with slope lam is y + c - lam*x for
-        c = lam*xT - yT, and x_new is the x of the step's result.  The
-        points come from the Jacobian chain of _double and _add_affine,
-        whose slopes are numerator / Z_new; one batched inversion
-        (Montgomery's trick) makes every Z affine and inverts every
-        numerator, so 1/lam = Z_new / numerator.
+        (x_new, y_new) is the step's affine result and lam the slope of
+        its line, the tangent at T or the chord through T and A.  The
+        line meets the curve a third time at -(x_new, y_new), so it is
+        y + c - lam*x for c = lam*x_new + y_new.  The points come from
+        the Jacobian chain of _double and _add_affine, whose slopes are
+        numerator / Z_new; one batched inversion (Montgomery's trick)
+        covers the chain's Z's alone, one per step, and lam is the
+        numerator times 1/Z_new.
 
         At the distorted image (zX, Y) of B = (X, Y), with z^2 = -z - 1,
         the line times the conjugated vertical at the new point is
@@ -491,19 +508,24 @@ class Curve:
             ((Y + c) - lam*X*z) * (-(X + x_new) - X*z)
               = -((X + x_new)(Y + c) + X^2*lam, X*(Y + c - lam*x_new)),
 
-        and over -lam, with t = Y/lam + c/lam, it is
+        and c - lam*x_new = y_new, so negated it is
 
-            ((X + x_new)*t + X^2, X*(t - x_new)):
+            ((X + x_new)*(Y + c) + lam*X^2, X*(Y + y_new)):
 
-        three F_p products per step, Y*(1/lam) among them.  -lam is in
-        F_p, and the final exponentiation sends every F_p factor to 1
-        (Barreto-Kim-Lynn-Scott, CRYPTO 2002).  lam is never 0: the
-        tangent slope 3xT^2/(2yT) is 0 only at xT = 0, a point of order
-        3, and the chord slope through T and A only at yT = yA, which
-        makes xT = xA, since cubing is a bijection, so T = A.  For X = 0
-        every factor is in F_p and the pairing is 1.  None is 0: x_new
-        is not, and (0, +-1) lies on no line through multiples of A, so
-        t is not either.
+        three F_p products and two reductions per step.  -1 is in F_p,
+        and the final exponentiation sends every F_p factor to 1
+        (Barreto-Kim-Lynn-Scott, CRYPTO 2002).
+
+        The first factor is 0 only if lam*X = 0 and Y + c = 0, the
+        second only if X = 0 and x_new = 0, and neither happens.
+        lam is never 0: the tangent slope 3xT^2/(2yT) is 0 only at
+        xT = 0, a point of order 3, and the chord slope through T and
+        A only at yT = yA, which makes xT = xA, since cubing is a
+        bijection, so T = A.  x_new is never 0, since (0, +-1) has
+        order 3 and the step's result is a multiple of A.  For X = 0,
+        so B = (0, +-1), Y + c = 0 would put (0, -Y), of order 3, on
+        a line that meets the curve only at multiples of A; so
+        Y + c is not 0, every factor is in F_p* and the pairing is 1.
         """
         p = self.p
         T = (A[0], A[1], 1)
@@ -512,18 +534,16 @@ class Curve:
             T, num = self._double(T) if doubling else self._add_affine(T, A)
             chain.append(T)
             slopes.append(num)
-        n = len(chain)
-        invs = self._batch_inv([Z for _, _, Z in chain] + slopes)
         lines = []
-        xT, yT = A
-        for (X, Y, Z), zi, num_inv in zip(chain, invs[:n], invs[n:]):
-            s = Z * num_inv % p  # 1/lam
+        z_invs = self._batch_inv([Z for _, _, Z in chain])
+        for (X, Y, _), zi, num in zip(chain, z_invs, slopes):
+            lam = num * zi % p
             zi2 = zi * zi % p
             x_new = X * zi2 % p
-            lines += (s, (xT - yT * s) % p, x_new)
-            xT, yT = x_new, Y * zi2 * zi % p
+            y_new = Y * zi2 * zi % p
+            lines += ((lam * x_new + y_new) % p, lam, x_new, y_new)
         # T never reaches infinity, 2-torsion or A itself on the way to
         # (q - 1)A = -A, which holds for A of order q
-        assert (xT, yT) == (A[0], -A[1] % p)
+        assert (x_new, y_new) == (A[0], -A[1] % p)
         lines.append(A[0])
         return tuple(lines)

@@ -378,6 +378,51 @@ class TestDemoKernel:
         assert set(warm._lines) == {points[0], points[1]}
 
 
+@pytest.mark.parametrize("p, q", [(TOY_P, TOY_Q), (DEMO_P, DEMO_Q)], ids=["toy", "demo"])
+class TestMillerLines:
+    """The kept lines of a seeded order-q point A: (c, lam, x_new, y_new)
+    per Miller step, then xA."""
+
+    @staticmethod
+    def seeded_point(p, q, seed):
+        rng = random.Random(seed)
+        while True:
+            y = rng.randrange(p)
+            x = pow((y * y - 1) % p, (2 * p - 1) // 3, p)
+            A = oracles.double_and_add(p, (p + 1) // q, (x, y))
+            if A is not None:
+                return A
+
+    def test_layout(self, p, q):
+        curve = Curve(p, q)
+        A = self.seeded_point(p, q, 27)
+        lines = curve._miller_lines(A)
+        n = len(curve._doublings)
+        assert len(lines) == 4 * n + 1 and lines[-1] == A[0]
+        m = 1  # the step's multiple of A
+        for i, doubling in enumerate(curve._doublings):
+            c, lam, x_new, y_new = lines[4 * i:4 * i + 4]
+            m = 2 * m if doubling else m + 1
+            assert (x_new, y_new) == oracles.double_and_add(p, m, A), i
+            # (x_new, -y_new) is on the curve and on the line y + c - lam*x
+            assert ((-y_new) ** 2 - x_new**3 - 1) % p == 0, i
+            assert c == (lam * x_new + y_new) % p, i
+        assert m == q - 1
+
+    def test_one_batched_inversion_over_the_zs(self, p, q):
+        curve = Curve(p, q)
+        sizes = []
+
+        def counted(values, batch_inv=curve._batch_inv):
+            sizes.append(len(values))
+            return batch_inv(values)
+        curve._batch_inv = counted
+        for seed in (28, 29):
+            A = self.seeded_point(p, q, seed)
+            assert curve.pairing(A, A) == oracles.pairing(p, q, A, A)
+        assert sizes == [len(curve._doublings)] * 2
+
+
 class TestPlainLoop:
     """mul's double-and-add loop, signed digits on demo and binary ones
     on toy, counted by shadowing the Jacobian steps on the instance."""

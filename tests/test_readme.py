@@ -2,11 +2,13 @@
 
 import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
 from ibetrust import codec, ibe, protocol, sim
+from ibetrust.curve import Curve
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -86,3 +88,13 @@ def test_module_map_lists_every_module():
     package = Path(protocol.__file__).parent
     modules = {p.stem for p in package.glob("*.py")} - {"__init__", "__main__"}
     assert sorted(listed) == sorted(modules)
+
+
+def test_miller_line_size(text):
+    # the kept lines of one demo point: the tuple and the ints it holds,
+    # whose sizes CPython 3.10 to 3.13 agree on for 64-bit builds
+    curve = Curve(ibe.PROFILES["demo"]["p"], ibe.PROFILES["demo"]["q"])
+    lines = curve._miller_lines(curve.subgroup_point(5))
+    size = sys.getsizeof(lines) + sum(map(sys.getsizeof, lines))
+    claimed = int(re.search(r"about (\d+) KB each on the demo profile", text).group(1))
+    assert claimed == round(size / 1000)
