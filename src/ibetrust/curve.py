@@ -28,20 +28,24 @@ non-adjacent form (Morain-Olivos, 1990), adding P or -P, so a dense
 Two kinds of point are the base of many scalar mults: the generator P
 (rP in encryption and in the re-encryption check) and an identity point
 Q (one of identity_points, the base of the key exchange's r*Q and h*Q).
-Each keeps a comb (Lim-Lee, CRYPTO 1994): with t teeth and a =
-ceil(bits(q) / t) columns, the sums of the bases 2^(a*j) * Q over every
+Each keeps a comb (Lim-Lee, CRYPTO 1994): with t teeth of a =
+ceil(bits(q) / t) bits, the sums of the bases 2^(a*j) * Q over every
 set of teeth, made affine by one batched inversion, so that kQ is at
-most a - 1 doublings and a mixed additions.  P's comb has min(8,
-bits(q)) teeth and is built on P's first mul: on the demo profile that
-is 255 points (about 16 KB of coordinates) and at most 19 doublings and
-20 additions per rP; on the toy profile, i*P for i < 32 and at most
-one addition.  Q's comb has one tooth per 32 bits of q and is built on Q's
-second mul, since the first, extract at provisioning, runs the plain
-loop and a point multiplied only once should not pay for a comb.  On
-the demo profile that is 31 points (about 2 KB) and kQ is at most 31
-doublings and 32 additions.  The toy profile's q has 5 bits, and a
-one-tooth comb would be the plain loop with more bookkeeping, so toy
-identity points keep none.
+most a - 1 doublings and a mixed additions.  A second table, the first
+one's entries times 2^(a/2), halves the doublings: kQ is then at most
+a/2 - 1 doublings and still a additions.  P's comb has min(8, bits(q))
+teeth and is built on P's first mul: on the demo profile two tables of
+255 points (about 32 KB of coordinates) and at most 9 doublings and 20
+additions per rP; on the toy profile one table, i*P for i < 32, and at
+most one addition.  Q's comb has one tooth per 32 bits of q and one
+table, and is built on Q's second mul, since the first, extract at
+provisioning, runs the plain loop and a point multiplied only once
+should not pay for a comb; a comb built inside a key exchange costs
+its session, so Q's has no second table.  On the demo profile that is
+31 points (about 2 KB) and kQ is at most 31 doublings and 32
+additions.  The toy profile's q has 5 bits, and a one-tooth comb would
+be the plain loop with more bookkeeping, so toy identity points keep
+none.
 
 Every pairing in the program has one argument that never changes (P,
 P_pub or a private key), and callers pass it first.  The Miller loop's
@@ -60,11 +64,16 @@ exponentiation sends every F_p factor to 1, so a line is kept at any
 F_p scale.  _miller_lines says why a Miller step then costs three F_p
 products and two reductions for its line and vertical.
 
-GT, the order-q subgroup of F_p^2* that pairings land in, has norm 1,
-so gt_pow raises an element to a power through its trace alone: a
-Lucas ladder of two F_p products per exponent bit, then one inversion
-to recover the element (Scott-Barreto, "Compressed pairings", CRYPTO
-2004).  f2_pow, plain square-and-multiply, is for the rest of F_p^2.
+GT, the order-q subgroup of F_p^2* that pairings land in, is where
+gt_pow raises kept values to a power, and a kept value is a fixed base
+too.  On the demo profile each base keeps a comb with the identity
+combs' teeth, 32 entries built on its first power, so that a power is
+31 squarings and at most 31 products in F_p^2, about 155 F_p products.
+On the toy profile gt_pow uses that GT has norm 1 and raises an element
+through its trace alone: a Lucas ladder of two F_p products per
+exponent bit, then one inversion to recover the element (Scott-Barreto,
+"Compressed pairings", CRYPTO 2004).  f2_pow, plain square-and-multiply,
+is for the rest of F_p^2.
 """
 
 from __future__ import annotations
@@ -72,6 +81,9 @@ from __future__ import annotations
 Fp2 = tuple[int, int]
 Point = tuple[int, int] | None
 Jacobian = tuple[int, int, int]
+# a point comb (Curve._comb_table): its columns b, one mask per table,
+# and the entries of every table, keyed by their spread bit patterns
+_Comb = tuple[int, tuple[int, ...], dict[int, Point]]
 
 GT_ONE: Fp2 = (1, 0)
 
@@ -87,14 +99,17 @@ class Curve:
         self.q = q
         self.cofactor = (p + 1) // q
         # the fixed base of mul; its comb (_comb_table), min(8, bits(q))
-        # teeth, is built on first use
+        # teeth in two tables (one on toy), is built on first use
         self.generator = generator
-        self._generator_comb: dict[int, Point] | None = None
+        self._generator_comb: _Comb | None = None
         # identity point -> its comb, one tooth per 32 bits of q; None
         # after the point's first mul, which runs the plain loop.  A q
         # of at most 32 bits (toy) keeps no combs
         self._comb_teeth = (q.bit_length() + 31) // 32
-        self._combs: dict[Point, dict[int, Point] | None] = {}
+        self._combs: dict[Point, _Comb | None] = {}
+        # gt_pow's base -> its comb, with the identity combs' teeth;
+        # none on toy, whose powers keep the Lucas ladder
+        self._gt_combs: dict[Fp2, tuple[int, int, dict[int, Fp2]]] = {}
         # inverse of cubing: (x^3)^e = x for e = (2p-1)/3
         self.cube_root_exp = (2 * p - 1) // 3
         self.coord_size = (p.bit_length() + 7) // 8
@@ -211,7 +226,7 @@ class Curve:
             comb = self._generator_comb
             if comb is None:
                 comb = self._generator_comb = self._comb_table(
-                    P, min(8, self.q.bit_length()))
+                    P, min(8, self.q.bit_length()), 2 if self._comb_teeth > 1 else 1)
             return self._mul_comb(k, comb)
         if self._comb_teeth > 1 and P in self.identity_points:
             if P in self._combs:
@@ -244,42 +259,60 @@ class Curve:
                 T = self._add_affine(T, neg)[0]
         return self._to_affine(T)
 
-    def _comb_table(self, Q: tuple[int, int], teeth: int) -> dict[int, Point]:
-        """The comb of a point Q of order q (Lim-Lee, CRYPTO 1994): with
-        a = ceil(bits(q) / teeth) columns and the bases B_j = 2^(a*j) * Q,
-        the sum of the B_j over each set of teeth, keyed by its spread
-        bit pattern, the sum of 2^(a*j) over those j; affine, None for
-        the empty set and for a sum that is infinity.  Both the bases
-        and the sums are made affine by one batched inversion each."""
+    def _comb_geometry(self, teeth: int, tables: int) -> tuple[int, tuple[int, ...]]:
+        """A comb's columns b and masks, one per table.  Each tooth
+        covers a = ceil(bits(q) / teeth) bits, rounded up to a = tables*b
+        for b = ceil(a / tables) columns, and table t's mask is the sum
+        of 2^(a*j + b*t) over the teeth j."""
         a = -(-self.q.bit_length() // teeth)
+        b = -(-a // tables)
+        a = tables * b
+        mask = ((1 << a * teeth) - 1) // ((1 << a) - 1)
+        return b, tuple(mask << b * t for t in range(tables))
+
+    def _comb_table(self, Q: tuple[int, int], teeth: int, tables: int = 1) -> _Comb:
+        """The comb of a point Q of order q (Lim-Lee, CRYPTO 1994), with
+        the columns b and masks of _comb_geometry: the bases
+        B_i = 2^(b*i) * Q for i < teeth * tables and, for each table t,
+        the sum of the B_i with i = t (mod tables) over each set of
+        teeth, keyed by its spread bit pattern, the sum of 2^(b*i) over
+        those i.  The tables share the empty set's key 0.  Entries are
+        affine, None for the empty set and for a sum that is infinity;
+        the bases and the sums are made affine by one batched inversion
+        each."""
+        b, masks = self._comb_geometry(teeth, tables)
         T = (Q[0], Q[1], 1)
         chain = [T]
-        for _ in range(teeth - 1):
-            for _ in range(a):
+        for _ in range(teeth * tables - 1):
+            for _ in range(b):
                 T = self._double(T)[0]
             chain.append(T)
-        sums: dict[int, Jacobian] = {0: (1, 1, 0)}
-        for j, B in enumerate(self._to_affine_all(chain)):
-            sums.update({key | 1 << a * j: self._add_affine(S, B)[0]
-                         for key, S in sums.items()})
-        return dict(zip(sums, self._to_affine_all(list(sums.values()))))
+        bases = self._to_affine_all(chain)
+        sums: dict[int, Jacobian] = {}
+        for t in range(tables):
+            table: dict[int, Jacobian] = {0: (1, 1, 0)}
+            for i in range(t, teeth * tables, tables):
+                table.update({key | 1 << b * i: self._add_affine(S, bases[i])[0]
+                              for key, S in table.items()})
+            sums.update(table)
+        return b, masks, dict(zip(sums, self._to_affine_all(list(sums.values()))))
 
-    def _mul_comb(self, k: int, comb: dict[int, Point]) -> Point:
+    def _mul_comb(self, k: int, comb: _Comb) -> Point:
         """kQ by Q's comb (_comb_table), for k mod q, which Q's order
-        allows.  Column c, from the top down, adds the entry keyed by
-        k >> c masked to the teeth's bits a*j, that is, bits a*j + c of
-        k; at most a - 1 doublings and a mixed additions."""
-        teeth = len(comb).bit_length() - 1
-        a = -(-self.q.bit_length() // teeth)
-        mask = ((1 << a * teeth) - 1) // ((1 << a) - 1)  # sum of 2^(a*j)
+        allows.  Column c, from the top down, adds for each table t the
+        entry keyed by k >> c under t's mask, that is, bits
+        a*j + b*t + c of k; at most b - 1 doublings and one mixed
+        addition per table and column."""
+        b, masks, table = comb
         k %= self.q
         T = (1, 1, 0)
-        for c in range(a - 1, -1, -1):
+        for c in range(b - 1, -1, -1):
             if T[2]:
                 T = self._double(T)[0]
-            A = comb[k >> c & mask]
-            if A is not None:
-                T = self._add_affine(T, A)[0]
+            for mask in masks:
+                A = table[k >> c & mask]
+                if A is not None:
+                    T = self._add_affine(T, A)[0]
         return self._to_affine(T)
 
     def _batch_inv(self, values: list[int]) -> list[int]:
@@ -374,24 +407,76 @@ class Curve:
     def gt_pow(self, x: Fp2, k: int) -> Fp2:
         """x^k for x in GT, the order-q subgroup of F_p^2*, and any int k.
 
+        Every base in the program is fixed across calls, as the
+        pairing's first argument is: a kept value, g_ID in encryption
+        and e(d_A, Q_B) in the key exchange.  So when q has more than 32
+        bits (demo), x keeps a comb from its first call on (_gt_comb),
+        and x^k is a - 1 squarings and at most a - 1 products for its a
+        columns: on the demo profile 32 columns, at most 155 F_p products
+        and no inversion, against about 318 and an inversion for the
+        ladder.  The toy profile's q is one tooth wide, as for
+        identity points, and there x^k runs the Lucas ladder
+        (_gt_ladder).  k is reduced mod q first, which is right in GT
+        alone; the final exponentiation's power, of an element whose
+        order need not be q, stays with f2_pow.
+        """
+        k %= self.q
+        if k == 0 or x == GT_ONE:
+            return GT_ONE
+        if self._comb_teeth == 1:
+            return self._gt_ladder(x, k)
+        comb = self._gt_combs.get(x)
+        if comb is None:
+            comb = self._gt_combs[x] = self._gt_comb(x)
+        a, mask, table = comb
+        p = self.p
+        # column c, from the top down, squares s + tz and multiplies it
+        # by the entry keyed by k >> c under the mask, bits a*j + c of k
+        s, t = table[k >> a - 1 & mask]
+        for c in range(a - 2, -1, -1):
+            s, t = (s - t) * (s + t) % p, t * (2 * s - t) % p
+            key = k >> c & mask
+            if key:
+                e, f = table[key]
+                se = s * e
+                tf = t * f
+                s, t = (se - tf) % p, ((s + t) * (e + f) - se - 2 * tf) % p
+        return s, t
+
+    def _gt_comb(self, x: Fp2) -> tuple[int, int, dict[int, Fp2]]:
+        """gt_pow's comb of x, with the identity combs' teeth and one
+        table: its columns a, its mask and the product of the bases
+        x^(2^(a*j)) over each set of teeth, keyed like _comb_table's
+        sums; (teeth - 1) * a squarings and 2^teeth - 1 products."""
+        a, (mask,) = self._comb_geometry(self._comb_teeth, 1)
+        bases = [x]
+        for _ in range(self._comb_teeth - 1):
+            for _ in range(a):
+                x = self._f2_sqr(x)
+            bases.append(x)
+        table = {0: GT_ONE}
+        for j, B in enumerate(bases):
+            table.update({key | 1 << a * j: self.f2_mul(S, B)
+                          for key, S in table.items()})
+        return a, mask, table
+
+    def _gt_ladder(self, x: Fp2, k: int) -> Fp2:
+        """x^k for x in GT other than 1 and 0 < k < q, by its trace.
+
         x has norm x^(p+1) = 1, since q divides p + 1, so its inverse is
         its conjugate and V_k = Tr(x^k) = x^k + x^-k is an F_p value with
         V_(m+n) = V_m*V_n - V_(m-n).  A Lucas ladder keeps (V_k, V_k+1)
         from V_1 = 2a - b for x = a + bz, two F_p products per bit of
-        k mod q, against about three and a half F_p^2-sized ones for
+        k, against about three and a half F_p^2-sized ones for
         square-and-multiply (Scott-Barreto, CRYPTO 2004):
         V_2k = V_k^2 - 2 and V_2k+1 = V_k*V_k+1 - V_1.  Then
         x^k = a_k + b_k*z follows from Tr(x^k) = V_k and
         Tr(x^(k+1)) = V_k+1: a_k = ((a + b)V_k - V_k+1) / (3b) and
         b_k = 2a_k - V_k.  b = 0 only for x = 1, the one element of GT
-        in F_p, which returns early like k = 0 mod q.  Outside GT the
-        answer is wrong; the final exponentiation's power, of an
-        element whose order need not be q, stays with f2_pow.
+        in F_p, which gt_pow returns early like k = 0 mod q.  Outside GT
+        the answer is wrong.
         """
         p = self.p
-        k %= self.q
-        if k == 0 or x == GT_ONE:
-            return GT_ONE
         a, b = x
         v1 = (2 * a - b) % p
         v, w = v1, (v1 * v1 - 2) % p  # V_1, V_2

@@ -288,6 +288,8 @@ class Node:
         self.chain = chain
         self.trust_value: str | None = None      # fresh value from the last boot
         self.trust_list: tuple[str, ...] = ()
+        # set by ta_request, and read only in phase TA, which only
+        # ta_request enters, so no other step clears it
         self.pending_nonce: bytes | None = None
         self.sessions: dict[str, ake_mod.SessionKey] = {}
         self.ake_nonces: dict[str, set] = {}
@@ -316,7 +318,6 @@ class Node:
         self.ledger.add("boot", self.constants.e_boot, note="dy-boot")
         self.trust_list = ()
         self.sessions.clear()
-        self.pending_nonce = None
         if result.ok:
             self.trust_value = result.trust_value
             self.phase = DY
@@ -478,7 +479,6 @@ def node_handle_ack(node: Node, frames) -> None:
     if nonce != node.pending_nonce:
         raise Reject("stale_nonce", nonce.hex())
     node.trust_list = tuple(sorted(node.registry.identities(wire_ids)))
-    node.pending_nonce = None
     node.phase = TRUSTED
 
 

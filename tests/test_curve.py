@@ -318,9 +318,12 @@ class TestDemoKernel:
         q = DEMO_Q
         for k in [rng.randrange(q) for _ in range(20)] + [0, 1, q - 1]:
             assert curve.mul(k, P) == oracles.double_and_add(DEMO_P, k, P), k
-        # 8 teeth of 20 columns: 255 entries, none of them infinity
-        comb = curve._generator_comb
-        assert len(comb) == 256 and list(comb.values()).count(None) == 1
+        # 8 teeth of 20 columns, in two tables of 10 columns (the bits
+        # 20j + c and 20j + 10 + c): 510 entries, none of them infinity,
+        # and the empty set's key 0 shared
+        b, masks, table = curve._generator_comb
+        assert (b, len(masks)) == (10, 2)
+        assert len(table) == 511 and list(table.values()).count(None) == 1
         assert curve.mul(q, P) is None
         for k in (-1, -12345, q + 1, 2 * q + 7, rng.getrandbits(300)):
             assert curve.mul(k, P) == oracles.double_and_add(DEMO_P, k, P), k
@@ -336,20 +339,23 @@ class TestDemoKernel:
         ks = [rng.randrange(q) for _ in range(60)] + [0, 1, -1, q - 1, q, q + 1, 2**160 - 1]
         for k in ks:
             assert curve.mul(k, Q) == oracles.double_and_add(DEMO_P, k, Q), k
-        # 5 teeth of 32 columns: 31 entries, none of them infinity
-        comb = curve._combs[Q]
-        assert len(comb) == 32 and list(comb.values()).count(None) == 1
+        # 5 teeth of 32 columns, one table: 31 entries, none of them
+        # infinity
+        b, masks, table = curve._combs[Q]
+        assert (b, len(masks)) == (32, 1)
+        assert len(table) == 32 and list(table.values()).count(None) == 1
 
     def test_comb_operation_counts(self, points, gen):
         # per mul once the comb is built, counted by shadowing the
-        # Jacobian steps on the instance: at most a - 1 doublings and a
-        # additions for a columns, and the bound is reached
+        # Jacobian steps on the instance: at most b - 1 doublings and
+        # one addition per table and column for b columns, and the bound
+        # is reached
         P, Q = points[0], points[1]
         identity = Curve(DEMO_P, DEMO_Q)
         identity.identity_points.add(Q)
         rng = random.Random(25)
         for curve, base, doublings, additions in (
-            (Curve(DEMO_P, DEMO_Q, P), P, 19, 20),
+            (Curve(DEMO_P, DEMO_Q, P), P, 9, 20),
             (identity, Q, 31, 32),
             (Curve(TOY_P, TOY_Q, gen), gen, 0, 1),
         ):
@@ -476,10 +482,12 @@ class TestFixedBase:
         assert curve._generator_comb is None
         for k in range(TOY_Q + 1):
             assert curve.mul(k, gen) == oracles.double_and_add(TOY_P, k, gen), k
-        # 5 teeth of one column: entry i is i * P, infinity at 0 and q
-        comb = curve._generator_comb
-        assert comb == {i: oracles.naive_mul(TOY_P, i, gen) for i in range(32)}
-        assert [i for i, A in comb.items() if A is None] == [0, TOY_Q]
+        # 5 teeth of one column, one table: entry i is i * P, infinity
+        # at 0 and q
+        b, masks, table = curve._generator_comb
+        assert (b, masks) == (1, (0b11111,))
+        assert table == {i: oracles.naive_mul(TOY_P, i, gen) for i in range(32)}
+        assert [i for i, A in table.items() if A is None] == [0, TOY_Q]
         assert curve.mul(TOY_Q, gen) is None
         for k in (-1, -7, -TOY_Q, TOY_Q + 1, 3 * TOY_Q + 5):
             assert curve.mul(k, gen) == oracles.double_and_add(TOY_P, k, gen), k
@@ -504,11 +512,16 @@ class TestComb:
         for Q in points:
             expected = [oracles.naive_mul(TOY_P, k, Q) for k in ks]
             for teeth in range(1, 6):
-                comb = toy._comb_table(Q, teeth)
-                assert len(comb) == 2**teeth
-                assert [toy._mul_comb(k, comb) for k in ks] == expected, (Q, teeth)
-            # with 5 teeth the bases are 2^j * Q, and Q + 2Q + 16Q is infinity
-            assert comb[0b10011] is None
+                for tables in (1, 2):
+                    comb = toy._comb_table(Q, teeth, tables)
+                    assert len(comb[1]) == tables
+                    assert len(comb[2]) == tables * (2**teeth - 1) + 1
+                    assert [toy._mul_comb(k, comb) for k in ks] == expected, (
+                        Q, teeth, tables)
+            # with 5 teeth and one table the bases are 2^j * Q, and
+            # Q + 2Q + 16Q is infinity
+            comb = toy._comb_table(Q, 5)
+            assert comb[:2] == (1, (0b11111,)) and comb[2][0b10011] is None
         # mul keeps no comb on toy, whose q needs one tooth: the plain
         # loop, for k >= 0
         curve = Curve(TOY_P, TOY_Q)
@@ -532,7 +545,7 @@ class TestComb:
         assert ibe.decrypt(params, b._private_key, ct) == bytes(params.n // 8)
         built = [Q for Q, comb in curve._combs.items() if comb is not None]
         assert built == [ibe.hash_to_point(params, a.identity)]
-        assert len(curve._combs[built[0]]) == 32
+        assert len(curve._combs[built[0]][2]) == 32
         assert set(curve._combs) == curve.identity_points
         assert msg.big_r not in curve._combs and ct.u not in curve._combs
 
@@ -562,6 +575,8 @@ class TestGtPow:
         for x in group:
             for k in range(-2 * TOY_Q, 2 * TOY_Q + 1):
                 assert toy.gt_pow(x, k) == oracles.f2_pow(TOY_P, x, k % TOY_Q), (x, k)
+        # toy's q is one tooth wide: every power runs the Lucas ladder
+        assert toy._gt_combs == {}
 
     def test_demo_exponents(self):
         curve = Curve(DEMO_P, DEMO_Q)
@@ -578,3 +593,26 @@ class TestGtPow:
             assert curve.gt_pow(x, k) == oracles.f2_pow(DEMO_P, x, k % q), k
         assert curve.gt_pow(GT_ONE, ks[0]) == GT_ONE
 
+    def test_demo_comb_on_kept_values(self):
+        # as in the program, each base is a kept pairing value: its comb
+        # is built on its first call with k != 0 mod q and read after
+        curve = Curve(DEMO_P, DEMO_Q)
+        Q = curve.subgroup_point(11)
+        curve.identity_points.add(Q)
+        bases = [curve.pairing(curve.subgroup_point(y), Q) for y in (12, 13)]
+        assert len(set(bases)) == 2 and GT_ONE not in bases
+        rng = random.Random(31)
+        q = DEMO_Q
+        ks = [0, 1, q - 1, q, q + 1, -1] + [rng.randrange(2**161) for _ in range(20)]
+        for i, x in enumerate(bases):
+            assert curve.gt_pow(x, q) == GT_ONE and len(curve._gt_combs) == i
+            assert curve.gt_pow(x, ks[-1]) == oracles.f2_pow(DEMO_P, x, ks[-1] % q)
+            assert len(curve._gt_combs) == i + 1
+        for x in bases:
+            for k in ks:
+                assert curve.gt_pow(x, k) == oracles.f2_pow(DEMO_P, x, k % q), (x, k)
+        # one comb per base: 5 teeth of 32 columns, 32 entries
+        assert curve._gt_combs.keys() == set(bases)
+        for a, mask, table in curve._gt_combs.values():
+            assert (a, mask) == (32, sum(1 << 32 * j for j in range(5)))
+            assert len(table) == 32

@@ -499,9 +499,15 @@ class TestTrustedAuthentication:
         frames = protocol.ta_request(node, rng)
         ack = protocol.bs_handle_ta(bs, frames, rng)
         protocol.node_handle_ack(node, ack)
+        before = node.ledger.totals_by_note("rx")["ta-ack"]
         with pytest.raises(Reject) as e:
             protocol.node_handle_ack(node, ack)
         assert e.value.reason == "not_waiting"
+        # the refused ack arrived, so its on-air bytes are billed before
+        # the phase gate, like every message a node receives
+        arrived = codec.on_air_bytes(ack)
+        assert node.ledger.totals_by_note("rx")["ta-ack"] == pytest.approx(
+            (before[0] + arrived * node.constants.rx_j_per_byte, before[1] + arrived))
 
     def test_reboot_drops_trusted_state(self, toy_params):
         bs = make_bs(toy_params)

@@ -98,3 +98,25 @@ def test_miller_line_size(text):
     size = sys.getsizeof(lines) + sum(map(sys.getsizeof, lines))
     claimed = int(re.search(r"about (\d+) KB each on the demo profile", text).group(1))
     assert claimed == round(size / 1000)
+
+
+def test_generator_comb_figures(text):
+    # P's comb on a demo Curve: its finite points, their coordinate
+    # bytes, and the most doublings and additions of an rP (b columns,
+    # one addition per table and column)
+    demo = ibe.PROFILES["demo"]
+    curve = Curve(demo["p"], demo["q"])
+    curve.generator = P = curve.subgroup_point(5)
+    curve.mul(1, P)
+    b, masks, table = curve._generator_comb
+    points = [A for A in table.values() if A is not None]
+    claim = re.search(r"P's comb with (\d+) teeth of \d+ bits in two tables .*?: "
+                      r"([\d,]+) points, ([\d,]+) bytes .*? at most (\d+) "
+                      r"doublings and (\d+) additions", text)
+    assert claim is not None
+    teeth, count, size, doublings, additions = (
+        int(group.replace(",", "")) for group in claim.groups())
+    assert len(masks) == 2 and len(table) == 2 * (2**teeth - 1) + 1
+    assert count == len(points)
+    assert size == 2 * curve.coord_size * len(points)
+    assert (doublings, additions) == (b - 1, len(masks) * b)
