@@ -66,14 +66,12 @@ products and two reductions for its line and vertical.
 
 GT, the order-q subgroup of F_p^2* that pairings land in, is where
 gt_pow raises kept values to a power, and a kept value is a fixed base
-too.  On the demo profile each base keeps a comb with the identity
-combs' teeth, 32 entries built on its first power, so that a power is
-31 squarings and at most 31 products in F_p^2, about 155 F_p products.
-On the toy profile gt_pow uses that GT has norm 1 and raises an element
-through its trace alone: a Lucas ladder of two F_p products per
-exponent bit, then one inversion to recover the element (Scott-Barreto,
-"Compressed pairings", CRYPTO 2004).  f2_pow, plain square-and-multiply,
-is for the rest of F_p^2.
+too.  Each base keeps a comb with the identity combs' teeth, built on
+its first power.  On the demo profile that is 32 entries, so that a
+power is 31 squarings and at most 31 products in F_p^2, about 155 F_p
+products; on the toy profile one tooth, the table {0: 1, 1: x}, and a
+power is plain square-and-multiply over q's 5 bits.  f2_pow,
+right-to-left square-and-multiply, is for the rest of F_p^2.
 """
 
 from __future__ import annotations
@@ -107,8 +105,7 @@ class Curve:
         # of at most 32 bits (toy) keeps no combs
         self._comb_teeth = (q.bit_length() + 31) // 32
         self._combs: dict[Point, _Comb | None] = {}
-        # gt_pow's base -> its comb, with the identity combs' teeth;
-        # none on toy, whose powers keep the Lucas ladder
+        # gt_pow's base -> its comb, with the identity combs' teeth
         self._gt_combs: dict[Fp2, tuple[int, int, dict[int, Fp2]]] = {}
         # inverse of cubing: (x^3)^e = x for e = (2p-1)/3
         self.cube_root_exp = (2 * p - 1) // 3
@@ -409,29 +406,28 @@ class Curve:
 
         Every base in the program is fixed across calls, as the
         pairing's first argument is: a kept value, g_ID in encryption
-        and e(d_A, Q_B) in the key exchange.  So when q has more than 32
-        bits (demo), x keeps a comb from its first call on (_gt_comb),
-        and x^k is a - 1 squarings and at most a - 1 products for its a
-        columns: on the demo profile 32 columns, at most 155 F_p products
-        and no inversion, against about 318 and an inversion for the
-        ladder.  The toy profile's q is one tooth wide, as for
-        identity points, and there x^k runs the Lucas ladder
-        (_gt_ladder).  k is reduced mod q first, which is right in GT
-        alone; the final exponentiation's power, of an element whose
-        order need not be q, stays with f2_pow.
+        and e(d_A, Q_B) in the key exchange.  So x keeps a comb from its
+        first call with k != 0 mod q on (_gt_comb), and x^k is a - 1
+        squarings and at most a - 1 products for its a columns: on the
+        demo profile 32 columns, at most 155 F_p products and no
+        inversion; on the toy profile one tooth of 5 columns.  k is
+        reduced mod q first, which is right in GT alone; the final
+        exponentiation's power, of an element whose order need not be
+        q, stays with f2_pow.
         """
         k %= self.q
         if k == 0 or x == GT_ONE:
             return GT_ONE
-        if self._comb_teeth == 1:
-            return self._gt_ladder(x, k)
         comb = self._gt_combs.get(x)
         if comb is None:
             comb = self._gt_combs[x] = self._gt_comb(x)
         a, mask, table = comb
         p = self.p
         # column c, from the top down, squares s + tz and multiplies it
-        # by the entry keyed by k >> c under the mask, bits a*j + c of k
+        # by the entry keyed by k >> c under the mask, bits a*j + c of k.
+        # The square and the product are _f2_sqr's and f2_mul's, written
+        # out: the two calls per column cost ta_sweep 0.6% of its run
+        # and churn_toy 2% (BENCH_31.json)
         s, t = table[k >> a - 1 & mask]
         for c in range(a - 2, -1, -1):
             s, t = (s - t) * (s + t) % p, t * (2 * s - t) % p
@@ -459,34 +455,6 @@ class Curve:
             table.update({key | 1 << a * j: self.f2_mul(S, B)
                           for key, S in table.items()})
         return a, mask, table
-
-    def _gt_ladder(self, x: Fp2, k: int) -> Fp2:
-        """x^k for x in GT other than 1 and 0 < k < q, by its trace.
-
-        x has norm x^(p+1) = 1, since q divides p + 1, so its inverse is
-        its conjugate and V_k = Tr(x^k) = x^k + x^-k is an F_p value with
-        V_(m+n) = V_m*V_n - V_(m-n).  A Lucas ladder keeps (V_k, V_k+1)
-        from V_1 = 2a - b for x = a + bz, two F_p products per bit of
-        k, against about three and a half F_p^2-sized ones for
-        square-and-multiply (Scott-Barreto, CRYPTO 2004):
-        V_2k = V_k^2 - 2 and V_2k+1 = V_k*V_k+1 - V_1.  Then
-        x^k = a_k + b_k*z follows from Tr(x^k) = V_k and
-        Tr(x^(k+1)) = V_k+1: a_k = ((a + b)V_k - V_k+1) / (3b) and
-        b_k = 2a_k - V_k.  b = 0 only for x = 1, the one element of GT
-        in F_p, which gt_pow returns early like k = 0 mod q.  Outside GT
-        the answer is wrong.
-        """
-        p = self.p
-        a, b = x
-        v1 = (2 * a - b) % p
-        v, w = v1, (v1 * v1 - 2) % p  # V_1, V_2
-        for bit in bin(k)[3:]:
-            if bit == "1":
-                v, w = (v * w - v1) % p, (w * w - 2) % p
-            else:
-                v, w = (v * v - 2) % p, (v * w - v1) % p
-        a_k = ((a + b) * v - w) * pow(3 * b, -1, p) % p
-        return (a_k, (2 * a_k - v) % p)
 
     # ---- pairing ----
 

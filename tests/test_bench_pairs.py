@@ -62,3 +62,20 @@ def test_summary_flags_a_failed_run_a_moved_digest_and_a_lost_claim():
     assert ok["failed_ops"] == {"parent": 0, "change": 2}
     assert not bench_pairs.claim(summary, "churn_toy.run_s")["holds"]
     assert summary["rows"]["churn_toy.run_s"]["pairs_won"] == 1
+
+
+def test_claim_fails_on_more_failed_ops_or_an_incorrect_run():
+    parent = [0.30 + 0.001 * i for i in range(10)]
+    change = [0.27 + 0.001 * i for i in range(10)]
+
+    def verdict(last):
+        runs = {"ta_sweep": [(result(p), result(c)) for p, c in zip(parent, change)]}
+        runs["ta_sweep"][-1] = (result(parent[-1]), last)
+        return bench_pairs.claim(bench_pairs.summarize(runs, END_TO_END), "ta_sweep.run_s")
+
+    # ten pairs won by a wide gap, so only correctness decides
+    assert verdict(result(change[-1]))["holds"]
+    # a correct run that failed more operations than the parent's runs
+    assert not verdict(result(change[-1], failed=1))["holds"]
+    # an incorrect run with no more failed operations
+    assert not verdict(result(change[-1], correct=False))["holds"]

@@ -566,7 +566,7 @@ def test_in_subgroup_rejects_small_orders(p, q):
 
 
 class TestGtPow:
-    """gt_pow's Lucas ladder against square-and-multiply in the oracle."""
+    """gt_pow's combs against square-and-multiply in the oracle."""
 
     def test_every_toy_element_and_exponent(self, toy, gen):
         g = oracles.pairing(TOY_P, TOY_Q, gen, gen)
@@ -575,8 +575,10 @@ class TestGtPow:
         for x in group:
             for k in range(-2 * TOY_Q, 2 * TOY_Q + 1):
                 assert toy.gt_pow(x, k) == oracles.f2_pow(TOY_P, x, k % TOY_Q), (x, k)
-        # toy's q is one tooth wide: every power runs the Lucas ladder
-        assert toy._gt_combs == {}
+        # toy's q is one tooth wide: each base but 1 keeps the comb
+        # {0: 1, 1: x} of 5 columns, and a power is square-and-multiply
+        assert toy._gt_combs == {x: (5, 1, {0: GT_ONE, 1: x})
+                                 for x in group if x != GT_ONE}
 
     def test_demo_exponents(self):
         curve = Curve(DEMO_P, DEMO_Q)

@@ -110,17 +110,22 @@ def summarize(runs: dict[str, list[tuple[dict, dict]]], end_to_end: list[dict]) 
 
 def claim(summary: dict, key: str) -> dict:
     """The claimed metric's verdict: the change wins at least nine of
-    ten pairs, and the medians differ by more than the parent's IQR."""
+    ten pairs, the medians differ by more than the parent's IQR, every
+    run of the workload was correct, and the change failed no more
+    operations than the parent."""
     row = summary["rows"][key]
     n = len(summary["pairs"][key])
     gap = abs(row["change_q1_median_q3"][1] - row["parent_q1_median_q3"][1])
+    correctness = summary["correctness"][key.split(".")[0]]
+    failed = correctness["failed_ops"]
     return {"metric": key, "pairs_won": row["pairs_won"], "pairs": n,
             "parent_median": row["parent_q1_median_q3"][1],
             "change_median": row["change_q1_median_q3"][1],
             "parent_iqr": row["parent_iqr"], "median_gap": round(gap, 6),
             "change": row["change_worse_by"],
             "holds": row["pairs_won"] >= 0.9 * n and gap > row["parent_iqr"]
-            and row["change_worse_by"] < 0}
+            and row["change_worse_by"] < 0 and correctness["all_correct"]
+            and failed["change"] <= failed["parent"]}
 
 
 def git(*args: str) -> str:
@@ -141,6 +146,7 @@ def main(argv=None) -> int:
     workloads = args.workloads.split(",")
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     parent_commit = git("rev-parse", "--short", args.parent)
+    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
     runs: dict[str, list[tuple[dict, dict]]] = {w: [] for w in workloads}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         parent_dir = Path(tmp)
@@ -164,7 +170,8 @@ def main(argv=None) -> int:
         "python": f"{platform.python_version()} ({platform.python_implementation()})",
         "machine": f"{platform.platform()}, runs one at a time",
         "parent": {"commit": parent_commit},
-        "change": {"commit": f"working tree on {git('rev-parse', '--short', 'HEAD')}"},
+        "change": {"commit": f"working tree on {git('rev-parse', '--short', 'HEAD')}"
+                             + (", with uncommitted changes" if dirty else "")},
         "run_order": {"note": "pair i ran the parent first for even i and the change "
                               f"first for odd i; {args.pairs} pairs per workload, "
                               "workloads one after another in this order",
