@@ -427,7 +427,7 @@ class Curve:
         # by the entry keyed by k >> c under the mask, bits a*j + c of k.
         # The square and the product are _f2_sqr's and f2_mul's, written
         # out: the two calls per column cost ta_sweep 0.6% of its run
-        # and churn_toy 2% (BENCH_31.json)
+        # (BENCH_31.json)
         s, t = table[k >> a - 1 & mask]
         for c in range(a - 2, -1, -1):
             s, t = (s - t) * (s + t) % p, t * (2 * s - t) % p
