@@ -28,24 +28,24 @@ non-adjacent form (Morain-Olivos, 1990), adding P or -P, so a dense
 Two kinds of point are the base of many scalar mults: the generator P
 (rP in encryption and in the re-encryption check) and an identity point
 Q (one of identity_points, the base of the key exchange's r*Q and h*Q).
-Each keeps a comb (Lim-Lee, CRYPTO 1994): with t teeth of a =
-ceil(bits(q) / t) bits, the sums of the bases 2^(a*j) * Q over every
-set of teeth, made affine by one batched inversion, so that kQ is at
-most a - 1 doublings and a mixed additions.  A second table, the first
-one's entries times 2^(a/2), halves the doublings: kQ is then at most
-a/2 - 1 doublings and still a additions.  P's comb has min(8, bits(q))
-teeth and is built on P's first mul: on the demo profile two tables of
-255 points (about 32 KB of coordinates) and at most 9 doublings and 20
-additions per rP; on the toy profile one table, i*P for i < 32, and at
-most one addition.  Q's comb has one tooth per 32 bits of q and one
+Each keeps a comb (Lim-Lee, CRYPTO 1994) in one store, the Curve's
+_combs: with t teeth of a = ceil(bits(q) / t) bits, the sums of the
+bases 2^(a*j) * Q over every set of teeth, made affine by one batched
+inversion, so that kQ is at most a - 1 doublings and a mixed additions.
+A second table, the first one's entries times 2^(a/2), halves the
+doublings: kQ is then at most a/2 - 1 doublings and still a additions.
+P's comb has min(8, bits(q)) teeth and two tables and is built on P's
+first mul: on the demo profile 510 points (about 32 KB of coordinates)
+and at most 9 doublings and 20 additions per rP; on the toy profile,
+whose teeth are one bit wide and so take one table, i*P for i < 32 and
+at most one addition.  Q's comb has one tooth per 32 bits of q and one
 table, and is built on Q's second mul, since the first, extract at
 provisioning, runs the plain loop and a point multiplied only once
 should not pay for a comb; a comb built inside a key exchange costs
 its session, so Q's has no second table.  On the demo profile that is
 31 points (about 2 KB) and kQ is at most 31 doublings and 32
-additions.  The toy profile's q has 5 bits, and a one-tooth comb would
-be the plain loop with more bookkeeping, so toy identity points keep
-none.
+additions; on the toy profile one tooth of 5 bits, which does the
+plain loop's doublings and additions.
 
 Every pairing in the program has one argument that never changes (P,
 P_pub or a private key), and callers pass it first.  The Miller loop's
@@ -59,10 +59,8 @@ the value itself never changes either, and it is kept: g_ID =
 e(P_pub, Q_ID) for encryption (Boneh-Franklin, CRYPTO 2001) and the
 AKE initiator's e(d_A, Q_B).  The final exponentiation starts with the
 Frobenius map, which is the conjugation (a + bz)^p = (a - b) - bz here
-(Barreto-Kim-Lynn-Scott, CRYPTO 2002), and the whole final
-exponentiation sends every F_p factor to 1, so a line is kept at any
-F_p scale.  _miller_lines says why a Miller step then costs three F_p
-products and two reductions for its line and vertical.
+(Barreto-Kim-Lynn-Scott, CRYPTO 2002).  _miller_lines proves why a line
+is kept at any F_p scale, at three F_p products and two reductions.
 
 GT, the order-q subgroup of F_p^2* that pairings land in, is where
 gt_pow raises kept values to a power, and a kept value is a fixed base
@@ -96,15 +94,13 @@ class Curve:
         self.p = p
         self.q = q
         self.cofactor = (p + 1) // q
-        # the fixed base of mul; its comb (_comb_table), min(8, bits(q))
-        # teeth in two tables (one on toy), is built on first use
         self.generator = generator
-        self._generator_comb: _Comb | None = None
-        # identity point -> its comb, one tooth per 32 bits of q; None
-        # after the point's first mul, which runs the plain loop.  A q
-        # of at most 32 bits (toy) keeps no combs
+        # one tooth per 32 bits of q: the identity points' and GT combs
         self._comb_teeth = (q.bit_length() + 31) // 32
-        self._combs: dict[Point, _Comb | None] = {}
+        # fixed base -> its comb (_comb_table), None until mul builds it:
+        # the generator from construction on, an identity point from its
+        # first mul on
+        self._combs: dict[Point, _Comb | None] = {} if generator is None else {generator: None}
         # gt_pow's base -> its comb, with the identity combs' teeth
         self._gt_combs: dict[Fp2, tuple[int, int, dict[int, Fp2]]] = {}
         # inverse of cubing: (x^3)^e = x for e = (2p-1)/3
@@ -207,31 +203,31 @@ class Curve:
         digits adjacent, and a digit -1 adds -P = (x, -y).  A dense
         160-bit k then costs about 53 mixed additions instead of about
         80, for at most one more doubling; q keeps its 159 doublings
-        and 5 additions, and the cofactor its 96 and 3.  The toy
-        profile's scalars are below 2^5, where signed digits only cost
-        (12 = 1100 becomes 1 0 -1 0 0, one doubling more), so there k
-        keeps its binary digits.
+        and 5 additions, and the cofactor its 96 and 3.  On the toy
+        profile k keeps its binary digits: there signed digits were
+        measured slower, a cofactor clearing 4.3 us against 2.8 us in
+        process, and churn_toy's setup_s was higher in 4 of 6 paired
+        runs (CPython 3.11, a shared 2-core machine).
 
-        Two fixed bases read a kept comb instead (_comb_table): the
-        generator, for k < q, from its first such mul on; an identity
-        point, from its second mul on and for any k, when q has more
-        than 32 bits.  A comb reduces k mod q, so the generator's bound
-        keeps mul(q, P), and with it in_subgroup of a generator not yet
-        checked, on the plain loop, where a generator of order 2q
-        fails."""
-        if P is not None and P == self.generator and k < self.q:
-            comb = self._generator_comb
+        A fixed base, a key of _combs, reads its comb (_comb_table) for
+        k < q once the comb is built: the generator's, min(8, bits(q))
+        teeth in two tables, on its first such mul; an identity
+        point's, one tooth per 32 bits of q and one table, on its
+        second, since its first (extract, at provisioning) only enters
+        it.  A comb reduces k mod q, so the bound keeps mul(q, P), and
+        with it in_subgroup of a base not yet checked, on the plain
+        loop, where a point of order 2q fails; such a mul leaves a
+        built comb in place."""
+        if k < self.q:
+            comb = self._combs.get(P, ())  # () for a base that is not fixed
             if comb is None:
-                comb = self._generator_comb = self._comb_table(
-                    P, min(8, self.q.bit_length()), 2 if self._comb_teeth > 1 else 1)
-            return self._mul_comb(k, comb)
-        if self._comb_teeth > 1 and P in self.identity_points:
-            if P in self._combs:
-                comb = self._combs[P]
-                if comb is None:
-                    comb = self._combs[P] = self._comb_table(P, self._comb_teeth)
+                comb = self._combs[P] = (
+                    self._comb_table(P, min(8, self.q.bit_length()), 2)
+                    if P == self.generator else self._comb_table(P, self._comb_teeth))
+            if comb:
                 return self._mul_comb(k, comb)
-            self._combs[P] = None
+        if P in self.identity_points:
+            self._combs.setdefault(P, None)
         if k == 0 or P is None:
             return None
         # the digits after the leading one; "2" stands for -1 and
@@ -260,8 +256,10 @@ class Curve:
         """A comb's columns b and masks, one per table.  Each tooth
         covers a = ceil(bits(q) / teeth) bits, rounded up to a = tables*b
         for b = ceil(a / tables) columns, and table t's mask is the sum
-        of 2^(a*j + b*t) over the teeth j."""
+        of 2^(a*j + b*t) over the teeth j.  At most a tables are kept,
+        since more would only widen the teeth."""
         a = -(-self.q.bit_length() // teeth)
+        tables = min(tables, a)
         b = -(-a // tables)
         a = tables * b
         mask = ((1 << a * teeth) - 1) // ((1 << a) - 1)
@@ -278,6 +276,7 @@ class Curve:
         the bases and the sums are made affine by one batched inversion
         each."""
         b, masks = self._comb_geometry(teeth, tables)
+        tables = len(masks)
         T = (Q[0], Q[1], 1)
         chain = [T]
         for _ in range(teeth * tables - 1):
@@ -476,15 +475,10 @@ class Curve:
         Miller's algorithm computes f_{q,A} at the distorted image
         (z*xB, yB) of B: each step squares f on a doubling, multiplies
         by the line through T, and divides by the vertical at the new
-        point.  Dividing by a vertical v is multiplying by its
-        conjugate, since v * conj(v) is the norm, in F_p, and the final
-        exponent (p^2 - 1)/q is a multiple of p - 1, so every c in F_p*
-        has c^(p-1) = 1; _evaluate negates each step's factor, -1
-        being in F_p too.  No step's factor is 0, since the slope and
-        the new x of each step are not (_miller_lines), so no step
-        zeroes f.  The last step is the chord through (q - 1)A = -A,
-        the vertical x = xA, and the vertical at qA = infinity is 1.
-        For B = (0, y) every factor is in F_p* and the pairing is 1.
+        point.  The last step is the chord through (q - 1)A = -A, the
+        vertical x = xA, and the vertical at qA = infinity is 1.
+        _miller_lines proves the step _evaluate runs instead, and that
+        no factor is 0 and B = (0, y) pairs to 1.
 
         The final exponentiation, to (p^2 - 1)/q, puts the result in the
         order-q subgroup of F_p^2*.  It splits into (p - 1) and
@@ -512,10 +506,8 @@ class Curve:
         g = ((X + x_new)(Y + c) + lam*X^2, X*(Y + y_new)), the negated
         line and conjugated vertical at the distorted image of
         B = (X, Y): three F_p products and two reductions, for the
-        lines (c, lam, x_new, y_new) of _miller_lines.  g is never 0:
-        lam and x_new are not, and when X = 0, g = (x_new*(Y + c), 0)
-        with Y + c not 0 either, so f stays in F_p* and the pairing
-        is 1."""
+        lines (c, lam, x_new, y_new) of _miller_lines, which proves
+        that g is never 0 and that X = 0 gives 1."""
         p = self.p
         self.pairings_computed += 1
         lines = self._lines.get(A)
@@ -565,9 +557,12 @@ class Curve:
 
             ((X + x_new)*(Y + c) + lam*X^2, X*(Y + y_new)):
 
-        three F_p products and two reductions per step.  -1 is in F_p,
-        and the final exponentiation sends every F_p factor to 1
-        (Barreto-Kim-Lynn-Scott, CRYPTO 2002).
+        three F_p products and two reductions per step.  It differs
+        from Miller's step, which divides by the vertical v, by factors
+        in F_p*: v * conj(v), the norm, and -1.  The final exponent
+        (p^2 - 1)/q is a multiple of p - 1, and c^(p-1) = 1 for every c
+        in F_p*, so the final exponentiation sends every such factor to
+        1 (Barreto-Kim-Lynn-Scott, CRYPTO 2002).
 
         The first factor is 0 only if lam*X = 0 and Y + c = 0, the
         second only if X = 0 and x_new = 0, and neither happens.

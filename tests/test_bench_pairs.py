@@ -24,9 +24,11 @@ def test_parse_run_reads_the_last_line_and_the_gate():
         "correct": True, "attempted": 4, "failed": 0, "metrics": {"run_s": 0.25},
         "digest": "sha256:0a1b", "billed_mj": 4450.69899}
     assert not bench_pairs.parse_run(stdout, 1)["correct"]
-    assert bench_pairs.parse_run("crashed\n", 1) == {
-        "correct": False, "attempted": 0, "failed": 0, "metrics": {},
-        "digest": None, "billed_mj": None}
+    # no last line, or one that is JSON but not a result object
+    for stdout in ("crashed\n", "", "42\n", "null\n", "{}\n"):
+        assert bench_pairs.parse_run(stdout, 1) == {
+            "correct": False, "attempted": 0, "failed": 0, "metrics": {},
+            "digest": None, "billed_mj": None}, stdout
 
 
 def test_summary_of_ten_pairs():
@@ -42,7 +44,7 @@ def test_summary_of_ten_pairs():
     assert row["parent_iqr"] == 0.0045
     assert row["change_q1_median_q3"][1] == 0.2755
     assert row["change_worse_by"] == round((0.2755 - 0.3045) / 0.3045, 4)
-    assert row["within_bound"]
+    assert row["verdict"] == "within bound"
     # higher is better: the faster side wins the same nine pairs
     assert summary["rows"]["ta_sweep.ops_per_s"]["pairs_won"] == 9
     assert summary["rows"]["ta_sweep.ops_per_s"]["change_worse_by"] < 0
@@ -51,6 +53,8 @@ def test_summary_of_ten_pairs():
     ok = summary["correctness"]["ta_sweep"]
     assert ok["all_correct"] and ok["one_digest_both_sides"]
     assert ok["failed_ops"] == {"parent": 0, "change": 0}
+    assert bench_pairs.no_regression(summary) == {
+        "regressed": [], "unresolved": [], "more_failed_ops": [], "holds": True}
 
 
 def test_summary_flags_a_failed_run_a_moved_digest_and_a_lost_claim():
@@ -79,3 +83,39 @@ def test_claim_fails_on_more_failed_ops_or_an_incorrect_run():
     assert not verdict(result(change[-1], failed=1))["holds"]
     # an incorrect run with no more failed operations
     assert not verdict(result(change[-1], correct=False))["holds"]
+
+
+def test_no_regression_verdicts():
+    def summary(parent, change, failed=0):
+        runs = {"ta_sweep": [(result(p), result(c, failed=failed))
+                             for p, c in zip(parent, change)]}
+        return bench_pairs.summarize(runs, END_TO_END)
+
+    tight = [0.30 + 0.001 * i for i in range(10)]
+    wide = [0.20, 0.22, 0.25, 0.28, 0.30, 0.32, 0.35, 0.38, 0.40, 0.45]
+    # the spread of tight is 1.5% of its median: a 10% slower change is
+    # within the 25% bound, a 40% slower one regressed
+    assert summary(tight, [t * 1.1 for t in tight])["rows"]["ta_sweep.run_s"][
+        "verdict"] == "within bound"
+    slow = summary(tight, [t * 1.4 for t in tight])
+    assert slow["rows"]["ta_sweep.run_s"]["verdict"] == "regressed"
+    assert slow["rows"]["ta_sweep.ops_per_s"]["verdict"] == "regressed"
+    verdict = bench_pairs.no_regression(slow)
+    assert verdict["regressed"] == ["ta_sweep.run_s", "ta_sweep.ops_per_s"]
+    assert not verdict["holds"]
+    # the spread of wide is 39% of its median, wider than the bound:
+    # an unchanged median shows nothing, unless every change run beats
+    # every parent run
+    same = summary(wide, wide)
+    assert same["rows"]["ta_sweep.run_s"]["parent_spread"] > 0.25
+    assert same["rows"]["ta_sweep.run_s"]["verdict"] == "unresolved"
+    verdict = bench_pairs.no_regression(same)
+    assert verdict["unresolved"] == ["ta_sweep.run_s", "ta_sweep.ops_per_s"]
+    assert verdict["holds"]
+    faster = summary(wide, [0.10 + 0.001 * i for i in range(10)])
+    assert faster["rows"]["ta_sweep.run_s"]["verdict"] == "within bound"
+    # a larger share of failed operations fails the verdict
+    failing = summary(tight, tight, failed=1)
+    assert failing["correctness"]["ta_sweep"]["failed_share"] == {"parent": 0.0, "change": 0.1}
+    assert bench_pairs.no_regression(failing) == {
+        "regressed": [], "unresolved": [], "more_failed_ops": ["ta_sweep"], "holds": False}

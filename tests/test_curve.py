@@ -321,7 +321,7 @@ class TestDemoKernel:
         # 8 teeth of 20 columns, in two tables of 10 columns (the bits
         # 20j + c and 20j + 10 + c): 510 entries, none of them infinity,
         # and the empty set's key 0 shared
-        b, masks, table = curve._generator_comb
+        b, masks, table = curve._combs[P]
         assert (b, len(masks)) == (10, 2)
         assert len(table) == 511 and list(table.values()).count(None) == 1
         assert curve.mul(q, P) is None
@@ -479,12 +479,12 @@ class TestFixedBase:
 
     def test_every_toy_scalar(self, gen):
         curve = Curve(TOY_P, TOY_Q, gen)
-        assert curve._generator_comb is None
+        assert curve._combs == {gen: None}
         for k in range(TOY_Q + 1):
             assert curve.mul(k, gen) == oracles.double_and_add(TOY_P, k, gen), k
         # 5 teeth of one column, one table: entry i is i * P, infinity
         # at 0 and q
-        b, masks, table = curve._generator_comb
+        b, masks, table = curve._combs[gen]
         assert (b, masks) == (1, (0b11111,))
         assert table == {i: oracles.naive_mul(TOY_P, i, gen) for i in range(32)}
         assert [i for i, A in table.items() if A is None] == [0, TOY_Q]
@@ -497,7 +497,7 @@ class TestFixedBase:
         P = oracles.double_and_add(TOY_P, 5, gen)
         for k in range(TOY_Q + 1):
             assert curve.mul(k, P) == oracles.double_and_add(TOY_P, k, P), k
-        assert curve._generator_comb is None and curve._combs == {}
+        assert curve._combs == {gen: None}
 
 
 class TestComb:
@@ -514,28 +514,55 @@ class TestComb:
             for teeth in range(1, 6):
                 for tables in (1, 2):
                     comb = toy._comb_table(Q, teeth, tables)
-                    assert len(comb[1]) == tables
-                    assert len(comb[2]) == tables * (2**teeth - 1) + 1
+                    # 5 teeth are one bit wide, too narrow for two tables
+                    kept = 1 if teeth == 5 else tables
+                    assert len(comb[1]) == kept
+                    assert len(comb[2]) == kept * (2**teeth - 1) + 1
                     assert [toy._mul_comb(k, comb) for k in ks] == expected, (
                         Q, teeth, tables)
             # with 5 teeth and one table the bases are 2^j * Q, and
             # Q + 2Q + 16Q is infinity
             comb = toy._comb_table(Q, 5)
             assert comb[:2] == (1, (0b11111,)) and comb[2][0b10011] is None
-        # mul keeps no comb on toy, whose q needs one tooth: the plain
-        # loop, for k >= 0
+
+    def test_toy_identity_point_takes_a_one_tooth_comb(self):
+        # the first mul enters Q and runs the plain loop, the second
+        # builds Q's comb: one tooth of 5 columns, the table {0, Q}
         curve = Curve(TOY_P, TOY_Q)
+        Q = oracles.map_to_point(TOY_P, TOY_Q, "node-007")
         curve.identity_points.add(Q)
-        assert [curve.mul(k, Q) for k in range(2 * TOY_Q + 1)] == expected[2 * TOY_Q:]
-        assert curve._combs == {}
+        for k in range(2 * TOY_Q + 1):
+            assert curve.mul(k, Q) == oracles.naive_mul(TOY_P, k, Q), k
+            assert curve._combs[Q] == (None if k == 0 else (5, (1,), {0: None, 1: Q})), k
+
+    def test_a_mul_past_q_keeps_a_built_comb(self):
+        curve = Curve(TOY_P, TOY_Q)
+        Q = oracles.map_to_point(TOY_P, TOY_Q, "node-008")
+        curve.identity_points.add(Q)
+        curve.mul(2, Q)
+        curve.mul(3, Q)
+        comb = curve._combs[Q]
+        assert comb is not None
+        counts = counting(curve)
+        # k >= q takes the plain loop, and in_subgroup's mul(q, Q) with
+        # it: q = 19 = 10011 is 4 doublings and 2 additions
+        for k in (TOY_Q, TOY_Q + 1, 2 * TOY_Q):
+            counts.update(_double=0, _add_affine=0)
+            assert curve.mul(k, Q) == oracles.naive_mul(TOY_P, k, Q), k
+            assert counts["_double"] == k.bit_length() - 1, k
+        counts.update(_double=0, _add_affine=0)
+        assert curve.in_subgroup(Q)
+        assert counts == {"_double": 4, "_add_affine": 2}
+        assert curve._combs[Q] is comb
 
     def test_built_on_the_second_mul_of_an_identity_point(self):
         scenario = dataclasses.replace(sim.load_scenario("demo"), profile="demo")
         simulation = sim.Simulation(scenario)
         params = simulation.params
         curve = params.curve
-        # provisioning multiplies each identity point once, by extract
-        assert set(curve._combs) == curve.identity_points
+        # provisioning multiplies each identity point once, by extract,
+        # and the generator's comb waits for the run's first rP
+        assert set(curve._combs) == curve.identity_points | {params.generator}
         assert not any(curve._combs.values())
         a, b = simulation.nodes["node-001"], simulation.nodes["node-002"]
         msg, session = ake.initiate(params, a.identity, a._private_key, b.identity,
@@ -544,9 +571,9 @@ class TestComb:
         ct = ibe.encrypt(params, b.identity, bytes(params.n // 8), random.Random(4))
         assert ibe.decrypt(params, b._private_key, ct) == bytes(params.n // 8)
         built = [Q for Q, comb in curve._combs.items() if comb is not None]
-        assert built == [ibe.hash_to_point(params, a.identity)]
-        assert len(curve._combs[built[0]][2]) == 32
-        assert set(curve._combs) == curve.identity_points
+        assert built == [params.generator, ibe.hash_to_point(params, a.identity)]
+        assert len(curve._combs[built[1]][2]) == 32
+        assert set(curve._combs) == curve.identity_points | {params.generator}
         assert msg.big_r not in curve._combs and ct.u not in curve._combs
 
 

@@ -105,10 +105,10 @@ def test_generator_comb_figures(text):
     # bytes, and the most doublings and additions of an rP (b columns,
     # one addition per table and column)
     demo = ibe.PROFILES["demo"]
-    curve = Curve(demo["p"], demo["q"])
-    curve.generator = P = curve.subgroup_point(5)
+    P = Curve(demo["p"], demo["q"]).subgroup_point(5)
+    curve = Curve(demo["p"], demo["q"], P)
     curve.mul(1, P)
-    b, masks, table = curve._generator_comb
+    b, masks, table = curve._combs[P]
     points = [A for A in table.values() if A is not None]
     claim = re.search(r"P's comb with (\d+) teeth of \d+ bits in two tables .*?: "
                       r"([\d,]+) points, ([\d,]+) bytes .*? at most (\d+) "

@@ -359,9 +359,10 @@ class TestHonestRuns:
     def test_construction_builds_no_fixed_base_table(self):
         # the generator's comb is built by the run's first rP, never by setup
         simulation = sim.Simulation(sim.load_scenario("demo"))
-        assert simulation.params.curve._generator_comb is None
+        combs, generator = simulation.params.curve._combs, simulation.params.generator
+        assert combs[generator] is None
         simulation.run()
-        assert simulation.params.curve._generator_comb is not None
+        assert combs[generator] is not None
 
     def test_energy_accumulation(self):
         report = sim.run(sim.load_scenario("demo"))
