@@ -66,8 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_keygen(args) -> int:
-    config = ibe.SecurityConfig.from_profile(args.profile, seed=args.seed)
-    params, master = ibe.setup(config)
+    params, master = ibe.setup(ibe.SecurityConfig(args.profile, args.seed))
     args.out_dir.mkdir(parents=True, exist_ok=True)
     (args.out_dir / PARAMS_FILE).write_bytes(ibe.params_to_bytes(params))
     (args.out_dir / MASTER_FILE).write_bytes(ibe.master_key_to_bytes(master))

@@ -23,7 +23,7 @@ reduction mod p costs more than a 256-bit product, so a doubling is
 written with six reductions (Bernstein-Lange, Explicit-Formulas
 Database).  On the demo profile the plain loop reads its scalar in
 non-adjacent form (Morain-Olivos, 1990), adding P or -P, so a dense
-160-bit scalar is about 53 additions instead of 80.
+scalar adds for about a third of its bits instead of half.
 
 Two kinds of point are the base of many scalar mults: the generator P
 (rP in encryption and in the re-encryption check) and an identity point
@@ -34,18 +34,14 @@ bases 2^(a*j) * Q over every set of teeth, made affine by one batched
 inversion, so that kQ is at most a - 1 doublings and a mixed additions.
 A second table, the first one's entries times 2^(a/2), halves the
 doublings: kQ is then at most a/2 - 1 doublings and still a additions.
-P's comb has min(8, bits(q)) teeth and two tables and is built on P's
-first mul: on the demo profile 510 points (about 32 KB of coordinates)
-and at most 9 doublings and 20 additions per rP; on the toy profile,
-whose teeth are one bit wide and so take one table, i*P for i < 32 and
-at most one addition.  Q's comb has one tooth per 32 bits of q and one
-table, and is built on Q's second mul, since the first, extract at
-provisioning, runs the plain loop and a point multiplied only once
-should not pay for a comb; a comb built inside a key exchange costs
-its session, so Q's has no second table.  On the demo profile that is
-31 points (about 2 KB) and kQ is at most 31 doublings and 32
-additions; on the toy profile one tooth of 5 bits, which does the
-plain loop's doublings and additions.
+P's comb has min(8, bits(q)) teeth and two tables (one on the toy
+profile, whose teeth are one bit wide) and is built on P's first mul.
+Q's comb has one tooth per 32 bits of q and one table, and is built on
+Q's second mul, since the first, extract at provisioning, runs the
+plain loop and a point multiplied only once should not pay for a comb;
+a comb built inside a key exchange costs its session, so Q's has no
+second table.  README's fixed-base note gives each comb's size and
+cost, which tests/test_readme.py checks against a demo Curve.
 
 Every pairing in the program has one argument that never changes (P,
 P_pub or a private key), and callers pass it first.  The Miller loop's
@@ -65,11 +61,10 @@ is kept at any F_p scale, at three F_p products and two reductions.
 GT, the order-q subgroup of F_p^2* that pairings land in, is where
 gt_pow raises kept values to a power, and a kept value is a fixed base
 too.  Each base keeps a comb with the identity combs' teeth, built on
-its first power.  On the demo profile that is 32 entries, so that a
-power is 31 squarings and at most 31 products in F_p^2, about 155 F_p
-products; on the toy profile one tooth, the table {0: 1, 1: x}, and a
-power is plain square-and-multiply over q's 5 bits.  f2_pow,
-right-to-left square-and-multiply, is for the rest of F_p^2.
+its first power, so a power takes no inversion and a fraction of
+square-and-multiply's products (README's fixed-argument note gives the
+counts); on the toy profile, one tooth, it is plain square-and-multiply.
+f2_pow, right-to-left square-and-multiply, is for the rest of F_p^2.
 """
 
 from __future__ import annotations
@@ -88,7 +83,7 @@ class Curve:
     """y^2 = x^3 + 1 over F_p with a pairing on the order-q subgroup.
 
     p and q are one of ibe.PROFILES, checked where they enter the
-    program (ibe.setup and ibe.params_from_bytes), not here."""
+    program (ibe.SecurityConfig and ibe.params_from_bytes), not here."""
 
     def __init__(self, p: int, q: int, generator: Point = None):
         self.p = p
@@ -200,14 +195,14 @@ class Curve:
         coordinates, with one inversion to return to affine.  When q
         has more than 32 bits (demo), k is read in non-adjacent form
         (Morain-Olivos, 1990): digits in {-1, 0, 1}, no two nonzero
-        digits adjacent, and a digit -1 adds -P = (x, -y).  A dense
-        160-bit k then costs about 53 mixed additions instead of about
-        80, for at most one more doubling; q keeps its 159 doublings
-        and 5 additions, and the cofactor its 96 and 3.  On the toy
-        profile k keeps its binary digits: there signed digits were
-        measured slower, a cofactor clearing 4.3 us against 2.8 us in
-        process, and churn_toy's setup_s was higher in 4 of 6 paired
-        runs (CPython 3.11, a shared 2-core machine).
+        digits adjacent, and a digit -1 adds -P = (x, -y).  A dense k
+        then adds for about a third of its bits instead of half, for at
+        most one more doubling; a sparse k, such as q or the cofactor,
+        keeps its counts.  On the toy profile k keeps its binary
+        digits: there signed digits were measured slower, a cofactor
+        clearing 4.3 us against 2.8 us in process, and churn_toy's
+        setup_s was higher in 4 of 6 paired runs (CPython 3.11, a
+        shared 2-core machine).
 
         A fixed base, a key of _combs, reads its comb (_comb_table) for
         k < q once the comb is built: the generator's, min(8, bits(q))
@@ -217,7 +212,11 @@ class Curve:
         it.  A comb reduces k mod q, so the bound keeps mul(q, P), and
         with it in_subgroup of a base not yet checked, on the plain
         loop, where a point of order 2q fails; such a mul leaves a
-        built comb in place."""
+        built comb in place.  A k < 0 is refused on every base, before
+        _combs is read, since a comb would reduce it and the plain loop
+        would misread its sign."""
+        if k < 0:
+            raise ValueError(f"mul needs k >= 0, got {k}")
         if k < self.q:
             comb = self._combs.get(P, ())  # () for a base that is not fixed
             if comb is None:
@@ -407,12 +406,10 @@ class Curve:
         pairing's first argument is: a kept value, g_ID in encryption
         and e(d_A, Q_B) in the key exchange.  So x keeps a comb from its
         first call with k != 0 mod q on (_gt_comb), and x^k is a - 1
-        squarings and at most a - 1 products for its a columns: on the
-        demo profile 32 columns, at most 155 F_p products and no
-        inversion; on the toy profile one tooth of 5 columns.  k is
-        reduced mod q first, which is right in GT alone; the final
-        exponentiation's power, of an element whose order need not be
-        q, stays with f2_pow.
+        squarings and at most a - 1 products for its a columns and no
+        inversion.  k is reduced mod q first, which is right in GT
+        alone; the final exponentiation's power, of an element whose
+        order need not be q, stays with f2_pow.
         """
         k %= self.q
         if k == 0 or x == GT_ONE:

@@ -15,8 +15,8 @@ Two parameter profiles ship with the package: "toy" (p = 227, q = 19)
 small enough for exhaustive checks, and "demo" with a 256-bit field and
 a 160-bit subgroup, giving 64-byte serialized points.  The demo primes
 were found by the deterministic search in tools/gen_demo_params.py.
-setup and params_from_bytes refuse any other (p, q, n), so nothing
-downstream checks the primes again.
+A SecurityConfig names one of them, and params_from_bytes refuses any
+other (p, q, n), so nothing downstream checks the primes again.
 """
 
 from __future__ import annotations
@@ -46,23 +46,19 @@ _FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class SecurityConfig:
-    p: int
-    q: int
-    n: int
+    """A PROFILES name and the master seed; an unknown name is refused
+    here, once, so setup takes the profile's numbers as they are."""
+
+    profile: str
     seed: int = 0
+
+    def __post_init__(self):
+        if self.profile not in PROFILES:
+            raise ConfigError(f"unknown profile {self.profile!r}")
 
     @classmethod
     def from_profile(cls, name: str, seed: int = 0) -> "SecurityConfig":
-        if name not in PROFILES:
-            raise ConfigError(f"unknown profile {name!r}")
-        return cls(seed=seed, **PROFILES[name])
-
-
-def _require_profile(p: int, q: int, n: int) -> None:
-    """Refuse curve parameters other than a PROFILES entry; the tests
-    check the soundness of those two sets once."""
-    if {"p": p, "q": q, "n": n} not in PROFILES.values():
-        raise ConfigError(f"(p, q, n) is not one of the profiles {sorted(PROFILES)}")
+        return cls(name, seed)
 
 
 @dataclass
@@ -107,21 +103,15 @@ def setup(config: SecurityConfig):
     Returns:
         (PublicParams, MasterKey)
     """
-    _require_profile(config.p, config.q, config.n)
+    profile = PROFILES[config.profile]
     rng = random.Random(config.seed)
-    curve = Curve(config.p, config.q)
+    curve = Curve(profile["p"], profile["q"])
     while True:
-        gen = curve.subgroup_point(rng.randrange(config.p))
+        gen = curve.subgroup_point(rng.randrange(profile["p"]))
         if gen is not None:
             break
-    s = rng.randrange(1, config.q)
-    params = PublicParams(
-        p=config.p,
-        q=config.q,
-        n=config.n,
-        generator=gen,
-        master_pub=curve.mul(s, gen),
-    )
+    s = rng.randrange(1, profile["q"])
+    params = PublicParams(**profile, generator=gen, master_pub=curve.mul(s, gen))
     return params, MasterKey(scalar=s)
 
 
@@ -302,7 +292,9 @@ def params_from_bytes(data: bytes) -> PublicParams:
     gen = (r.lp_int(), r.lp_int())
     mpub = (r.lp_int(), r.lp_int())
     r.end()
-    _require_profile(p, q, n)
+    # the numbers come from a file, so they are checked against the profiles
+    if {"p": p, "q": q, "n": n} not in PROFILES.values():
+        raise ConfigError(f"(p, q, n) is not one of the profiles {sorted(PROFILES)}")
     params = PublicParams(p=p, q=q, n=n, generator=gen, master_pub=mpub)
     if not (params.curve.in_subgroup(gen) and params.curve.in_subgroup(mpub)):
         raise ValueError("params point invalid")

@@ -488,16 +488,11 @@ class Simulation:
         self.rng_channel = random.Random(master_rng.getrandbits(64))
         self.rng_adversary = random.Random(master_rng.getrandbits(64))
 
-        if keys is None:
-            config = ibe.SecurityConfig.from_profile(
-                scenario.profile, seed=scenario.master_seed)
-            params, master = ibe.setup(config)
-        else:
-            params, master = keys
-            profile = ibe.PROFILES[scenario.profile]
-            if (params.p, params.q, params.n) != (profile["p"], profile["q"], profile["n"]):
-                raise ConfigError(f"key material does not match the scenario's "
-                                  f"{scenario.profile!r} profile")
+        params, master = keys or ibe.setup(
+            ibe.SecurityConfig(scenario.profile, scenario.master_seed))
+        if keys and ibe.PROFILES[scenario.profile] != dict(p=params.p, q=params.q, n=params.n):
+            raise ConfigError(f"key material does not match the scenario's "
+                              f"{scenario.profile!r} profile")
         self.bs = protocol.BaseStation(params, master)
         self.bs.nonce_check = nonce_check
         self.params = params

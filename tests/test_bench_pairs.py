@@ -1,7 +1,9 @@
-"""tools/bench_pairs.py's parsing and summary, on synthetic runs; no
-process is started."""
+"""tools/bench_pairs.py's parsing and summary, on synthetic runs, and
+its checkouts, on a throwaway git repository; no benchmark is run."""
 
 import json
+import os
+import subprocess
 
 import bench_pairs
 
@@ -119,3 +121,45 @@ def test_no_regression_verdicts():
     assert failing["correctness"]["ta_sweep"]["failed_share"] == {"parent": 0.0, "change": 0.1}
     assert bench_pairs.no_regression(failing) == {
         "regressed": [], "unresolved": [], "more_failed_ops": ["ta_sweep"], "holds": False}
+
+
+def test_checkouts_extract_both_sides_and_touch_no_ref(tmp_path, monkeypatch):
+    for var in ("AUTHOR", "COMMITTER"):
+        monkeypatch.setenv(f"GIT_{var}_NAME", "bench")
+        monkeypatch.setenv(f"GIT_{var}_EMAIL", "bench@example.invalid")
+    monkeypatch.setenv("GIT_CONFIG_GLOBAL", os.devnull)
+    monkeypatch.setenv("GIT_CONFIG_NOSYSTEM", "1")
+    repo, clean, dirty = tmp_path / "repo", tmp_path / "clean", tmp_path / "dirty"
+    for path in (repo, clean, dirty):
+        path.mkdir()
+
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=repo, capture_output=True, text=True,
+                              check=True).stdout
+
+    git("init", "-q")
+    (repo / "tracked.txt").write_text("parent\n")
+    git("add", "tracked.txt")
+    git("commit", "-q", "-m", "parent")
+    head = git("rev-parse", "--short", "HEAD").strip()
+    # with only an untracked file, the change is HEAD itself
+    (repo / "untracked.txt").write_text("untracked\n")
+    sides = bench_pairs.checkouts("HEAD", clean, repo)
+    assert sides["change"][0] == sides["parent"][0] == head
+    # a modified tracked file and a staged new file make a stash commit
+    (repo / "tracked.txt").write_text("change\n")
+    (repo / "staged.txt").write_text("staged\n")
+    git("add", "staged.txt")
+    status = git("status", "--porcelain")
+    sides = bench_pairs.checkouts("HEAD", dirty, repo)
+    (parent, parent_dir), (change, change_dir) = sides["parent"], sides["change"]
+    assert parent == head and change != head
+    assert (parent_dir, change_dir) == (dirty / "parent", dirty / "change")
+    assert sorted(p.name for p in parent_dir.iterdir()) == ["tracked.txt"]
+    assert (parent_dir / "tracked.txt").read_text() == "parent\n"
+    assert sorted(p.name for p in change_dir.iterdir()) == ["staged.txt", "tracked.txt"]
+    assert (change_dir / "tracked.txt").read_text() == "change\n"
+    # no ref, index, working-tree or stash-list change
+    assert git("stash", "list") == ""
+    assert git("status", "--porcelain") == status
+    assert (repo / "tracked.txt").read_text() == "change\n"

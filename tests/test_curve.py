@@ -45,10 +45,10 @@ def assert_loaders_reject(gen, bad):
             ibe.params_from_bytes(blob)
 
 
-def counting(curve):
-    """Shadow curve's Jacobian steps on the instance; the returned dict
-    counts the calls to each."""
-    counts = {"_double": 0, "_add_affine": 0}
+def counting(curve, names=("_double", "_add_affine")):
+    """Shadow curve's Jacobian steps, or the named methods, on the
+    instance; the returned dict counts the calls to each."""
+    counts = dict.fromkeys(names, 0)
     for name in counts:
         def counted(*args, step=getattr(curve, name), name=name):
             counts[name] += 1
@@ -325,7 +325,7 @@ class TestDemoKernel:
         assert (b, len(masks)) == (10, 2)
         assert len(table) == 511 and list(table.values()).count(None) == 1
         assert curve.mul(q, P) is None
-        for k in (-1, -12345, q + 1, 2 * q + 7, rng.getrandbits(300)):
+        for k in (q + 1, 2 * q + 7, rng.getrandbits(300)):
             assert curve.mul(k, P) == oracles.double_and_add(DEMO_P, k, P), k
 
     def test_comb_matches_double_and_add(self, points):
@@ -336,7 +336,7 @@ class TestDemoKernel:
         assert curve._combs == {Q: None}  # the first mul keeps the plain loop
         rng = random.Random(22)
         q = DEMO_Q
-        ks = [rng.randrange(q) for _ in range(60)] + [0, 1, -1, q - 1, q, q + 1, 2**160 - 1]
+        ks = [rng.randrange(q) for _ in range(60)] + [0, 1, q - 1, q, q + 1, 2**160 - 1]
         for k in ks:
             assert curve.mul(k, Q) == oracles.double_and_add(DEMO_P, k, Q), k
         # 5 teeth of 32 columns, one table: 31 entries, none of them
@@ -489,7 +489,7 @@ class TestFixedBase:
         assert table == {i: oracles.naive_mul(TOY_P, i, gen) for i in range(32)}
         assert [i for i, A in table.items() if A is None] == [0, TOY_Q]
         assert curve.mul(TOY_Q, gen) is None
-        for k in (-1, -7, -TOY_Q, TOY_Q + 1, 3 * TOY_Q + 5):
+        for k in (TOY_Q + 1, 3 * TOY_Q + 5):
             assert curve.mul(k, gen) == oracles.double_and_add(TOY_P, k, gen), k
 
     def test_other_points_take_the_plain_path(self, gen):
@@ -498,6 +498,34 @@ class TestFixedBase:
         for k in range(TOY_Q + 1):
             assert curve.mul(k, P) == oracles.double_and_add(TOY_P, k, P), k
         assert curve._combs == {gen: None}
+
+    def test_negative_scalars_are_refused_on_every_base(self, gen):
+        # a fresh point, an identity point before and after its comb is
+        # built, and the generator before and after: k < 0 is refused
+        # before _combs is read, and k = 0 still gives infinity
+        curve = Curve(TOY_P, TOY_Q, gen)
+        R = oracles.double_and_add(TOY_P, 5, gen)
+        Q = oracles.map_to_point(TOY_P, TOY_Q, "node-009")
+        curve.identity_points.add(Q)
+
+        def refuses(B):
+            before = dict(curve._combs)
+            for k in (-1, -TOY_Q):
+                with pytest.raises(ValueError, match="k >= 0"):
+                    curve.mul(k, B)
+                assert curve._combs == before, (B, k)
+            assert curve.mul(0, B) is None
+
+        refuses(R)
+        refuses(Q)  # its mul(0, Q) enters Q, so the next mul builds the comb
+        curve.mul(2, Q)
+        assert curve._combs[Q] is not None
+        refuses(Q)
+        refuses(gen)
+        curve.mul(1, gen)
+        assert curve._combs[gen] is not None
+        refuses(gen)
+        assert set(curve._combs) == {gen, Q}
 
 
 class TestComb:

@@ -91,13 +91,24 @@ class TestConfig:
         assert 0 < n <= 256 and n % 8 == 0
 
     def test_unknown_profile(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="unknown profile 'huge'"):
+            ibe.SecurityConfig("huge")
+        with pytest.raises(ConfigError, match="unknown profile 'huge'"):
             ibe.SecurityConfig.from_profile("huge")
 
+    def test_config_holds_a_name_and_a_seed(self):
+        fields = [f.name for f in dataclasses.fields(ibe.SecurityConfig)]
+        assert fields == ["profile", "seed"]
+        assert ibe.SecurityConfig.from_profile("demo", seed=3) == ibe.SecurityConfig("demo", 3)
+
+    # a config holds a profile name, so no (p, q, n) reaches setup,
+    # neither as fields nor in place of the name
     @pytest.mark.parametrize("p, q, n", NOT_PROFILES)
     def test_setup_refuses_other_parameters(self, p, q, n):
-        with pytest.raises(ConfigError, match=NOT_A_PROFILE):
-            ibe.setup(ibe.SecurityConfig(p=p, q=q, n=n))
+        with pytest.raises(TypeError):
+            ibe.SecurityConfig(p=p, q=q, n=n)
+        with pytest.raises(ConfigError, match="unknown profile"):
+            ibe.SecurityConfig((p, q, n))
 
     # params.bin holds unsigned integers, so it cannot carry n = -8
     @pytest.mark.parametrize("p, q, n", [c for c in NOT_PROFILES if c.values[2] >= 0])

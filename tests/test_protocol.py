@@ -72,6 +72,16 @@ class TestRegistry:
         with pytest.raises(ValueError):
             reg.assign("bs")
 
+    def test_full_after_65535_identities(self):
+        # wire ids are 2 bytes and the base station holds 0, so the
+        # 65,536th identity finds none left
+        reg = protocol.Registry()
+        for i in range(1, 0x10000):
+            assert reg.assign(f"n{i}") == i
+        with pytest.raises(ValueError, match="registry full"):
+            reg.assign("one-more")
+        assert "one-more" not in reg
+
 
 class TestTaRecord:
     def test_layout(self):

@@ -9,6 +9,7 @@ import pytest
 
 from ibetrust import codec, ibe, protocol, sim
 from ibetrust.curve import Curve
+from test_curve import counting
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -120,3 +121,67 @@ def test_generator_comb_figures(text):
     assert count == len(points)
     assert size == 2 * curve.coord_size * len(points)
     assert (doublings, additions) == (b - 1, len(masks) * b)
+
+
+def test_identity_comb_figures(text):
+    # an identity point's comb on a demo Curve, built on its second mul:
+    # its finite points, their coordinate bytes, and the most doublings
+    # and additions of a kQ (b columns, one addition per column)
+    demo = ibe.PROFILES["demo"]
+    curve = Curve(demo["p"], demo["q"])
+    Q = curve.subgroup_point(7)
+    curve.identity_points.add(Q)
+    curve.mul(3, Q)
+    curve.mul(3, Q)
+    b, masks, table = curve._combs[Q]
+    points = [A for A in table.values() if A is not None]
+    claim = re.search(r"the bases 2\^\((\d+)j\)·Q_A for j < (\d+) and their (\d+) nonzero "
+                      r"subset sums, about (\d+) KB of coordinates per identity\. kQ_A is "
+                      r"then at most (\d+) doublings and (\d+) mixed additions", text)
+    assert claim is not None
+    width, teeth, count, kb, doublings, additions = map(int, claim.groups())
+    assert len(masks) == 1 and (width, teeth) == (b, curve._comb_teeth)
+    assert len(table) == 2**teeth and count == len(points) == 31
+    assert kb == round(2 * curve.coord_size * len(points) / 1000) == 2
+    assert (doublings, additions) == (b - 1, b) == (31, 32)
+
+
+def test_gt_comb_figures(text):
+    # a kept value's comb on a demo Curve: its entries, the squarings and
+    # products that build it, and a power's squarings and products
+    # (two F_p products per F_p^2 square, three per product)
+    demo = ibe.PROFILES["demo"]
+    curve = Curve(demo["p"], demo["q"])
+    P = curve.subgroup_point(5)
+    x = curve.pairing(P, curve.subgroup_point(7))
+    counts = counting(curve, ("_f2_sqr", "f2_mul"))
+    a, _, table = curve._gt_comb(x)
+    claim = re.search(r"that is (\d+) teeth of (\d+) bits: (\d+) entries, built by (\d+) "
+                      r"squarings and (\d+) products in F_p²\. A power is then (\d+) "
+                      r"squarings and at most (\d+) products, about (\d+) F_p products", text)
+    assert claim is not None
+    teeth, width, entries, build_sqr, build_mul, sqr, mul, fp = map(int, claim.groups())
+    assert (teeth, width) == (curve._comb_teeth, a)
+    assert entries == len(table) == 32
+    assert (build_sqr, build_mul) == tuple(counts.values()) == (128, 31)
+    assert (sqr, mul) == (a - 1, a - 1) == (31, 31)
+    assert fp == 2 * sqr + 3 * mul == 155
+
+
+def test_plain_loop_counts(text):
+    # doublings and additions of the plain loop on a demo Curve for the
+    # subgroup check's q and for cofactor clearing
+    demo = ibe.PROFILES["demo"]
+    curve = Curve(demo["p"], demo["q"])
+    R = curve.subgroup_point(5)
+    counts = counting(curve)
+    assert curve.mul(curve.q, R) is None
+    q_counts = tuple(counts.values())
+    counts.update(_double=0, _add_affine=0)
+    assert curve.mul(curve.cofactor, curve.point_from_y(5)) == R
+    claim = re.search(r"the subgroup check's q is (\d+) doublings and (\d+) additions, "
+                      r"and cofactor clearing (\d+) doublings and (\d+) additions", text)
+    assert claim is not None
+    q_doublings, q_additions, c_doublings, c_additions = map(int, claim.groups())
+    assert (q_doublings, q_additions) == q_counts == (159, 5)
+    assert (c_doublings, c_additions) == tuple(counts.values()) == (96, 3)

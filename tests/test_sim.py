@@ -38,6 +38,11 @@ class TestScenarioParsing:
         with pytest.raises(ConfigError, match="line 1"):
             sim.parse_scenario("{not json")
 
+    @pytest.mark.parametrize("text", ["[]", "1", '"x"', "null"])
+    def test_top_level_must_be_an_object(self, text):
+        with pytest.raises(ConfigError, match="scenario must be an object"):
+            sim.parse_scenario(text)
+
     def test_unknown_keys_rejected(self):
         bad = dict(MINIMAL, extra=1)
         with pytest.raises(ConfigError, match="unknown key 'extra'"):
@@ -647,6 +652,13 @@ class TestReportShape:
         for section in ("final node phases", "rejection log", "attack verdicts",
                         "event log", "per-process energy"):
             assert section in direct
+
+    def test_no_trust_snapshots_render_as_none(self):
+        # a node that boots and never reports leaves no trust snapshot
+        quiet = dict(MINIMAL, events=MINIMAL["events"][:1])
+        report = sim.run(scenario_from(quiet))
+        assert report.trust_snapshots == []
+        assert "trust list snapshots\n  (none)\n" in sim.render_report_dict(report.to_dict())
 
     def test_each_rejection_logged_once_in_order(self):
         report = sim.run(sim.load_scenario("attacks"))

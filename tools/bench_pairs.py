@@ -1,10 +1,16 @@
 """Paired benchmark runs of a parent commit against this checkout.
 
-Extracts the parent's committed files into a temporary directory
-(`git archive`, so nothing is registered in .git and a killed run
-leaves nothing behind there), then runs perfbench/run.py on each side,
+Extracts the parent's and the change's committed files into two
+temporary directories of the same path length (`git archive`, so
+nothing is registered in .git and a killed run leaves nothing behind
+there), so that both sides run from alike trees.  The change is HEAD
+when no tracked file differs from it, else the commit that
+`git stash create` makes of the index and the tracked files, which
+writes no ref and leaves the index, the working tree and the stash list
+alone: modified tracked files and staged new files are measured,
+untracked files are not.  Then it runs perfbench/run.py on each side,
 one process at a time, N pairs per workload in alternating order: pair
-i runs the parent first for even i and this checkout first for odd i.
+i runs the parent first for even i and the change first for odd i.
 Each run's last line of output is perfbench's JSON result.  The summary
 holds, per workload and end-to-end metric, the pairs, each side's
 quartiles, the pairs the change won, the change's relative move
@@ -168,9 +174,25 @@ def claim(summary: dict, key: str) -> dict:
             and fails_no_more(correctness)}
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+def git(*args: str, repo: Path = ROOT) -> str:
+    return subprocess.run(["git", *args], cwd=repo, capture_output=True, text=True,
                           check=True).stdout.strip()
+
+
+def checkouts(parent: str, dest: Path, repo: Path = ROOT) -> dict[str, tuple[str, Path]]:
+    """side -> (short commit, directory): the parent ref's files and the
+    change's, HEAD or `git stash create`'s commit, each extracted by
+    `git archive` into its own directory under dest."""
+    change = git("stash", "create", repo=repo) or "HEAD"
+    sides = {}
+    for side, ref in (("parent", parent), ("change", change)):
+        path = dest / side
+        path.mkdir()
+        archive = subprocess.run(["git", "archive", ref], cwd=repo, capture_output=True,
+                                 check=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(path)], input=archive, check=True)
+        sides[side] = (git("rev-parse", "--short", ref, repo=repo), path)
+    return sides
 
 
 def main(argv=None) -> int:
@@ -185,19 +207,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     workloads = args.workloads.split(",")
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    parent_commit = git("rev-parse", "--short", args.parent)
-    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    head = git("rev-parse", "--short", "HEAD")
     runs: dict[str, list[tuple[dict, dict]]] = {w: [] for w in workloads}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        parent_dir = Path(tmp)
-        archive = subprocess.run(["git", "archive", parent_commit], cwd=ROOT,
-                                 capture_output=True, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(parent_dir)], input=archive, check=True)
+        sides = checkouts(args.parent, Path(tmp))
         for workload in workloads:
             for i in range(args.pairs):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                got = {side: run(parent_dir if side == "parent" else ROOT,
-                                 command(args.seed, args.seconds, workload))
+                got = {side: run(sides[side][1], command(args.seed, args.seconds, workload))
                        for side in order}
                 runs[workload].append((got["parent"], got["change"]))
                 print(f"{workload} pair {i}: " + ", ".join(
@@ -209,9 +226,9 @@ def main(argv=None) -> int:
         "seed": args.seed, "seconds": args.seconds,
         "python": f"{platform.python_version()} ({platform.python_implementation()})",
         "machine": f"{platform.platform()}, runs one at a time",
-        "parent": {"commit": parent_commit},
-        "change": {"commit": f"working tree on {git('rev-parse', '--short', 'HEAD')}"
-                             + (", with uncommitted changes" if dirty else "")},
+        "parent": {"commit": sides["parent"][0]},
+        "change": {"commit": sides["change"][0], "head": head,
+                   "from": "HEAD" if sides["change"][0] == head else "git stash create"},
         "run_order": {"note": "pair i ran the parent first for even i and the change "
                               f"first for odd i; {args.pairs} pairs per workload, "
                               "workloads one after another in this order",
