@@ -70,11 +70,8 @@ class BootResult:
 
 
 def verify_level(chain: BootChain, k: int) -> int:
-    """Integrity bit for one level.  Level 1 is the root of trust."""
-    if not 1 <= k <= len(chain.images):
-        raise ConfigError(f"level {k} outside chain of depth {len(chain.images)}")
-    if k == 1:
-        return 1
+    """Integrity bit for level k, one of the levels 2..N that boot
+    checks; level 1, the root of trust, has no reference to check."""
     return 1 if measure(chain.images[k - 1]) == chain.reference_digests[k - 2] else 0
 
 

@@ -135,7 +135,3 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - last-resort boundary
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

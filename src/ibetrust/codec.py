@@ -42,15 +42,10 @@ class Frame:
 
 
 def fragment(dst: int, src: int, blob: bytes) -> list[Frame]:
-    """Split a blob into frames of at most 106 payload bytes, numbered
-    from 0.
-
-    An empty blob still produces one (empty) frame so that keepalives
-    and zero-length records are representable.
-    """
+    """Split a non-empty blob into frames of at most 106 payload bytes,
+    numbered from 0.  Every blob the program frames is an encrypted
+    message or an AKE message, and neither is empty."""
     chunks = [blob[i : i + MAX_PAYLOAD] for i in range(0, len(blob), MAX_PAYLOAD)]
-    if not chunks:
-        chunks = [b""]
     last = len(chunks) - 1
     return [Frame(dst, src, seq=i, more=i < last, payload=chunk)
             for i, chunk in enumerate(chunks)]

@@ -124,9 +124,8 @@ class Curve:
 
     # ---- group law over F_p ----
 
-    def contains(self, P: Point) -> bool:
-        if P is None:
-            return True
+    def contains(self, P: tuple[int, int]) -> bool:
+        """True when the finite point P is on the curve."""
         x, y = P
         if not (0 <= x < self.p and 0 <= y < self.p):
             return False
@@ -142,11 +141,8 @@ class Curve:
         """
         return P is not None and self.contains(P) and self.mul(self.q, P) is None
 
-    def add(self, P: Point, Q: Point) -> Point:
-        if P is None:
-            return Q
-        if Q is None:
-            return P
+    def add(self, P: tuple[int, int], Q: tuple[int, int]) -> Point:
+        """P + Q for finite P and Q; None when Q = -P."""
         return self._to_affine(self._add_affine((P[0], P[1], 1), Q)[0])
 
     # Jacobian (X, Y, Z) stands for the affine (X/Z^2, Y/Z^3); any Z = 0
@@ -405,15 +401,14 @@ class Curve:
         Every base in the program is fixed across calls, as the
         pairing's first argument is: a kept value, g_ID in encryption
         and e(d_A, Q_B) in the key exchange.  So x keeps a comb from its
-        first call with k != 0 mod q on (_gt_comb), and x^k is a - 1
-        squarings and at most a - 1 products for its a columns and no
-        inversion.  k is reduced mod q first, which is right in GT
-        alone; the final exponentiation's power, of an element whose
-        order need not be q, stays with f2_pow.
+        first call on (_gt_comb), and x^k is a - 1 squarings and at most
+        a - 1 products for its a columns and no inversion; k = 0 mod q
+        reads only the entry 1, and every entry of x = 1's comb is 1.
+        k is reduced mod q first, which is right in GT alone; the final
+        exponentiation's power, of an element whose order need not be
+        q, stays with f2_pow.
         """
         k %= self.q
-        if k == 0 or x == GT_ONE:
-            return GT_ONE
         comb = self._gt_combs.get(x)
         if comb is None:
             comb = self._gt_combs[x] = self._gt_comb(x)

@@ -46,8 +46,9 @@ _FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class SecurityConfig:
-    """A PROFILES name and the master seed; an unknown name is refused
-    here, once, so setup takes the profile's numbers as they are."""
+    """A PROFILES name and the master seed; an unknown name or a
+    negative seed is refused here, once, so setup takes the profile's
+    numbers as they are."""
 
     profile: str
     seed: int = 0
@@ -55,6 +56,9 @@ class SecurityConfig:
     def __post_init__(self):
         if self.profile not in PROFILES:
             raise ConfigError(f"unknown profile {self.profile!r}")
+        if self.seed < 0:
+            # random.Random takes abs(seed): -7 would repeat seed 7's keys
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     @classmethod
     def from_profile(cls, name: str, seed: int = 0) -> "SecurityConfig":

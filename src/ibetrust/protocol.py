@@ -372,15 +372,19 @@ def dp_provision(bs: BaseStation, identity: str, chain: BootChain,
 
 
 def pdp_register(bs: BaseStation, node: Node) -> None:
-    """Controlled-environment boot plus secure out-of-band registration."""
+    """Controlled-environment boot plus secure out-of-band registration.
+
+    The chain's references are its own images' digests
+    (BootChain.from_images), so the controlled boot passes.  A chain
+    tampered before this call registers the trust value None, which no
+    trust report matches: the node's field boot halts it, and a report
+    from a repaired chain fails trust_mismatch.
+    """
     if node.phase not in (DP, PDP):
         raise ValueError(f"cannot register from phase {node.phase!r}")
-    result = boot(node.chain)  # controlled boot, not billed
-    if not result.ok:
-        node.phase = HALTED
-        raise Reject("boot_failure", f"level {result.failed_level}")
-    bs.db.register(node.identity, result.trust_value)
-    node.trust_value = result.trust_value
+    trust = boot(node.chain).trust_value  # controlled boot, not billed
+    bs.db.register(node.identity, trust)
+    node.trust_value = trust
     node.phase = PDP
 
 

@@ -96,6 +96,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown profile 'huge'"):
             ibe.SecurityConfig.from_profile("huge")
 
+    @pytest.mark.parametrize("name", sorted(ibe.PROFILES))
+    def test_negative_seed_refused(self, name):
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -7"):
+            ibe.SecurityConfig(name, -7)
+        assert ibe.SecurityConfig(name, 0).seed == 0
+
     def test_config_holds_a_name_and_a_seed(self):
         fields = [f.name for f in dataclasses.fields(ibe.SecurityConfig)]
         assert fields == ["profile", "seed"]

@@ -268,15 +268,24 @@ class TestProvisioning:
         assert rec.trust_value == node.trust_value
         assert len(rec.trust_value) == 8
 
-    def test_pdp_boot_failure(self, toy_params):
+    def test_chain_tampered_before_registration_is_never_admitted(self, toy_params):
+        # the simulator tampers only after registration; a library caller
+        # that tampers first registers the trust value None
         bs = make_bs(toy_params)
         node = protocol.dp_provision(bs, "node-001", BootChain.from_images([b"loader", b"kernel"]))
         node.chain.images[1] = b"tampered"
-        with pytest.raises(Reject) as e:
-            protocol.pdp_register(bs, node)
-        assert e.value.reason == "boot_failure"
+        protocol.pdp_register(bs, node)
+        assert node.phase == protocol.PDP
+        assert bs.db.records["node-001"].trust_value is None
+        node.power_on()
         assert node.phase == protocol.HALTED
-        assert "node-001" not in bs.db.records
+        node.chain.images[1] = b"kernel"  # repaired in the field
+        node.power_on()
+        frames = protocol.ta_request(node, random.Random(0))
+        with pytest.raises(Reject) as e:
+            protocol.bs_handle_ta(bs, frames, random.Random(1))
+        assert e.value.reason == "trust_mismatch"
+        assert "node-001" not in bs.db.trusted
 
     def test_reregistration_overwrites(self, toy_params):
         bs = make_bs(toy_params)

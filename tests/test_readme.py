@@ -82,6 +82,17 @@ def test_scenario_fields():
     assert missing == []
 
 
+def test_rejection_reasons_are_all_listed():
+    raw = README.read_text(encoding="utf-8")
+    section = raw.split("## Rejection reasons", 1)[1].split("\n## ", 1)[0]
+    package = Path(protocol.__file__).parent
+    raised = {reason for path in package.glob("*.py")
+              for reason in re.findall(r'Reject\("(\w+)"', path.read_text(encoding="utf-8"))}
+    # 16 rows, and decrypt_message's 3 reasons as details of decrypt_failure
+    assert len(raised) == 19
+    assert sorted(r for r in raised if f"`{r}`" not in section) == []
+
+
 def test_module_map_lists_every_module():
     raw = README.read_text(encoding="utf-8")
     table = raw.split("## Module map", 1)[1].split("\n## ", 1)[0]
