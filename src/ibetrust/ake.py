@@ -112,17 +112,22 @@ def initiate(
 def respond(params: PublicParams, sk_b: PrivateKey, msg: AkeMessage) -> SessionKey:
     """Derive B's copy of the session key from the received message.
 
-    Raises Reject (off_curve, mac_mismatch, wrong_receiver,
-    degenerate_key) rather than returning partial results.
+    Raises Reject (off_curve, wrong_receiver, mac_mismatch,
+    degenerate_key) rather than returning partial results.  The cheap
+    checks come first: an R off the curve is refused off_curve before
+    anything else reads it, then the receiver and the MAC are checked,
+    and only then does the order check's 160-bit qR run.
     """
     curve = params.curve
     R = msg.big_r
-    if not curve.in_subgroup(R):
+    on_curve = R is not None and curve.contains(R)
+    if on_curve:
+        if msg.receiver != sk_b.identity:
+            raise Reject("wrong_receiver")
+        if message_mac(params, msg.sender, R, msg.nonce) != msg.mac:
+            raise Reject("mac_mismatch")
+    if not on_curve or curve.mul(params.q, R) is not None:
         raise Reject("off_curve")
-    if msg.receiver != sk_b.identity:
-        raise Reject("wrong_receiver")
-    if message_mac(params, msg.sender, R, msg.nonce) != msg.mac:
-        raise Reject("mac_mismatch")
     h = _h_ake(params, R, msg.sender, msg.receiver)
     q_a = hash_to_point(params, msg.sender)
     K = curve.pairing(sk_b.point, curve.add(R, curve.mul(h, q_a)))

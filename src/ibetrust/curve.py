@@ -134,8 +134,9 @@ class Curve:
     def in_subgroup(self, P: Point) -> bool:
         """True when P is a finite curve point of order q.
 
-        The validity check for points from outside the program: the
-        loaders' points and a key exchange's R.  ibe.decrypt needs only
+        The validity check for the loaders' points.  ake.respond makes
+        the same two checks on a key exchange's R, with its cheap checks
+        between them.  ibe.decrypt needs only
         contains for U, because its re-encryption check accepts only
         U = r*P.  The pairing checks nothing and trusts its callers.
         """

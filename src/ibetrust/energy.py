@@ -3,15 +3,19 @@
 The model charges a fixed 72 mW processor (20 mA at 3.6 V) for timed
 processes (boot, encryption, hashing, world switching, pairing), a
 per-bit cost for encryption work, and per-byte radio costs for
-transmit and receive.  Each simulated node owns a ledger of entries
-(category, joules, note, quantity) and no times: the report reads only
-sums.  The constants are checked once, by EnergyConstants; the ledger
-and the airtime formulas take the categories and amounts that callers
-derive from them as given.  Category, ta-only and per-node totals are
-correctly rounded sums (math.fsum), so they depend neither on the order
-of the entries nor on the Python version (3.12 made builtin sum of
-floats compensated), and the category totals conserve the sum of the
-ledger's entries to within one rounding per category.
+transmit and receive.  Each simulated node owns a ledger of the work
+it did, in units and not in joules: entries (category, quantity,
+note), where the quantity is bytes for tx and rx, bits for encrypt and
+one process for the rest, and no times.  This module alone prices
+them: build_report has each ledger multiply every entry's quantity
+once by its category's rate in EnergyConstants.per_unit, so the
+constants given to build_report are the only ones a report reflects.
+The constants are checked once, by EnergyConstants.  Category, ta-only
+and per-node totals are correctly rounded sums (math.fsum), so they
+depend neither on the order of the entries nor on the Python version
+(3.12 made builtin sum of floats compensated), and the category totals
+conserve the sum of the priced entries to within one rounding per
+category.
 
 The report renders three tables: per-process energies derived from the
 constants, communication legs with both the simulator's true on-air
@@ -103,6 +107,14 @@ class EnergyConstants:
     def e_pairing(self) -> float:
         return joules(self.power_w, self.pairing_s)
 
+    @property
+    def per_unit(self) -> dict[str, float]:
+        """Joules per unit of each ledger category: a byte for tx and rx,
+        a bit for encrypt, one process for the rest."""
+        return {"boot": self.e_boot, "switch": self.e_switch,
+                "encrypt": self.enc_j_per_bit, "pairing": self.e_pairing,
+                "sha2": self.e_sha2, "tx": self.tx_j_per_byte, "rx": self.rx_j_per_byte}
+
     @classmethod
     def from_file(cls, path) -> "EnergyConstants":
         try:
@@ -165,39 +177,40 @@ def framed_airtime(payload_bytes: int) -> int:
     return payload_bytes + HEADER_SIZE * frames
 
 
-@dataclass
-class EnergyEvent:
-    category: str
-    joules: float
-    note: str = ""
-    quantity: float = 0.0  # bytes for tx/rx, bits for encrypt, else count
-
-
 class EnergyLedger:
-    """Append-only per-node energy record."""
+    """Append-only per-node record of billed work: entries (category,
+    quantity, note) in units, not joules; only build_report prices them."""
 
     def __init__(self):
-        self.events: list[EnergyEvent] = []
+        self.entries: list[tuple[str, float, str]] = []
 
-    def add(self, category: str, amount_j: float, note: str = "", quantity: float = 0.0):
-        self.events.append(EnergyEvent(category, amount_j, note, quantity))
+    def add(self, category: str, quantity: float, note: str = ""):
+        self.entries.append((category, quantity, note))
 
-    def category_total(self, category: str) -> float:
-        return math.fsum(e.joules for e in self.events if e.category == category)
+    def priced(self, per_unit: dict[str, float]):
+        """Price each entry once, at its category's rate in per_unit.
 
-    def by_category(self) -> dict[str, float]:
-        return {c: self.category_total(c) for c in CATEGORIES}
-
-    def totals_by_note(self, category: str) -> dict[str, tuple[float, float]]:
-        """note -> (sum of joules, sum of quantity) for one category."""
-        out: dict[str, list[float]] = {}
-        for e in self.events:
-            if e.category != category:
-                continue
-            slot = out.setdefault(e.note, [0.0, 0.0])
-            slot[0] += e.joules
-            slot[1] += e.quantity
-        return {k: (v[0], v[1]) for k, v in sorted(out.items())}
+        Returns the joules of each category, the joules of the
+        authentication flow (boot, switch, encrypt and the tx and rx
+        legs whose note starts with "ta"), and (category, note) ->
+        [quantity, joules] for each tx and rx leg, summed left to right
+        in entry order, the same on every Python.
+        """
+        by_category: dict[str, list[float]] = {c: [] for c in CATEGORIES}
+        ta: list[float] = []
+        legs: dict[tuple[str, str], list[float]] = {}
+        for category, quantity, note in self.entries:
+            j = quantity * per_unit[category]
+            by_category[category].append(j)
+            if category in ("tx", "rx"):
+                leg = legs.setdefault((category, note), [0.0, 0.0])
+                leg[0] += quantity
+                leg[1] += j
+                if note.startswith("ta"):
+                    ta.append(j)
+            elif category in ("boot", "switch", "encrypt"):
+                ta.append(j)
+        return by_category, ta, legs
 
 
 @dataclass
@@ -220,12 +233,14 @@ def build_report(
     constants: EnergyConstants = DEFAULT_CONSTANTS,
     trusted_count: int = 0,
 ) -> EnergyReport:
-    """Reduce ledgers into the report structure.
+    """Price the ledgers and reduce them into the report structure.
 
-    ta_totals exclude pairing energy: the authentication flow bills no
-    pairing (ack decryption's is a known gap).  The nominal total is the
-    calibrated one-boot one-switch 160-bit reading, printed beside the
-    measured numbers rather than replacing them.
+    Each entry is priced once, as its quantity times its category's
+    rate in constants.per_unit.  ta_totals exclude pairing energy: the
+    authentication flow bills no pairing (ack decryption's is a known
+    gap).  The nominal total is the calibrated one-boot one-switch
+    160-bit reading, printed beside the measured numbers rather than
+    replacing them.
     """
     process_rows = [
         ("secure bootup", constants.boot_s, constants.e_boot),
@@ -237,10 +252,13 @@ def build_report(
     nominal_total = e_total(
         1, 1, NOMINAL_TA_ENC_BITS, NOMINAL_TA_TX_BYTES, NOMINAL_TA_RX_BYTES, constants
     )
+    per_unit = constants.per_unit
+    priced = {name: ledgers[name].priced(per_unit) for name in sorted(ledgers)}
     # Finite constants can still multiply or add up past the float range.
     # Every joule figure in the report is a non-negative part of this sum,
     # or the battery share of the nominal total, so one check covers them.
-    figures = [e.joules for led in ledgers.values() for e in led.events]
+    figures = [j for by_category, _, _ in priced.values()
+               for js in by_category.values() for j in js]
     figures += [j for _, _, j in process_rows]
     figures += [nominal_total, nominal_total / constants.battery_j * 100]
     try:
@@ -252,18 +270,13 @@ def build_report(
     comm_rows = []
     per_node = {}
     ta_totals = {}
-    for name in sorted(ledgers):
-        led = ledgers[name]
-        per_node[name] = led.by_category()
-        for category in ("tx", "rx"):
-            for note, (j, qty) in led.totals_by_note(category).items():
-                comm_rows.append((name, f"{category}:{note}", qty, j))
-        ta_totals[name] = math.fsum(
-            e.joules
-            for e in led.events
-            if e.category in ("boot", "switch", "encrypt")
-            or (e.category in ("tx", "rx") and e.note.startswith("ta"))
-        )
+    for name, (by_category, ta, legs) in priced.items():
+        per_node[name] = {c: math.fsum(js) for c, js in by_category.items()}
+        ta_totals[name] = math.fsum(ta)
+        comm_rows += [(name, f"{category}:{note}", quantity, j)
+                      for leg in ("tx", "rx")
+                      for (category, note), (quantity, j) in sorted(legs.items())
+                      if category == leg]
     nominal_rows = [
         ("ta request tx", NOMINAL_TA_TX_BYTES, e_comm(NOMINAL_TA_TX_BYTES, 0, constants)),
         ("ta ack rx", NOMINAL_TA_RX_BYTES, e_comm(0, NOMINAL_TA_RX_BYTES, constants)),

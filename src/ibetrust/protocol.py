@@ -12,10 +12,13 @@ Lifecycle phases for a node:
                   +--- reboot -+      (boot failure -> halted,
                                        removal by the BS -> terminated)
 
-Energy is billed on the node side only; the base station is treated as
-mains powered.  Receive energy is charged for the frames of a message
-that arrived, transmit energy at the moment frames are produced.  No
-function here takes a time: the simulator owns the clock.
+Work is billed on the node side only; the base station is treated as
+mains powered.  A bill is a quantity in the node's ledger, never
+joules: on-air bytes received for the frames of a message that
+arrived, on-air bytes transmitted at the moment frames are produced,
+bits encrypted, and one boot, world switch or pairing.  Only
+energy.build_report prices them.  No function here takes a time: the
+simulator owns the clock.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from . import ake as ake_mod
 from . import codec
 from . import ibe
 from .boot import NORMAL, SECURE, BootChain, BootResult, WorldState, boot
-from .energy import DEFAULT_CONSTANTS, EnergyConstants, EnergyLedger
+from .energy import EnergyLedger
 from .errors import Reject
 
 # Node lifecycle phases.
@@ -276,13 +279,11 @@ class Node:
     """Battery-powered sensor node state machine."""
 
     def __init__(self, identity: str, wire_id: int, params: ibe.PublicParams,
-                 key: ibe.PrivateKey, registry: Registry, chain: BootChain,
-                 constants: EnergyConstants = DEFAULT_CONSTANTS):
+                 key: ibe.PrivateKey, registry: Registry, chain: BootChain):
         self.identity = identity
         self.wire_id = wire_id
         self.params = params
         self.registry = registry
-        self.constants = constants
         self.ledger = EnergyLedger()
         self.phase = DP
         self.chain = chain
@@ -296,15 +297,13 @@ class Node:
         # known gap: key exchange reads this normal-world copy, not world.key()
         self._private_key = key
         self.world = WorldState(key)
-        self.world.on_switch = lambda: self.ledger.add("switch", self.constants.e_switch)
+        self.world.on_switch = lambda: self.ledger.add("switch", 1)
 
     def bill_tx(self, frames, note: str):
-        n = codec.on_air_bytes(frames)
-        self.ledger.add("tx", n * self.constants.tx_j_per_byte, note, n)
+        self.ledger.add("tx", codec.on_air_bytes(frames), note)
 
     def bill_rx(self, frames, note: str):
-        n = codec.on_air_bytes(frames)
-        self.ledger.add("rx", n * self.constants.rx_j_per_byte, note, n)
+        self.ledger.add("rx", codec.on_air_bytes(frames), note)
 
     def power_on(self) -> BootResult:
         """Boot through the chain of trust.
@@ -315,7 +314,7 @@ class Node:
         halts the node.
         """
         result = boot(self.chain)
-        self.ledger.add("boot", self.constants.e_boot, note="dy-boot")
+        self.ledger.add("boot", 1, "dy-boot")
         self.trust_list = ()
         self.sessions.clear()
         if result.ok:
@@ -349,8 +348,9 @@ class BaseStation:
         # a record's seen_nonces, so while nonce_check is on there are
         # no more entries than nonces in the histories
         self.accepted: dict[bytes, tuple[int, str, bytes]] = {}
-        # Disabled only by the harness mutation test, to show the replay
-        # defence is load-bearing.
+        # Switched off only by tests (acceptance criterion 8, one test
+        # each in test_sim, test_protocol and perfbench's own tests), to
+        # show that the replay defence is load-bearing.
         self.nonce_check = True
 
 
@@ -358,8 +358,7 @@ class BaseStation:
 # Lifecycle operations
 
 
-def dp_provision(bs: BaseStation, identity: str, chain: BootChain,
-                 constants: EnergyConstants = DEFAULT_CONSTANTS) -> Node:
+def dp_provision(bs: BaseStation, identity: str, chain: BootChain) -> Node:
     """Offline delivery: extract the node's key and install it.
 
     No frames travel and no energy is billed; the node leaves the
@@ -368,7 +367,7 @@ def dp_provision(bs: BaseStation, identity: str, chain: BootChain,
     """
     wire = bs.registry.assign(identity)
     key = ibe.extract(bs.params, bs.master, identity)
-    return Node(identity, wire, bs.params, key, bs.registry, chain, constants)
+    return Node(identity, wire, bs.params, key, bs.registry, chain)
 
 
 def pdp_register(bs: BaseStation, node: Node) -> None:
@@ -382,9 +381,7 @@ def pdp_register(bs: BaseStation, node: Node) -> None:
     """
     if node.phase not in (DP, PDP):
         raise ValueError(f"cannot register from phase {node.phase!r}")
-    trust = boot(node.chain).trust_value  # controlled boot, not billed
-    bs.db.register(node.identity, trust)
-    node.trust_value = trust
+    bs.db.register(node.identity, boot(node.chain).trust_value)  # controlled boot, not billed
     node.phase = PDP
 
 
@@ -392,8 +389,8 @@ def ta_request(node: Node, rng) -> list[codec.Frame]:
     """Build the encrypted trust report for the base station.
 
     The record is assembled and encrypted inside the secure world (two
-    switches billed), then fragmented.  Billing: one block encryption
-    plus transmit energy for the on-air bytes.
+    switches billed), then fragmented.  Billing: the record's bits
+    encrypted plus the on-air bytes transmitted.
     """
     if node.phase != DY:
         raise Reject("not_ready", f"phase {node.phase!r}")
@@ -403,9 +400,7 @@ def ta_request(node: Node, rng) -> list[codec.Frame]:
     node.world.switch(SECURE)
     blob = encrypt_message(node.params, BS_IDENTITY, record, rng)
     node.world.switch(NORMAL)
-    bits = len(record) * 8
-    node.ledger.add("encrypt", bits * node.constants.enc_j_per_bit, note="ta",
-                    quantity=bits)
+    node.ledger.add("encrypt", len(record) * 8, "ta")
     frames = codec.fragment(BS_WIRE_ID, node.wire_id, blob)
     node.bill_tx(frames, "ta-request")
     node.phase = TA
@@ -534,7 +529,7 @@ def peer_authenticate(node: Node, frames) -> ake_mod.SessionKey:
         raise Reject("nonce_replay", msg.sender)
     session = ake_mod.respond(node.params, node._private_key, msg)
     seen.add((msg.nonce, msg.big_r))
-    node.ledger.add("pairing", node.constants.e_pairing, note="ake")
+    node.ledger.add("pairing", 1, "ake")
     node.sessions[msg.sender] = session
     return session
 

@@ -510,7 +510,7 @@ class Simulation:
         for spec in scenario.nodes:
             chain = BootChain.from_images(
                 [s.encode() for s in spec.images], trust_offset=scenario.trust_offset)
-            node = protocol.dp_provision(self.bs, spec.id, chain, constants)
+            node = protocol.dp_provision(self.bs, spec.id, chain)
             protocol.pdp_register(self.bs, node)
             if spec.tamper_level is not None:
                 node.chain.images[spec.tamper_level - 1] += b"\x00tampered"

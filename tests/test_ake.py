@@ -210,6 +210,9 @@ class TestRespondRejections:
             if curve.mul(params.q, P) is not None:
                 msg.big_r = P
                 break
+        # the MAC is unkeyed and checked before the order, so a sender
+        # can make it match; R is then refused by the order check
+        msg.mac = ake.message_mac(params, msg.sender, msg.big_r, msg.nonce)
         with pytest.raises(Reject, match="off_curve"):
             ake.respond(params, sk_b, msg)
 

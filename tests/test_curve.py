@@ -192,8 +192,8 @@ class TestPairing:
         assert toy.pairing(None, None) == GT_ONE
 
     # pairing() trusts its inputs; points are checked where they are
-    # used: in_subgroup in the loaders and ake.respond
-    # (assert_loaders_reject), contains in ibe.decrypt
+    # used: in_subgroup in the loaders (assert_loaders_reject), its two
+    # halves in ake.respond, contains in ibe.decrypt
 
     def test_rejects_off_curve(self, toy, gen):
         assert toy.in_subgroup(gen)

@@ -92,25 +92,46 @@ class TestFormulas:
         assert energy.framed_airtime(107) == 107 + 42
 
 
+# every rate 1.0, so each ledger quantity prices to itself as joules
+UNIT = energy.EnergyConstants(voltage=1.0, current=1.0, boot_s=1.0, encryption_s=1.0,
+                              sha2_s=1.0, switching_s=1.0, pairing_s=1.0,
+                              enc_j_per_bit=1.0, tx_j_per_byte=1.0, rx_j_per_byte=1.0)
+
+
 class TestLedger:
     def test_accumulation(self):
         led = energy.EnergyLedger()
-        led.add("boot", 4.248e-3)
-        led.add("tx", 583.77e-6, note="ta-request", quantity=319)
-        led.add("tx", 155.55e-6, note="ake", quantity=85)
-        assert led.category_total("boot") == pytest.approx(4.248e-3)
-        assert led.category_total("tx") == pytest.approx(739.32e-6)
-        assert led.category_total("rx") == 0
+        led.add("boot", 1, "dy-boot")
+        led.add("tx", 319, "ta-request")
+        led.add("tx", 85, "ake")
+        led.add("tx", 100, "ta-request")
+        assert led.entries == [("boot", 1, "dy-boot"), ("tx", 319, "ta-request"),
+                               ("tx", 85, "ake"), ("tx", 100, "ta-request")]
+        by_category, ta, legs = led.priced(UNIT.per_unit)
+        assert by_category == {"boot": [1.0], "switch": [], "encrypt": [], "pairing": [],
+                               "sha2": [], "tx": [319.0, 85.0, 100.0], "rx": []}
+        assert ta == [1.0, 319.0, 100.0]  # the ake leg is not part of the flow
+        assert legs == {("tx", "ta-request"): [419.0, 419.0], ("tx", "ake"): [85.0, 85.0]}
+        totals = energy.build_report({"n1": led}).per_node["n1"]
+        assert totals["boot"] == energy.DEFAULT_CONSTANTS.e_boot  # 1 x e_boot, exactly
+        assert totals["tx"] == pytest.approx(504 * 1.83e-6)
+        assert totals["rx"] == 0
+
+    def test_per_unit_prices_every_category(self):
+        c = energy.DEFAULT_CONSTANTS
+        assert c.per_unit == {"boot": c.e_boot, "switch": c.e_switch,
+                              "encrypt": c.enc_j_per_bit, "pairing": c.e_pairing,
+                              "sha2": c.e_sha2, "tx": c.tx_j_per_byte, "rx": c.rx_j_per_byte}
+        assert set(UNIT.per_unit.values()) == {1.0}  # what the rounding tests rely on
 
     def test_conservation_exact(self):
         led = energy.EnergyLedger()
         amounts = [0.1, 0.2, 0.3, 1e-9, 4.248e-3, 16.56e-3, 22.5e-6]
-        cats = ["boot", "switch", "encrypt", "pairing", "sha2", "tx", "rx"]
-        for a, c in zip(amounts, cats):
+        for a, c in zip(amounts, energy.CATEGORIES):
             led.add(c, a)
             led.add(c, a / 3)
-        assert (math.fsum(e.joules for e in led.events)
-                == math.fsum(led.by_category().values()))
+        totals = energy.build_report({"n1": led}, UNIT).per_node["n1"]
+        assert math.fsum(q for _, q, _ in led.entries) == math.fsum(totals.values())
 
     def test_conservation_bound(self):
         """Category totals and the overall sum are each correctly rounded,
@@ -120,33 +141,38 @@ class TestLedger:
             led = energy.EnergyLedger()
             for _ in range(rng.randint(1, 60)):
                 led.add(rng.choice(energy.CATEGORIES), 10 ** rng.uniform(-9, 1))
-            totals = led.by_category().values()
-            direct = math.fsum(e.joules for e in led.events)
+            totals = energy.build_report({"n1": led}, UNIT).per_node["n1"].values()
+            direct = math.fsum(q for _, q, _ in led.entries)
             regrouped = math.fsum(totals)
             bound = (sum(Fraction(math.ulp(t)) for t in totals)
                      + Fraction(math.ulp(direct)) + Fraction(math.ulp(regrouped))) / 2
             assert abs(Fraction(direct) - Fraction(regrouped)) <= bound
 
     def test_totals_by_note(self):
+        # bytes and joules of a leg are left-to-right sums in entry order
         led = energy.EnergyLedger()
-        led.add("tx", 1e-6, note="ta-request", quantity=100)
-        led.add("tx", 2e-6, note="ta-request", quantity=200)
-        led.add("tx", 5e-6, note="ake", quantity=85)
-        by_note = led.totals_by_note("tx")
-        assert by_note["ta-request"] == (pytest.approx(3e-6), 300)
-        assert by_note["ake"] == (pytest.approx(5e-6), 85)
+        led.add("tx", 100, "ta-request")
+        led.add("rx", 7, "ake")
+        led.add("tx", 200, "ta-request")
+        led.add("tx", 85, "ake")
+        tx, rx = energy.DEFAULT_CONSTANTS.tx_j_per_byte, energy.DEFAULT_CONSTANTS.rx_j_per_byte
+        assert energy.build_report({"n1": led}).comm_rows == [
+            ("n1", "tx:ake", 85.0, 85 * tx),
+            ("n1", "tx:ta-request", 300.0, 0.0 + 100 * tx + 200 * tx),
+            ("n1", "rx:ake", 7.0, 7 * rx),
+        ]
 
 
 class TestReport:
     def _ledgers(self):
         led = energy.EnergyLedger()
-        led.add("boot", energy.DEFAULT_CONSTANTS.e_boot, note="dy-boot")
-        led.add("switch", energy.DEFAULT_CONSTANTS.e_switch)
-        led.add("encrypt", 128 * 22.5e-6, note="ta", quantity=128)
-        led.add("tx", energy.e_comm(117, 0), note="ta-request", quantity=117)
-        led.add("rx", energy.e_comm(0, 127), note="ta-ack", quantity=127)
-        led.add("tx", energy.e_comm(93, 0), note="ake", quantity=93)
-        led.add("pairing", energy.DEFAULT_CONSTANTS.e_pairing)
+        led.add("boot", 1, "dy-boot")
+        led.add("switch", 1)
+        led.add("encrypt", 128, "ta")
+        led.add("tx", 117, "ta-request")
+        led.add("rx", 127, "ta-ack")
+        led.add("tx", 93, "ake")
+        led.add("pairing", 1, "ake")
         return {"node-001": led}
 
     def test_nominal_rows(self):
@@ -159,22 +185,31 @@ class TestReport:
 
     def test_ta_totals_exclude_pairing_and_ake(self):
         report = energy.build_report(self._ledgers())
-        led = self._ledgers()["node-001"]
-        expected = (
-            led.category_total("boot")
-            + led.category_total("switch")
-            + led.category_total("encrypt")
-            + energy.e_comm(117, 127)
-        )
+        c = energy.DEFAULT_CONSTANTS
+        expected = c.e_boot + c.e_switch + 128 * c.enc_j_per_bit + energy.e_comm(117, 127)
         assert report.ta_totals["node-001"] == pytest.approx(expected)
+        assert report.per_node["node-001"]["pairing"] == c.e_pairing
+
+    def test_constants_reach_every_priced_figure(self):
+        # the ledger holds no joules: doubling every rate doubles every
+        # figure priced from it
+        double = energy.EnergyConstants(voltage=7.2, tx_j_per_byte=3.66e-6,
+                                        rx_j_per_byte=3.96e-6, enc_j_per_bit=45e-6)
+        one = energy.build_report(self._ledgers())
+        two = energy.build_report(self._ledgers(), double)
+        for c in energy.CATEGORIES:
+            assert two.per_node["node-001"][c] == pytest.approx(2 * one.per_node["node-001"][c])
+        assert two.ta_totals["node-001"] == pytest.approx(2 * one.ta_totals["node-001"])
+        assert [r[3] for r in two.comm_rows] == pytest.approx([2 * r[3] for r in one.comm_rows])
 
     def test_ta_totals_are_correctly_rounded(self):
         # builtin sum of floats is compensated only from CPython 3.12;
         # math.fsum gives the report the same bytes on every version
         led = energy.EnergyLedger()
         for _ in range(10):
-            led.add("boot", 0.1)
-        assert energy.build_report({"n1": led}).ta_totals == {"n1": 1.0}
+            led.add("boot", 1)
+        tenth = energy.EnergyConstants(voltage=1.0, current=1.0, boot_s=0.1)
+        assert energy.build_report({"n1": led}, tenth).ta_totals == {"n1": 1.0}
 
     def test_node_total_is_correctly_rounded(self):
         # one entry per category; their left-to-right float sum renders
@@ -183,7 +218,7 @@ class TestReport:
         led = energy.EnergyLedger()
         for category, joules in zip(energy.CATEGORIES, figures):
             led.add(category, joules)
-        text = energy.render_text(energy.build_report({"n1": led}))
+        text = energy.render_text(energy.build_report({"n1": led}, UNIT))
         rows = text.split("per-node totals (millijoules)\n")[1].splitlines()
         header, row = rows[0].split(), rows[2].split()
         assert row[header.index("total")] == "100.004"

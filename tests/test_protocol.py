@@ -1,11 +1,13 @@
 """Lifecycle protocol: records, trust database, node/BS state machines."""
 
+import dataclasses
 import hashlib
 import random
 
 import pytest
+from test_curve import counting
 
-from ibetrust import codec, ibe, protocol
+from ibetrust import ake, codec, energy, ibe, protocol
 from ibetrust.boot import BootChain
 from ibetrust.errors import AccessViolation, Reject
 
@@ -36,6 +38,23 @@ def full_ta(bs, node, rng):
     frames = protocol.ta_request(node, rng)
     ack = protocol.bs_handle_ta(bs, frames, rng)
     protocol.node_handle_ack(node, ack)
+
+
+def by_note(node):
+    """(category, note) -> the quantities billed under it, in entry order."""
+    out = {}
+    for category, quantity, note in node.ledger.entries:
+        out.setdefault((category, note), []).append(quantity)
+    return out
+
+
+def rx_by_note(node):
+    """note -> the on-air byte counts a node was billed for receiving."""
+    return {note: qs for (c, note), qs in by_note(node).items() if c == "rx"}
+
+
+def pairings(node):
+    return [e for e in node.ledger.entries if e[0] == "pairing"]
 
 
 @pytest.fixture()
@@ -239,7 +258,7 @@ class TestProvisioning:
         assert 2 not in bs.registry  # the base station and the new node only
         assert bs.registry.wire_id("node-001") == 1
         assert bs.registry.identity(1) == "node-001"
-        assert node.ledger.events == []  # offline, nothing billed
+        assert node.ledger.entries == []  # offline, nothing billed
         # the installed key verifies against the master public key
         params = bs.params
         q_id = ibe.hash_to_point(params, "node-001")
@@ -265,8 +284,10 @@ class TestProvisioning:
         assert node.phase == protocol.PDP
         rec = bs.db.records["node-001"]
         assert "node-001" not in bs.db.trusted
-        assert rec.trust_value == node.trust_value
         assert len(rec.trust_value) == 8
+        assert node.trust_value is None  # a node holds a value only from a field boot
+        node.power_on()
+        assert node.trust_value == rec.trust_value
 
     def test_chain_tampered_before_registration_is_never_admitted(self, toy_params):
         # the simulator tampers only after registration; a library caller
@@ -336,16 +357,14 @@ class TestTrustedAuthentication:
         node = provision_ready(bs, "node-001")
         rng = random.Random(9)
         full_ta(bs, node, rng)
-        by_cat = {c: [e for e in node.ledger.events if e.category == c]
-                  for c in ("boot", "switch", "encrypt", "tx", "rx", "pairing", "sha2")}
-        assert len(by_cat["boot"]) == 1
-        assert len(by_cat["switch"]) == 4  # two around encrypt, two around decrypt
-        assert len(by_cat["encrypt"]) == 1
-        assert by_cat["encrypt"][0].quantity == 128
-        assert [e.note for e in by_cat["tx"]] == ["ta-request"]
-        assert [e.note for e in by_cat["rx"]] == ["ta-ack"]
-        assert by_cat["pairing"] == []  # excluded from the authentication flow
-        assert by_cat["sha2"] == []
+        groups = by_note(node)
+        # no pairing (excluded from the authentication flow) and no sha2
+        assert sorted(groups) == [("boot", "dy-boot"), ("encrypt", "ta"), ("rx", "ta-ack"),
+                                  ("switch", ""), ("tx", "ta-request")]
+        assert groups[("boot", "dy-boot")] == [1]
+        assert groups[("switch", "")] == [1] * 4  # two around encrypt, two around decrypt
+        assert groups[("encrypt", "ta")] == [128]  # the record's bits
+        assert len(groups[("tx", "ta-request")]) == len(groups[("rx", "ta-ack")]) == 1
 
     def test_replayed_request_rejected(self, toy_params):
         bs = make_bs(toy_params)
@@ -395,7 +414,7 @@ class TestTrustedAuthentication:
         bs = make_bs(toy_params)
         node = provision_ready(bs, "node-001")
         rng = random.Random(20)
-        wire, value = node.wire_id, node.trust_value
+        wire, value = node.wire_id, bs.db.records["node-001"].trust_value
         if reason == "unknown_id":
             wire = 999
         elif reason == "trust_mismatch":
@@ -436,7 +455,8 @@ class TestTrustedAuthentication:
         bs = make_bs(toy_params)
         node = provision_ready(bs, "node-001")
         rng = random.Random(13)
-        wrong = "0" * 8 if node.trust_value != "0" * 8 else "1" * 8
+        registered = bs.db.records["node-001"].trust_value
+        wrong = "0" * 8 if registered != "0" * 8 else "1" * 8
         record = protocol.encode_ta_record(node.wire_id, wrong, b"qq")
         blob = protocol.encrypt_message(bs.params, "bs", record, rng)
         with pytest.raises(Reject) as e:
@@ -457,7 +477,7 @@ class TestTrustedAuthentication:
         node = provision_ready(bs, "node-001")
         rng = random.Random(15)
         record = bytearray(
-            protocol.encode_ta_record(node.wire_id, node.trust_value, b"qq")
+            protocol.encode_ta_record(node.wire_id, bs.db.records["node-001"].trust_value, b"qq")
         )
         record[-1] ^= 0xFF  # valid ciphertext around a bad inner mac
         blob = protocol.encrypt_message(bs.params, "bs", bytes(record), rng)
@@ -518,15 +538,14 @@ class TestTrustedAuthentication:
         frames = protocol.ta_request(node, rng)
         ack = protocol.bs_handle_ta(bs, frames, rng)
         protocol.node_handle_ack(node, ack)
-        before = node.ledger.totals_by_note("rx")["ta-ack"]
+        before = rx_by_note(node)["ta-ack"]
         with pytest.raises(Reject) as e:
             protocol.node_handle_ack(node, ack)
         assert e.value.reason == "not_waiting"
         # the refused ack arrived, so its on-air bytes are billed before
         # the phase gate, like every message a node receives
         arrived = codec.on_air_bytes(ack)
-        assert node.ledger.totals_by_note("rx")["ta-ack"] == pytest.approx(
-            (before[0] + arrived * node.constants.rx_j_per_byte, before[1] + arrived))
+        assert rx_by_note(node)["ta-ack"] == before + [arrived]
 
     def test_reboot_drops_trusted_state(self, toy_params):
         bs = make_bs(toy_params)
@@ -582,8 +601,7 @@ class TestPartialFrameLoss:
         assert (e.value.reason, e.value.detail) == ("decrypt_failure", detail)
         assert node.phase == protocol.TA
         arrived = codec.on_air_bytes(kept)
-        assert node.ledger.totals_by_note("rx") == {
-            "ta-ack": (arrived * node.constants.rx_j_per_byte, arrived)}
+        assert rx_by_note(node) == {"ta-ack": [arrived]}
         # the same ack in full is accepted
         protocol.node_handle_ack(node, frames)
         assert node.phase == protocol.TRUSTED
@@ -644,12 +662,13 @@ class TestPeerAuthentication:
 
     def test_responder_pairing_billed(self, network):
         bs, nodes, rng = network
-        before_a = nodes["n-a"].ledger.category_total("pairing")
         frames, _ = protocol.ake_initiate(nodes["n-a"], "n-b", rng)
         protocol.peer_authenticate(nodes["n-b"], frames)
-        assert nodes["n-a"].ledger.category_total("pairing") == before_a
-        assert nodes["n-b"].ledger.category_total("pairing") == pytest.approx(0.2916)
-        tx_notes = [e.note for e in nodes["n-a"].ledger.events if e.category == "tx"]
+        assert pairings(nodes["n-a"]) == []
+        assert pairings(nodes["n-b"]) == [("pairing", 1, "ake")]
+        priced = energy.build_report({"n-b": nodes["n-b"].ledger}).per_node["n-b"]
+        assert priced["pairing"] == pytest.approx(0.2916)
+        tx_notes = [note for c, _, note in nodes["n-a"].ledger.entries if c == "tx"]
         assert tx_notes[-1] == "ake"
 
     def test_unlisted_sender_costs_no_pairing(self, network):
@@ -663,12 +682,11 @@ class TestPeerAuthentication:
         frames = codec.fragment(nodes["n-b"].wire_id, outsider.wire_id,
                                 protocol.ake_message_to_bytes(bs.registry, bs.params, msg))
         count_before = bs.params.curve.pairing_count
-        joules_before = nodes["n-b"].ledger.category_total("pairing")
         with pytest.raises(Reject) as e:
             protocol.peer_authenticate(nodes["n-b"], frames)
         assert e.value.reason == "not_in_trust_list"
         assert bs.params.curve.pairing_count == count_before
-        assert nodes["n-b"].ledger.category_total("pairing") == joules_before
+        assert pairings(nodes["n-b"]) == []
 
     @pytest.mark.parametrize("damage, detail", [
         (lambda f: [codec.Frame(f.dst, f.src, 0, True, f.payload)],
@@ -686,8 +704,31 @@ class TestPeerAuthentication:
         assert (e.value.reason, e.value.detail) == ("malformed_message", detail)
         assert bs.params.curve.pairing_count == count_before
         arrived = codec.on_air_bytes(received)
-        rx = nodes["n-b"].ledger.totals_by_note("rx")
-        assert rx["ake"] == (arrived * nodes["n-b"].constants.rx_j_per_byte, arrived)
+        assert rx_by_note(nodes["n-b"])["ake"] == [arrived]
+
+    def test_cheap_refusals_cost_no_scalar_mult(self):
+        # on demo, R's order check is a 160-bit plain-loop qR; a message
+        # from a listed sender that is misaddressed or carries a bad MAC
+        # is refused before it
+        bs = make_bs(ibe.setup(ibe.SecurityConfig("demo", 5)))
+        rng = random.Random(20)
+        nodes = {name: provision_ready(bs, name) for name in ("n-a", "n-b", "n-c")}
+        full_ta(bs, nodes["n-a"], rng)
+        full_ta(bs, nodes["n-b"], rng)  # n-b lists n-a
+        msg, _ = ake.initiate(bs.params, "n-a", nodes["n-a"]._private_key, "n-b", rng)
+        muls = counting(bs.params.curve, ("mul",))
+        for sent, reason in ((dataclasses.replace(msg, receiver="n-c"), "wrong_receiver"),
+                             (dataclasses.replace(msg, mac=bytes(4)), "mac_mismatch")):
+            data = protocol.ake_message_to_bytes(bs.registry, bs.params, sent)
+            with pytest.raises(Reject) as e:
+                protocol.peer_authenticate(nodes["n-b"], codec.fragment(
+                    nodes["n-b"].wire_id, nodes["n-a"].wire_id, data))
+            assert e.value.reason == reason
+        assert muls == {"mul": 0}
+        protocol.peer_authenticate(nodes["n-b"], codec.fragment(
+            nodes["n-b"].wire_id, nodes["n-a"].wire_id,
+            protocol.ake_message_to_bytes(bs.registry, bs.params, msg)))
+        assert muls["mul"] > 0  # the honest message does reach the order check
 
     def test_initiator_checks_own_list(self, network):
         bs, nodes, rng = network
@@ -716,12 +757,12 @@ class TestPeerAuthentication:
     def test_no_switch_energy_for_key_exchange(self, network):
         bs, nodes, rng = network
         switches_before = len(
-            [e for e in nodes["n-a"].ledger.events if e.category == "switch"]
+            [e for e in nodes["n-a"].ledger.entries if e[0] == "switch"]
         )
         frames, _ = protocol.ake_initiate(nodes["n-a"], "n-b", rng)
         protocol.peer_authenticate(nodes["n-b"], frames)
         switches_after = len(
-            [e for e in nodes["n-a"].ledger.events if e.category == "switch"]
+            [e for e in nodes["n-a"].ledger.entries if e[0] == "switch"]
         )
         assert switches_after == switches_before
 

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from ibetrust import ibe, protocol, sim
+from ibetrust import energy, ibe, protocol, sim
 from ibetrust.errors import ConfigError
 
 MINIMAL = {
@@ -372,7 +372,6 @@ class TestHonestRuns:
     def test_energy_accumulation(self):
         report = sim.run(sim.load_scenario("demo"))
         per_node = report.energy_report.per_node
-        constants = report.energy_report
         boot_j = 0.072 * 0.059
         assert per_node["node-001"]["boot"] == pytest.approx(2 * boot_j)
         assert per_node["node-003"]["boot"] == pytest.approx(boot_j)
@@ -620,7 +619,9 @@ class TestVerdictPaths:
         ]
         # the refused message still arrived, so its 33 bytes are billed as rx
         b = simulation.nodes["b"]
-        assert b.ledger.totals_by_note("rx")["ake"] == (33 * b.constants.rx_j_per_byte, 33)
+        assert b.ledger.entries[-1] == ("rx", 33, "ake")
+        rows = [row for row in report.energy_report.comm_rows if row[:2] == ("b", "rx:ake")]
+        assert rows == [("b", "rx:ake", 33.0, 33 * energy.DEFAULT_CONSTANTS.rx_j_per_byte)]
 
     def test_impersonation_without_prior_session(self):
         simulation = sim.Simulation(trio([
