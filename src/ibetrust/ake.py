@@ -116,7 +116,11 @@ def respond(params: PublicParams, sk_b: PrivateKey, msg: AkeMessage) -> SessionK
     degenerate_key) rather than returning partial results.  The cheap
     checks come first: an R off the curve is refused off_curve before
     anything else reads it, then the receiver and the MAC are checked,
-    and only then does the order check's 160-bit qR run.
+    and only then does the order check's 160-bit qR run.  The pairing
+    runs last, on S = R + h*Q_A.  When S is infinity (R = -h*Q_A) the
+    key would be the pairing's identity, so the message is refused
+    degenerate_key before the pairing; any other S of order q pairs
+    with d_B to a value other than the identity.
     """
     curve = params.curve
     R = msg.big_r
@@ -130,8 +134,7 @@ def respond(params: PublicParams, sk_b: PrivateKey, msg: AkeMessage) -> SessionK
         raise Reject("off_curve")
     h = _h_ake(params, R, msg.sender, msg.receiver)
     q_a = hash_to_point(params, msg.sender)
-    K = curve.pairing(sk_b.point, curve.add(R, curve.mul(h, q_a)))
-    try:
-        return kdf(params, K, msg.sender, msg.receiver, R)
-    except ValueError:
-        raise Reject("degenerate_key") from None
+    S = curve.add(R, curve.mul(h, q_a))
+    if S is None:
+        raise Reject("degenerate_key")
+    return kdf(params, curve.pairing(sk_b.point, S), msg.sender, msg.receiver, R)

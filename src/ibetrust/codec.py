@@ -42,9 +42,10 @@ class Frame:
 
 
 def fragment(dst: int, src: int, blob: bytes) -> list[Frame]:
-    """Split a non-empty blob into frames of at most 106 payload bytes,
-    numbered from 0.  Every blob the program frames is an encrypted
-    message or an AKE message, and neither is empty."""
+    """Split a blob into frames of at most 106 payload bytes, numbered
+    from 0; an empty blob gives no frames.  Every blob the program sends
+    is an encrypted message or an AKE message, and neither is empty;
+    energy.framed_airtime sizes other payloads by the same frames."""
     chunks = [blob[i : i + MAX_PAYLOAD] for i in range(0, len(blob), MAX_PAYLOAD)]
     last = len(chunks) - 1
     return [Frame(dst, src, seq=i, more=i < last, payload=chunk)

@@ -454,7 +454,7 @@ class Curve:
         """Modified Tate pairing e(A, B) for A and B in the order-q subgroup.
 
         Neither input is checked: callers validate points from outside
-        where they enter the program.  Infinity pairs to the identity.
+        where they enter the program, and no caller passes infinity.
         The value is symmetric, e(A, B) = e(B, A), and callers pass the
         point that stays fixed across calls (P, P_pub or a private key)
         as A: the Miller lines depend on A alone, so they are computed
@@ -482,8 +482,6 @@ class Curve:
         square-and-multiply.
         """
         self.pairing_count += 1
-        if A is None or B is None:
-            return GT_ONE
         if B not in self.identity_points:
             return self._evaluate(A, B)
         value = self._values.get((A, B))

@@ -10,7 +10,10 @@ one process for the rest, and no times.  This module alone prices
 them: build_report has each ledger multiply every entry's quantity
 once by its category's rate in EnergyConstants.per_unit, so the
 constants given to build_report are the only ones a report reflects.
-The constants are checked once, by EnergyConstants.  Category, ta-only
+per_unit is the one rate table: a timed process's rate is
+joules(voltage * current, seconds), which the per-process table also
+prints, and e_comm and e_total read their rates from it.  The
+constants are checked once, by EnergyConstants.  Category, ta-only
 and per-node totals are correctly rounded sums (math.fsum), so they
 depend neither on the order of the entries nor on the Python version
 (3.12 made builtin sum of floats compensated), and the category totals
@@ -21,6 +24,10 @@ The report renders three tables: per-process energies derived from the
 constants, communication legs with both the simulator's true on-air
 byte counts and the nominal reference figures the model is calibrated
 against, and a comparison against published totals for other schemes.
+A trust list's airtime is printed twice: fractional_airtime, the linear
+estimate the nominal figures use, and framed_airtime, the on-air bytes
+of the frames codec.fragment cuts the payload into, which is 0 for an
+empty payload; codec alone sizes a frame.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import math
 import sys
 from dataclasses import dataclass, fields, replace
 
-from .codec import HEADER_SIZE, MAX_FRAME, MAX_PAYLOAD
+from .codec import MAX_FRAME, MAX_PAYLOAD, fragment, on_air_bytes
 from .errors import ConfigError
 
 CATEGORIES = ("boot", "switch", "encrypt", "pairing", "sha2", "tx", "rx")
@@ -84,36 +91,15 @@ class EnergyConstants:
             raise ConfigError("battery_j must be positive (reports divide by it)")
 
     @property
-    def power_w(self) -> float:
-        return self.voltage * self.current
-
-    @property
-    def e_boot(self) -> float:
-        return joules(self.power_w, self.boot_s)
-
-    @property
-    def e_switch(self) -> float:
-        return joules(self.power_w, self.switching_s)
-
-    @property
-    def e_encrypt_block(self) -> float:
-        return joules(self.power_w, self.encryption_s)
-
-    @property
-    def e_sha2(self) -> float:
-        return joules(self.power_w, self.sha2_s)
-
-    @property
-    def e_pairing(self) -> float:
-        return joules(self.power_w, self.pairing_s)
-
-    @property
     def per_unit(self) -> dict[str, float]:
         """Joules per unit of each ledger category: a byte for tx and rx,
-        a bit for encrypt, one process for the rest."""
-        return {"boot": self.e_boot, "switch": self.e_switch,
-                "encrypt": self.enc_j_per_bit, "pairing": self.e_pairing,
-                "sha2": self.e_sha2, "tx": self.tx_j_per_byte, "rx": self.rx_j_per_byte}
+        a bit for encrypt, one process for the rest, whose joules are the
+        processor's draw over the process's seconds."""
+        watts = self.voltage * self.current
+        return {"boot": joules(watts, self.boot_s), "switch": joules(watts, self.switching_s),
+                "encrypt": self.enc_j_per_bit, "pairing": joules(watts, self.pairing_s),
+                "sha2": joules(watts, self.sha2_s), "tx": self.tx_j_per_byte,
+                "rx": self.rx_j_per_byte}
 
     @classmethod
     def from_file(cls, path) -> "EnergyConstants":
@@ -134,14 +120,15 @@ class EnergyConstants:
 DEFAULT_CONSTANTS = EnergyConstants()
 
 
-def joules(power_w: float, time_s: float) -> float:
+def joules(watts: float, time_s: float) -> float:
     """Energy of running a power draw for a duration."""
-    return power_w * time_s
+    return watts * time_s
 
 
 def e_comm(tx_bytes: float, rx_bytes: float, constants: EnergyConstants = DEFAULT_CONSTANTS) -> float:
     """Radio energy for a transmit/receive byte count pair."""
-    return tx_bytes * constants.tx_j_per_byte + rx_bytes * constants.rx_j_per_byte
+    rate = constants.per_unit
+    return tx_bytes * rate["tx"] + rx_bytes * rate["rx"]
 
 
 def e_total(
@@ -154,10 +141,11 @@ def e_total(
 ) -> float:
     """Composite per-authentication energy: boots, switches, per-bit
     encryption work and radio traffic."""
+    rate = constants.per_unit
     return (
-        boots * constants.e_boot
-        + switches * constants.e_switch
-        + enc_bits * constants.enc_j_per_bit
+        boots * rate["boot"]
+        + switches * rate["switch"]
+        + enc_bits * rate["encrypt"]
         + e_comm(tx_bytes, rx_bytes, constants)
     )
 
@@ -172,9 +160,9 @@ def fractional_airtime(payload_bytes: float) -> float:
 
 
 def framed_airtime(payload_bytes: int) -> int:
-    """True on-air bytes in MAX_PAYLOAD-byte frames with HEADER_SIZE-byte headers."""
-    frames = max(1, math.ceil(payload_bytes / MAX_PAYLOAD))
-    return payload_bytes + HEADER_SIZE * frames
+    """True on-air bytes of a payload: those of the frames codec.fragment
+    cuts it into, so an empty payload takes none."""
+    return on_air_bytes(fragment(0, 0, bytes(payload_bytes)))
 
 
 class EnergyLedger:
@@ -223,8 +211,6 @@ class EnergyReport:
     ta_totals: dict[str, float]
     comparison_rows: list[tuple[str, str]]
     trustid_payload_bytes: int
-    trustid_fractional_airtime: float
-    trustid_framed_airtime: int
     battery_j: float
 
 
@@ -242,13 +228,14 @@ def build_report(
     160-bit reading, printed beside the measured numbers rather than
     replacing them.
     """
-    process_rows = [
-        ("secure bootup", constants.boot_s, constants.e_boot),
-        ("encryption", constants.encryption_s, constants.e_encrypt_block),
-        ("sha-256", constants.sha2_s, constants.e_sha2),
-        ("world switch", constants.switching_s, constants.e_switch),
-        ("tate pairing", constants.pairing_s, constants.e_pairing),
-    ]
+    watts = constants.voltage * constants.current
+    process_rows = [(name, seconds, joules(watts, seconds)) for name, seconds in (
+        ("secure bootup", constants.boot_s),
+        ("encryption", constants.encryption_s),
+        ("sha-256", constants.sha2_s),
+        ("world switch", constants.switching_s),
+        ("tate pairing", constants.pairing_s),
+    )]
     nominal_total = e_total(
         1, 1, NOMINAL_TA_ENC_BITS, NOMINAL_TA_TX_BYTES, NOMINAL_TA_RX_BYTES, constants
     )
@@ -288,7 +275,6 @@ def build_report(
         ("this simulation (nominal reading)", f"{nominal_total * 1e3:.2f} mJ"),
         ("this simulation (measured median)", f"{mid * 1e3:.2f} mJ"),
     ]
-    tid_bytes = 2 * trusted_count
     return EnergyReport(
         process_rows=process_rows,
         comm_rows=comm_rows,
@@ -297,9 +283,7 @@ def build_report(
         per_node=per_node,
         ta_totals=ta_totals,
         comparison_rows=comparison_rows,
-        trustid_payload_bytes=tid_bytes,
-        trustid_fractional_airtime=fractional_airtime(tid_bytes),
-        trustid_framed_airtime=framed_airtime(tid_bytes) if tid_bytes else 0,
+        trustid_payload_bytes=2 * trusted_count,
         battery_j=constants.battery_j,
     )
 
@@ -352,11 +336,12 @@ def render_text(report: EnergyReport) -> str:
         ],
     )
     table("scheme comparison", ["scheme", "authentication energy"], report.comparison_rows)
-    if report.trustid_payload_bytes:
+    tid_bytes = report.trustid_payload_bytes
+    if tid_bytes:
         out.append(
-            f"trust list: {report.trustid_payload_bytes} payload bytes, "
-            f"airtime {report.trustid_fractional_airtime:.2f} (fractional) / "
-            f"{report.trustid_framed_airtime} (framed)"
+            f"trust list: {tid_bytes} payload bytes, "
+            f"airtime {fractional_airtime(tid_bytes):.2f} (fractional) / "
+            f"{framed_airtime(tid_bytes)} (framed)"
         )
         out.append("")
     return "\n".join(out)

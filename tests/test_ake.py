@@ -173,7 +173,8 @@ class TestDegenerateR:
 
     def test_respond_rejects_degenerate_message(self, params, master):
         # an adversary could send the degenerate R directly; the
-        # responder must not emit an identity-derived key
+        # responder must not emit an identity-derived key, and refuses
+        # it before the pairing
         curve = params.curve
         sk_b = ibe.extract(params, master, vectors.AKE_BAD_PEER)
         R = curve.mul(vectors.AKE_BAD_R, ibe.hash_to_point(params, "node-001"))
@@ -185,8 +186,10 @@ class TestDegenerateR:
             nonce=nonce,
             mac=ake.message_mac(params, "node-001", R, nonce),
         )
+        pairings = curve.pairing_count
         with pytest.raises(Reject, match="degenerate_key"):
             ake.respond(params, sk_b, msg)
+        assert curve.pairing_count == pairings
 
 
 class TestRespondRejections:

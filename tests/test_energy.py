@@ -13,15 +13,22 @@ from ibetrust.errors import ConfigError
 
 class TestConstants:
     def test_default_power(self):
-        assert energy.DEFAULT_CONSTANTS.power_w == pytest.approx(0.072)
+        # every timed process draws 72 mW
+        c = energy.DEFAULT_CONSTANTS
+        for category, seconds in (("boot", c.boot_s), ("switch", c.switching_s),
+                                  ("pairing", c.pairing_s), ("sha2", c.sha2_s)):
+            assert c.per_unit[category] / seconds == pytest.approx(0.072)
 
     def test_derived_process_energies(self):
-        c = energy.DEFAULT_CONSTANTS
-        assert c.e_boot == pytest.approx(4.248e-3)
-        assert c.e_encrypt_block == pytest.approx(3.6e-3)
-        assert c.e_sha2 == pytest.approx(3.6e-3)
-        assert c.e_switch == pytest.approx(16.56e-3)
-        assert c.e_pairing == pytest.approx(0.2916)
+        rate = energy.DEFAULT_CONSTANTS.per_unit
+        assert rate["boot"] == pytest.approx(4.248e-3)
+        assert rate["sha2"] == pytest.approx(3.6e-3)
+        assert rate["switch"] == pytest.approx(16.56e-3)
+        assert rate["pairing"] == pytest.approx(0.2916)
+        rows = {name: j for name, _, j in energy.build_report({}).process_rows}
+        assert rows == {"secure bootup": rate["boot"], "encryption": pytest.approx(3.6e-3),
+                        "sha-256": rate["sha2"], "world switch": rate["switch"],
+                        "tate pairing": rate["pairing"]}
 
     def test_negative_rejected(self):
         with pytest.raises(ConfigError):
@@ -42,7 +49,7 @@ class TestConstants:
         path = tmp_path / "constants.json"
         path.write_text(json.dumps({"current": 0.030, "battery_j": 500}))
         c = energy.EnergyConstants.from_file(path)
-        assert c.power_w == pytest.approx(0.108)
+        assert c.per_unit["pairing"] == pytest.approx(0.108 * 4.05)
         assert c.battery_j == 500
         assert c.boot_s == 0.059  # untouched defaults remain
 
@@ -87,6 +94,8 @@ class TestFormulas:
         assert energy.fractional_airtime(0) == 0
 
     def test_framed_airtime(self):
+        assert energy.framed_airtime(0) == 0  # no frames, as codec.fragment cuts it
+        assert energy.framed_airtime(1) == 22
         assert energy.framed_airtime(400) == 484
         assert energy.framed_airtime(106) == 127
         assert energy.framed_airtime(107) == 107 + 42
@@ -113,15 +122,17 @@ class TestLedger:
         assert ta == [1.0, 319.0, 100.0]  # the ake leg is not part of the flow
         assert legs == {("tx", "ta-request"): [419.0, 419.0], ("tx", "ake"): [85.0, 85.0]}
         totals = energy.build_report({"n1": led}).per_node["n1"]
-        assert totals["boot"] == energy.DEFAULT_CONSTANTS.e_boot  # 1 x e_boot, exactly
+        assert totals["boot"] == energy.DEFAULT_CONSTANTS.per_unit["boot"]  # 1 x rate, exactly
         assert totals["tx"] == pytest.approx(504 * 1.83e-6)
         assert totals["rx"] == 0
 
     def test_per_unit_prices_every_category(self):
         c = energy.DEFAULT_CONSTANTS
-        assert c.per_unit == {"boot": c.e_boot, "switch": c.e_switch,
-                              "encrypt": c.enc_j_per_bit, "pairing": c.e_pairing,
-                              "sha2": c.e_sha2, "tx": c.tx_j_per_byte, "rx": c.rx_j_per_byte}
+        watts = c.voltage * c.current
+        assert c.per_unit == {"boot": watts * c.boot_s, "switch": watts * c.switching_s,
+                              "encrypt": c.enc_j_per_bit, "pairing": watts * c.pairing_s,
+                              "sha2": watts * c.sha2_s, "tx": c.tx_j_per_byte,
+                              "rx": c.rx_j_per_byte}
         assert set(UNIT.per_unit.values()) == {1.0}  # what the rounding tests rely on
 
     def test_conservation_exact(self):
@@ -185,10 +196,10 @@ class TestReport:
 
     def test_ta_totals_exclude_pairing_and_ake(self):
         report = energy.build_report(self._ledgers())
-        c = energy.DEFAULT_CONSTANTS
-        expected = c.e_boot + c.e_switch + 128 * c.enc_j_per_bit + energy.e_comm(117, 127)
+        rate = energy.DEFAULT_CONSTANTS.per_unit
+        expected = rate["boot"] + rate["switch"] + 128 * rate["encrypt"] + energy.e_comm(117, 127)
         assert report.ta_totals["node-001"] == pytest.approx(expected)
-        assert report.per_node["node-001"]["pairing"] == c.e_pairing
+        assert report.per_node["node-001"]["pairing"] == rate["pairing"]
 
     def test_constants_reach_every_priced_figure(self):
         # the ledger holds no joules: doubling every rate doubles every
@@ -226,8 +237,9 @@ class TestReport:
     def test_trustid_sizing(self):
         report = energy.build_report({}, trusted_count=200)
         assert report.trustid_payload_bytes == 400
-        assert round(report.trustid_fractional_airtime, 2) == 479.25
-        assert report.trustid_framed_airtime == 484
+        assert ("trust list: 400 payload bytes, airtime 479.25 (fractional) / 484 (framed)"
+                in energy.render_text(report).splitlines())
+        assert "trust list" not in energy.render_text(energy.build_report({}))
 
     def test_empty_simulation(self):
         report = energy.build_report({})

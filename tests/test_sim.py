@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from ibetrust import energy, ibe, protocol, sim
+from ibetrust import ake, codec, energy, ibe, protocol, sim
 from ibetrust.errors import ConfigError
 
 MINIMAL = {
@@ -642,6 +642,77 @@ class TestVerdictPaths:
         assert report.trust_snapshots[-1] == (40, ("a", "b"))
         assert report.event_log[-2:] == ["[40] bs terminates c", "[40] trust list now [a, b]"]
         assert report.rejections == []
+
+
+
+class TestAdversaryRefusals:
+    """Refusals that only an adversary or a lossy channel causes, reached
+    through a whole Simulation: each is recorded once as (time, actor,
+    reason, detail), and run() returns, so no other exception escapes."""
+
+    def test_replayed_ack_while_waiting_is_stale(self):
+        # a re-authenticates at 41; the ack it got at 12 is replayed and
+        # lands before the new one
+        report = sim.run(trio([
+            {"time": 40, "kind": "boot", "node": "a"},
+            {"time": 41, "kind": "ta", "node": "a"},
+            {"time": 41, "kind": "attack", "attack": {
+                "kind": "replay", "label": "ta-ack", "source": "bs", "occurrence": 1}},
+        ]))
+        assert report.rejections == [(42, "a", "stale_nonce", "7e5d")]
+        assert report.attacks == [
+            {"kind": "replay", "verdict": "blocked", "detail": "stale_nonce"}]
+        assert report.final_phases["a"] == protocol.TRUSTED  # the new ack still lands
+
+    def test_responder_rebooted_before_the_message_lands(self):
+        report = sim.run(trio([
+            {"time": 40, "kind": "ake", "initiator": "c", "peer": "b"},
+            {"time": 40, "kind": "boot", "node": "b"},
+        ]))
+        assert report.rejections == [(41, "b", "not_trusted", "phase 'dy'")]
+
+    @staticmethod
+    def deliver(label, build):
+        """Run trio() with the frames build(simulation, wire ids) makes
+        delivered at 40, as if an adversary put them on the air."""
+        simulation = sim.Simulation(trio([]))
+        wire = {n: simulation.bs.registry.wire_id(n) for n in "abc"}
+        wire["bs"] = protocol.BS_WIRE_ID
+        frames = build(simulation, wire)
+        simulation.push(40, "deliver", sim.Transmission("a", label, frames))
+        return simulation, simulation.run()
+
+    def test_mixed_fragment_streams(self):
+        _, report = self.deliver("ake", lambda _, w: [
+            codec.Frame(w["b"], w["a"], 0, True, bytes(codec.MAX_PAYLOAD)),
+            codec.Frame(w["b"], w["c"], 1, False, bytes(10))])
+        assert report.rejections == [
+            (40, "b", "malformed_message", "reassembly: mixed fragment streams")]
+
+    def test_short_non_final_fragment(self):
+        _, report = self.deliver("ta-request", lambda _, w: [
+            codec.Frame(w["bs"], w["a"], 0, True, bytes(50)),
+            codec.Frame(w["bs"], w["a"], 1, False, bytes(10))])
+        assert report.rejections == [
+            (40, "bs", "decrypt_failure", "reassembly: short non-final fragment")]
+
+    def test_r_of_the_wrong_order(self):
+        # an on-curve R outside the order-q subgroup, from a listed
+        # sender, with the unkeyed MAC recomputed: only the order check
+        # refuses it
+        def build(simulation, w):
+            params = simulation.params
+            curve = params.curve
+            R = next(P for P in map(curve.point_from_y, range(params.p))
+                     if curve.mul(params.q, P) is not None)
+            nonce = b"\x00\x07"
+            msg = ake.AkeMessage("a", "b", R, nonce, ake.message_mac(params, "a", R, nonce))
+            blob = protocol.ake_message_to_bytes(simulation.bs.registry, params, msg)
+            return codec.fragment(w["b"], w["a"], blob)
+
+        simulation, report = self.deliver("ake", build)
+        assert "a" in simulation.nodes["b"].trust_list
+        assert report.rejections == [(40, "b", "off_curve", "")]
 
 
 class TestReportShape:
