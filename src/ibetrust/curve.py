@@ -47,16 +47,20 @@ Every pairing in the program has one argument that never changes (P,
 P_pub or a private key), and callers pass it first.  The Miller loop's
 points depend on that argument alone, so its lines are computed once,
 with every Z made affine by one batched inversion, cached on the Curve
-as four values a step (the slope, the affine result and the line's
-constant), and evaluated at each new second point (Scott, Pairing 2007;
-Costello-Stebila, LATINCRYPT 2010).  When the second point is an
+as two values a step (the line's slope and constant), and evaluated at
+each new second point (Scott, Pairing 2007; Costello-Stebila,
+LATINCRYPT 2010).  When the second point is an
 identity point (one of identity_points, which ibe.hash_to_point fills)
 the value itself never changes either, and it is kept: g_ID =
 e(P_pub, Q_ID) for encryption (Boneh-Franklin, CRYPTO 2001) and the
 AKE initiator's e(d_A, Q_B).  The final exponentiation starts with the
 Frobenius map, which is the conjugation (a + bz)^p = (a - b) - bz here
-(Barreto-Kim-Lynn-Scott, CRYPTO 2002).  _miller_lines proves why a line
-is kept at any F_p scale, at three F_p products and two reductions.
+(Barreto-Kim-Lynn-Scott, CRYPTO 2002).  The lines are evaluated not at
+the distorted image of the second point B but at a point D of the twist
+whose x-coordinate lies in F_p, so that no vertical is multiplied in
+and a doubling step is six F_p products and five reductions; the value
+there is e(A, B)^2, and a Legendre symbol picks e(A, B) from its two
+square roots.  _miller_lines proves both.
 
 GT, the order-q subgroup of F_p^2* that pairings land in, is where
 gt_pow raises kept values to a power, and a kept value is a fixed base
@@ -100,6 +104,7 @@ class Curve:
         self._gt_combs: dict[Fp2, tuple[int, int, dict[int, Fp2]]] = {}
         # inverse of cubing: (x^3)^e = x for e = (2p-1)/3
         self.cube_root_exp = (2 * p - 1) // 3
+        self._half = (p + 1) // 2  # 1/2 in F_p
         self.coord_size = (p.bit_length() + 7) // 8
         # bumped on every pairing call; the protocol layer's
         # cheap-check-first claims are asserted against this
@@ -377,14 +382,6 @@ class Curve:
         a, b = u
         return ((a - b) * (a + b) % p, b * (2 * a - b) % p)
 
-    def f2_inv(self, u: Fp2) -> Fp2:
-        # conjugate over norm; norm(a + bz) = a^2 - ab + b^2
-        p = self.p
-        a, b = u
-        norm = (a * a - a * b + b * b) % p
-        ninv = pow(norm, -1, p)
-        return ((a - b) * ninv % p, -b * ninv % p)
-
     def f2_pow(self, u: Fp2, e: int) -> Fp2:
         """u^e for e >= 0 by right-to-left square-and-multiply."""
         result = GT_ONE
@@ -466,20 +463,23 @@ class Curve:
         that ran the Miller loop.
 
         Miller's algorithm computes f_{q,A} at the distorted image
-        (z*xB, yB) of B: each step squares f on a doubling, multiplies
-        by the line through T, and divides by the vertical at the new
-        point.  The last step is the chord through (q - 1)A = -A, the
-        vertical x = xA, and the vertical at qA = infinity is 1.
-        _miller_lines proves the step _evaluate runs instead, and that
-        no factor is 0 and B = (0, y) pairs to 1.
+        psi(B) = (z*xB, yB) of B: each step squares f on a doubling,
+        multiplies by the line through T, and divides by the vertical at
+        the new point.  The last step is the chord through (q - 1)A = -A,
+        the vertical x = xA, and the vertical at qA = infinity is 1.
+        _evaluate runs the loop at D = psi(B) - pi(psi(B)) instead, where
+        pi is the Frobenius: x_D lies in F_p, so every vertical, the last
+        chord among them, lies in F_p and drops out, and only the lines
+        are multiplied in.  _miller_lines proves that the value there is
+        e(A, B)^2 and which square root is e(A, B).
 
         The final exponentiation, to (p^2 - 1)/q, puts the result in the
         order-q subgroup of F_p^2*.  It splits into (p - 1) and
         (p + 1)/q.  Because p = 2 (mod 3), z^p = z^2, so the Frobenius
         map is (a + bz)^p = (a - b) - bz, the conjugate, and
-        f^(p-1) = conj(f)/f costs one inversion.  Only the cofactor
-        (p + 1)/q, 96 bits on the demo profile, is left for
-        square-and-multiply.
+        f^(p-1) = conj(f)/f costs one inversion.  Only half the cofactor,
+        (p + 1)/2q = 2^95 + 73 on the demo profile, is left for
+        square-and-multiply, since D's value is a square.
         """
         self.pairing_count += 1
         if B not in self.identity_points:
@@ -490,15 +490,26 @@ class Curve:
         return value
 
     def _evaluate(self, A: tuple[int, int], B: tuple[int, int]) -> Fp2:
-        """The Miller loop over A's lines at B, then the final
-        exponentiation.
+        """The Miller loop over A's lines at the twist point D of B, then
+        the final exponentiation.
 
-        Per step, f is squared on a doubling and multiplied by
-        g = ((X + x_new)(Y + c) + lam*X^2, X*(Y + y_new)), the negated
-        line and conjugated vertical at the distorted image of
-        B = (X, Y): three F_p products and two reductions, for the
-        lines (c, lam, x_new, y_new) of _miller_lines, which proves
-        that g is never 0 and that X = 0 gives 1."""
+        For B = (X, Y), D's coordinates are x_D = -(X^3 + 4)/(3X^2) and
+        y_D = (2z + 1)*eta, eta = Y(X^3 - 8)/(9X^3) (_miller_lines), and
+        each kept line y + c - lam*x at D, divided by 2*eta, is s + z for
+        s = c*k - lam*m + 1/2, where k = 1/(2*eta) and m = x_D*k come
+        from one inversion.  A step squares f = a + bz on a doubling and
+        multiplies it by s + z, which is (a*s - b, a - b + b*s): with s's
+        two products, six F_p products and five reductions on a
+        doubling, four and three on an addition.  The final
+        exponentiation is pairing's, to (p + 1)/2q after the Frobenius,
+        times the Legendre symbol of f's norm, a second inversion and no
+        vertical step.
+
+        B of order dividing 6 (X = 0, Y = 0 or X^3 = 8) pairs to 1 before
+        the loop: there D is infinity or eta is 0, and e(A, B)^6 = 1 for
+        a value whose order divides q, which is prime to 6.  Only a
+        ciphertext's U, which ibe.decrypt checks only to be on the
+        curve, can be such a point."""
         p = self.p
         self.pairings_computed += 1
         lines = self._lines.get(A)
@@ -506,65 +517,92 @@ class Curve:
             lines = self._lines[A] = self._miller_lines(A)
 
         X, Y = B
-        XX = X * X % p
+        X3 = X * X * X % p
+        d = 2 * Y * (X3 - 8) % p
+        if X == 0 or d == 0:
+            return GT_ONE
+        inv = pow(d, -1, p)
+        # k = 9X^3 / (2Y(X^3 - 8)) and m = x_D*k = -3X(X^3 + 4) / (2Y(X^3 - 8))
+        k = 9 * X3 * inv % p
+        m = -3 * X * (X3 + 4) * inv % p
+        half = self._half
         a, b = 1, 0  # f = a + bz
         steps = iter(lines)
-        for doubling, c, lam, x_new, y_new in zip(self._doublings, steps, steps,
-                                                  steps, steps):
+        for doubling, c, lam in zip(self._doublings, steps, steps):
             if doubling:
                 a, b = (a - b) * (a + b) % p, b * (2 * a - b) % p
-            # g: the line times the conjugated vertical, negated
-            g0 = ((X + x_new) * (Y + c) + lam * XX) % p
-            g1 = X * (Y + y_new) % p
-            ag = a * g0
-            bg = b * g1
-            a, b = (ag - bg) % p, ((a + b) * (g0 + g1) - ag - 2 * bg) % p
-        f = self.f2_mul((a, b), (-lines[-1] % p, X))
-        # Frobenius: f^(p-1) = conj(f) / f
-        a, b = f
-        f = self.f2_mul(((a - b) % p, -b % p), self.f2_inv(f))
-        return self.f2_pow(f, (p + 1) // self.q)
+            s = (c * k - lam * m + half) % p
+            bs = b * s
+            a, b = (a * s - b) % p, (a - b + bs) % p
+        # Frobenius: f^(p-1) = conj(f) / f = conj(f)^2 / N(f)
+        norm = (a * a - a * b + b * b) % p
+        ninv = pow(norm, -1, p)
+        u, v = self._f2_sqr((a - b, -b))
+        value = self.f2_pow((u * ninv % p, v * ninv % p), self.cofactor // 2)
+        if self._legendre(norm) == 1:
+            return value
+        return -value[0] % p, -value[1] % p
+
+    def _legendre(self, n: int) -> int:
+        """The Legendre symbol (n/p) of n in F_p*, 1 or -1, by the binary
+        Jacobi loop over (n/m), m = p at first: strip the factors 2 of n,
+        each flipping the sign when m = 3 or 5 (mod 8), flip when n and m
+        are both 3 (mod 4), by quadratic reciprocity, and go on with
+        (m mod n / n).  About a quarter of pow(n, (p - 1)/2, p)'s time
+        on the demo profile."""
+        m = self.p
+        sign = 1
+        while n:
+            twos = (n & -n).bit_length() - 1
+            n >>= twos
+            if twos & 1 and m & 7 in (3, 5):
+                sign = -sign
+            if n & m & 3 == 3:
+                sign = -sign
+            n, m = m % n, n
+        return sign
 
     def _miller_lines(self, A: tuple[int, int]) -> tuple[int, ...]:
-        """The Miller lines of A, flat: (c, lam, x_new, y_new) per step
-        of self._doublings, then xA for the last chord, through -A.
+        """The Miller lines of A, flat: (c, lam) per step of
+        self._doublings, the line y + c - lam*x of the step.
 
-        (x_new, y_new) is the step's affine result and lam the slope of
-        its line, the tangent at T or the chord through T and A.  The
-        line meets the curve a third time at -(x_new, y_new), so it is
-        y + c - lam*x for c = lam*x_new + y_new.  The points come from
+        lam is the slope of the step's line, the tangent at T or the
+        chord through T and A, and (x_new, y_new) the step's affine
+        result.  The line meets the curve a third time at
+        -(x_new, y_new), so c = lam*x_new + y_new.  The points come from
         the Jacobian chain of _double and _add_affine, whose slopes are
         numerator / Z_new; one batched inversion (Montgomery's trick)
         covers the chain's Z's alone, one per step, and lam is the
-        numerator times 1/Z_new.
+        numerator times 1/Z_new.  The last step of Miller's loop, the
+        chord through (q - 1)A = -A, is the vertical x = xA, and is not
+        kept.
 
-        At the distorted image (zX, Y) of B = (X, Y), with z^2 = -z - 1,
-        the line times the conjugated vertical at the new point is
+        _evaluate reads the lines at D = psi(B) - pi(psi(B)), for
+        B = (X, Y), the distortion map psi(x, y) = (zx, y) and the
+        Frobenius pi, which sends z to z^2 = -z - 1.  The chord through
+        (zX, Y) and (z^2 X, -Y) has slope -2Y(2z + 1)/(3X), since
+        (2z + 1)^2 = -3, and adding gives
 
-            ((Y + c) - lam*X*z) * (-(X + x_new) - X*z)
-              = -((X + x_new)(Y + c) + X^2*lam, X*(Y + c - lam*x_new)),
+            x_D = -(X^3 + 4)/(3X^2),  y_D = (2z + 1) * Y(X^3 - 8)/(9X^3).
 
-        and c - lam*x_new = y_new, so negated it is
+        x_D lies in F_p, so every vertical x - x_new is in F_p*, and so
+        is the last chord x - xA.  The final exponent (p^2 - 1)/q is a
+        multiple of p - 1, and c^(p-1) = 1 for every c in F_p*, so the
+        final exponentiation sends those factors, and the scale 1/(2*eta)
+        of each line, to 1 (Barreto-Kim-Lynn-Scott, CRYPTO 2002): the
+        loop keeps only the lines, at s + z each.  No factor is 0, since
+        its z coefficient is 1, and D is no multiple of A, since y_D is
+        not in F_p when eta is not 0.
 
-            ((X + x_new)*(Y + c) + lam*X^2, X*(Y + y_new)):
-
-        three F_p products and two reductions per step.  It differs
-        from Miller's step, which divides by the vertical v, by factors
-        in F_p*: v * conj(v), the norm, and -1.  The final exponent
-        (p^2 - 1)/q is a multiple of p - 1, and c^(p-1) = 1 for every c
-        in F_p*, so the final exponentiation sends every such factor to
-        1 (Barreto-Kim-Lynn-Scott, CRYPTO 2002).
-
-        The first factor is 0 only if lam*X = 0 and Y + c = 0, the
-        second only if X = 0 and x_new = 0, and neither happens.
-        lam is never 0: the tangent slope 3xT^2/(2yT) is 0 only at
-        xT = 0, a point of order 3, and the chord slope through T and
-        A only at yT = yA, which makes xT = xA, since cubing is a
-        bijection, so T = A.  x_new is never 0, since (0, +-1) has
-        order 3 and the step's result is a multiple of A.  For X = 0,
-        so B = (0, +-1), Y + c = 0 would put (0, -Y), of order 3, on
-        a line that meets the curve only at multiples of A; so
-        Y + c is not 0, every factor is in F_p* and the pairing is 1.
+        The value at D is not e(A, B) itself.  The reduced Tate pairing
+        t is linear in its second point, and t(A, pi(Q)) = t(A, Q)^p,
+        since A and the lines are over F_p; t lands in the order-q
+        subgroup of F_p^2*, whose elements have norm 1, so x^p = 1/x
+        there, and t(A, D) = t(A, psi B)^(1-p) = e(A, B)^2.  With
+        h = (p + 1)/q, which is even, and g = f^(p-1), t(A, D) = g^h, so
+        g^(h/2) = +-e(A, B), and (g^(h/2))^q = f^((p^2 - 1)/2) is the
+        Legendre symbol of the norm N(f) = f^(p+1); e(A, B)^q = 1 and q
+        is odd, so e(A, B) is g^(h/2) times that symbol.
         """
         p = self.p
         T = (A[0], A[1], 1)
@@ -580,9 +618,8 @@ class Curve:
             zi2 = zi * zi % p
             x_new = X * zi2 % p
             y_new = Y * zi2 * zi % p
-            lines += ((lam * x_new + y_new) % p, lam, x_new, y_new)
+            lines += ((lam * x_new + y_new) % p, lam)
         # T never reaches infinity, 2-torsion or A itself on the way to
         # (q - 1)A = -A, which holds for A of order q
         assert (x_new, y_new) == (A[0], -A[1] % p)
-        lines.append(A[0])
         return tuple(lines)

@@ -194,10 +194,11 @@ def decrypt(params: PublicParams, key: PrivateKey, ct: Ciphertext) -> bytes:
     block and a W of at most one; U is only checked to be a curve point.
     The re-encryption check accepts only U = r*P, which has order q, so
     it also proves U is in the subgroup (Fujisaki-Okamoto); a U outside
-    it fails with fo_mismatch.  The pairing cannot fail on such a U: a
-    line or vertical of the Miller loop vanishes at the distorted image
-    only when xU = 0, and (0, +-1) lies on no line through multiples
-    of d.
+    it fails with fo_mismatch.  The pairing cannot fail on such a U:
+    no factor of the Miller loop vanishes at the twist point of a U
+    (Curve._miller_lines), and a U of order dividing 6, (0, +-1),
+    (-1, 0) or (2, +-3), where that point is not defined, pairs to 1
+    before the loop.
     """
     curve = params.curve
     u, v, w = ct.u, ct.v, ct.w

@@ -24,6 +24,7 @@ simulator owns the clock.
 from __future__ import annotations
 
 import bisect
+import hashlib
 import hmac
 import struct
 from dataclasses import dataclass, field
@@ -292,6 +293,8 @@ class Node:
         # set by ta_request, and read only in phase TA, which only
         # ta_request enters, so no other step clears it
         self.pending_nonce: bytes | None = None
+        # the SHA-256 of each accepted ack -> the nonce it echoed
+        self.accepted_acks: dict[bytes, bytes] = {}
         self.sessions: dict[str, ake_mod.SessionKey] = {}
         self.ake_nonces: dict[str, set] = {}
         # known gap: key exchange reads this normal-world copy, not world.key()
@@ -463,12 +466,19 @@ def bs_handle_ta(bs: BaseStation, frames, rng) -> list[codec.Frame]:
 def node_handle_ack(node: Node, frames) -> None:
     """Decrypt the ack, check the nonce echo, install the trust list.
 
+    A byte-identical copy of an ack the node accepted before is refused
+    stale_nonce, with the nonce it echoed, by its SHA-256 and before
+    any world switch, so a replay costs the node only its rx bytes.
+
     Known gap: the pairing e(d_ID, U) of each block, fresh U, is not billed.
     """
     node.bill_rx(frames, "ta-ack")
     if node.phase != TA:
         raise Reject("not_waiting", f"phase {node.phase!r}")
     blob = _reassemble(frames, "decrypt_failure")
+    digest = hashlib.sha256(blob).digest()
+    if digest in node.accepted_acks:
+        raise Reject("stale_nonce", node.accepted_acks[digest].hex())
     node.world.switch(SECURE)
     try:
         record = _decrypt(node.params, node.world.key(), blob)
@@ -477,6 +487,7 @@ def node_handle_ack(node: Node, frames) -> None:
     nonce, wire_ids = decode_ack_record(record)
     if nonce != node.pending_nonce:
         raise Reject("stale_nonce", nonce.hex())
+    node.accepted_acks[digest] = nonce
     node.trust_list = tuple(sorted(node.registry.identities(wire_ids)))
     node.phase = TRUSTED
 

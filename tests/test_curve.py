@@ -207,8 +207,13 @@ class TestPairing:
         assert_loaders_reject(gen, P)
 
     def test_gt_inverse(self, toy, gen):
+        # an element of GT has norm 1, so its inverse is its conjugate
+        # (a + bz)^p = (a - b) - bz, as the final exponentiation assumes
         e = toy.pairing(gen, gen)
-        assert toy.f2_mul(e, toy.f2_inv(e)) == GT_ONE
+        a, b = e
+        conj = ((a - b) % TOY_P, -b % TOY_P)
+        assert conj == oracles.f2_inv(TOY_P, e)
+        assert toy.f2_mul(e, conj) == GT_ONE
 
 
 class TestDemoKernel:
@@ -380,8 +385,9 @@ class TestDemoKernel:
 
 @pytest.mark.parametrize("p, q", [(TOY_P, TOY_Q), (DEMO_P, DEMO_Q)], ids=["toy", "demo"])
 class TestMillerLines:
-    """The kept lines of a seeded order-q point A: (c, lam, x_new, y_new)
-    per Miller step, then xA."""
+    """The kept lines of a seeded order-q point A: (c, lam) per Miller
+    step, the line y + c - lam*x; the last chord, a vertical, is not
+    kept."""
 
     @staticmethod
     def seeded_point(p, q, seed):
@@ -397,16 +403,17 @@ class TestMillerLines:
         curve = Curve(p, q)
         A = self.seeded_point(p, q, 27)
         lines = curve._miller_lines(A)
-        n = len(curve._doublings)
-        assert len(lines) == 4 * n + 1 and lines[-1] == A[0]
-        m = 1  # the step's multiple of A
+        assert len(lines) == 2 * len(curve._doublings) == {TOY_Q: 10, DEMO_Q: 326}[q]
+        m, T = 1, A  # the step's multiple of A, and that point
         for i, doubling in enumerate(curve._doublings):
-            c, lam, x_new, y_new = lines[4 * i:4 * i + 4]
+            c, lam = lines[2 * i:2 * i + 2]
             m = 2 * m if doubling else m + 1
-            assert (x_new, y_new) == oracles.double_and_add(p, m, A), i
-            # (x_new, -y_new) is on the curve and on the line y + c - lam*x
-            assert ((-y_new) ** 2 - x_new**3 - 1) % p == 0, i
-            assert c == (lam * x_new + y_new) % p, i
+            # the line passes through the step's input T and through
+            # -(mA), its third point on the curve
+            x, y = mA = oracles.double_and_add(p, m, A)
+            for u, v in (T, (x, -y)):
+                assert (v + c - lam * u) % p == 0, i
+            T = mA
         assert m == q - 1
 
     def test_one_batched_inversion_over_the_zs(self, p, q):
@@ -597,6 +604,47 @@ class TestComb:
         assert len(curve._combs[built[1]][2]) == 32
         assert set(curve._combs) == curve.identity_points | {params.generator}
         assert msg.big_r not in curve._combs and ct.u not in curve._combs
+
+
+class TestTwistPoint:
+    """_evaluate reads the lines at the twist point of B, which is not
+    e(A, B)'s own argument, against the divisor oracle: every B, in the
+    subgroup or not, and the points of order dividing 6."""
+
+    SMALL = ((0, 1), (0, -1), (-1, 0), (2, 3), (2, -3))
+
+    def test_every_toy_point_against_every_subgroup_point(self, gen):
+        curve = Curve(TOY_P, TOY_Q)
+        group = [oracles.naive_mul(TOY_P, k, gen) for k in range(1, TOY_Q)]
+        points = oracles.enumerate_points(TOY_P)
+        assert {(x % TOY_P, y % TOY_P) for x, y in self.SMALL} <= set(points)
+        for A in group:
+            for B in points:
+                assert curve.pairing(A, B) == oracles.pairing(TOY_P, TOY_Q, A, B), (A, B)
+
+    def test_seeded_demo_points_in_and_outside_the_subgroup(self):
+        curve = Curve(DEMO_P, DEMO_Q)
+        rng = random.Random(41)
+        A = TestMillerLines.seeded_point(DEMO_P, DEMO_Q, 42)
+        A2 = oracles.double_and_add(DEMO_P, rng.randrange(1, DEMO_Q), A)
+        uncleared = [curve.point_from_y(rng.randrange(DEMO_P)) for _ in range(4)]
+        assert not any(curve.in_subgroup(U) for U in uncleared)
+        cleared = [curve.mul(curve.cofactor, U) for U in uncleared[:2]]
+        small = [(x % DEMO_P, y % DEMO_P) for x, y in self.SMALL]
+        for B in uncleared + cleared + small:
+            assert curve.contains(B)
+            for base in (A, A2):
+                assert curve.pairing(base, B) == oracles.pairing(DEMO_P, DEMO_Q, base, B), B
+        for B in small:
+            assert curve.pairing(A, B) == GT_ONE
+
+    def test_legendre_symbol(self):
+        for p in (TOY_P, DEMO_P):
+            curve = Curve(p, TOY_Q if p == TOY_P else DEMO_Q)
+            rng = random.Random(43)
+            values = range(1, p) if p == TOY_P else [rng.randrange(1, p) for _ in range(300)]
+            for n in values:
+                assert curve._legendre(n) == (1 if pow(n, (p - 1) // 2, p) == 1 else -1), n
 
 
 @pytest.mark.parametrize("p, q", [(TOY_P, TOY_Q), (DEMO_P, DEMO_Q)], ids=["toy", "demo"])

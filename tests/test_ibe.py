@@ -434,10 +434,9 @@ class TestDemoProfile:
                 ibe.decrypt(params, wrong, ct)
 
     def test_demo_degenerate_u_fails_the_reencryption_check(self, demo_setup):
-        # at xU = 0 every Miller factor lies in F_p, so the pairing is 1;
-        # (p - 1, 0) has order 2, and the uncleared point lies outside the
-        # subgroup.  Each pairs without error, then fails the
-        # re-encryption check
+        # (0, +-1) has order 3 and (p - 1, 0) order 2, so they pair to 1,
+        # and the uncleared point lies outside the subgroup.  Each pairs
+        # without error, then fails the re-encryption check
         params, master = demo_setup
         p, curve = params.p, params.curve
         key = ibe.extract(params, master, "node-001")

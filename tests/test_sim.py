@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -653,16 +654,28 @@ class TestAdversaryRefusals:
     def test_replayed_ack_while_waiting_is_stale(self):
         # a re-authenticates at 41; the ack it got at 12 is replayed and
         # lands before the new one
-        report = sim.run(trio([
-            {"time": 40, "kind": "boot", "node": "a"},
-            {"time": 41, "kind": "ta", "node": "a"},
+        events = [{"time": 40, "kind": "boot", "node": "a"},
+                  {"time": 41, "kind": "ta", "node": "a"}]
+        replayed = sim.Simulation(trio(events + [
             {"time": 41, "kind": "attack", "attack": {
-                "kind": "replay", "label": "ta-ack", "source": "bs", "occurrence": 1}},
-        ]))
+                "kind": "replay", "label": "ta-ack", "source": "bs", "occurrence": 1}}]))
+        report = replayed.run()
         assert report.rejections == [(42, "a", "stale_nonce", "7e5d")]
         assert report.attacks == [
             {"kind": "replay", "verdict": "blocked", "detail": "stale_nonce"}]
         assert report.final_phases["a"] == protocol.TRUSTED  # the new ack still lands
+        # the node knows the ack by its bytes: against the same run
+        # without the replay, its ledger gains the rx bytes alone, no
+        # world switch, and no pairing is computed
+        honest = sim.Simulation(trio(events))
+        honest.run()
+        a, a0 = replayed.nodes["a"], honest.nodes["a"]
+        gained = Counter(a.ledger.entries)
+        gained.subtract(a0.ledger.entries)
+        first_ack = next(entry for entry in a0.ledger.entries if entry[0] == "rx")
+        assert +gained == {first_ack: 1}
+        assert -gained == {}
+        assert replayed.params.curve.pairing_count == honest.params.curve.pairing_count
 
     def test_responder_rebooted_before_the_message_lands(self):
         report = sim.run(trio([
