@@ -104,7 +104,6 @@ class Curve:
         self._gt_combs: dict[Fp2, tuple[int, int, dict[int, Fp2]]] = {}
         # inverse of cubing: (x^3)^e = x for e = (2p-1)/3
         self.cube_root_exp = (2 * p - 1) // 3
-        self._half = (p + 1) // 2  # 1/2 in F_p
         self.coord_size = (p.bit_length() + 7) // 8
         # bumped on every pairing call; the protocol layer's
         # cheap-check-first claims are asserted against this
@@ -525,7 +524,7 @@ class Curve:
         # k = 9X^3 / (2Y(X^3 - 8)) and m = x_D*k = -3X(X^3 + 4) / (2Y(X^3 - 8))
         k = 9 * X3 * inv % p
         m = -3 * X * (X3 + 4) * inv % p
-        half = self._half
+        half = (p + 1) // 2  # 1/2 in F_p
         a, b = 1, 0  # f = a + bz
         steps = iter(lines)
         for doubling, c, lam in zip(self._doublings, steps, steps):

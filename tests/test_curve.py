@@ -607,44 +607,44 @@ class TestComb:
 
 
 class TestTwistPoint:
-    """_evaluate reads the lines at the twist point of B, which is not
-    e(A, B)'s own argument, against the divisor oracle: every B, in the
-    subgroup or not, and the points of order dividing 6."""
+    """_evaluate reads the lines at a twist point of B, not at B's
+    distorted image.  Against the divisor oracle, for the B that
+    TestPairing does not pair: points outside the subgroup, among them
+    the points of order dividing 6, which pair to 1."""
 
     SMALL = ((0, 1), (0, -1), (-1, 0), (2, 3), (2, -3))
 
-    def test_every_toy_point_against_every_subgroup_point(self, gen):
+    def test_every_toy_point_outside_the_subgroup(self, gen):
         curve = Curve(TOY_P, TOY_Q)
         group = [oracles.naive_mul(TOY_P, k, gen) for k in range(1, TOY_Q)]
-        points = oracles.enumerate_points(TOY_P)
-        assert {(x % TOY_P, y % TOY_P) for x, y in self.SMALL} <= set(points)
+        outside = set(oracles.enumerate_points(TOY_P)) - set(group)
+        assert len(outside) == TOY_P - len(group)
+        assert {(x % TOY_P, y % TOY_P) for x, y in self.SMALL} <= outside
         for A in group:
-            for B in points:
+            for B in outside:
                 assert curve.pairing(A, B) == oracles.pairing(TOY_P, TOY_Q, A, B), (A, B)
 
-    def test_seeded_demo_points_in_and_outside_the_subgroup(self):
+    def test_seeded_demo_points_outside_the_subgroup(self):
         curve = Curve(DEMO_P, DEMO_Q)
         rng = random.Random(41)
         A = TestMillerLines.seeded_point(DEMO_P, DEMO_Q, 42)
         A2 = oracles.double_and_add(DEMO_P, rng.randrange(1, DEMO_Q), A)
         uncleared = [curve.point_from_y(rng.randrange(DEMO_P)) for _ in range(4)]
-        assert not any(curve.in_subgroup(U) for U in uncleared)
-        cleared = [curve.mul(curve.cofactor, U) for U in uncleared[:2]]
         small = [(x % DEMO_P, y % DEMO_P) for x, y in self.SMALL]
-        for B in uncleared + cleared + small:
-            assert curve.contains(B)
+        for B in uncleared + small:
+            assert curve.contains(B) and not curve.in_subgroup(B)
             for base in (A, A2):
                 assert curve.pairing(base, B) == oracles.pairing(DEMO_P, DEMO_Q, base, B), B
         for B in small:
             assert curve.pairing(A, B) == GT_ONE
 
-    def test_legendre_symbol(self):
-        for p in (TOY_P, DEMO_P):
-            curve = Curve(p, TOY_Q if p == TOY_P else DEMO_Q)
-            rng = random.Random(43)
-            values = range(1, p) if p == TOY_P else [rng.randrange(1, p) for _ in range(300)]
-            for n in values:
-                assert curve._legendre(n) == (1 if pow(n, (p - 1) // 2, p) == 1 else -1), n
+    @pytest.mark.parametrize("p, q", [(TOY_P, TOY_Q), (DEMO_P, DEMO_Q)], ids=["toy", "demo"])
+    def test_legendre_symbol_matches_euler(self, p, q):
+        curve = Curve(p, q)
+        rng = random.Random(43)
+        values = range(1, p) if p == TOY_P else [rng.randrange(1, p) for _ in range(300)]
+        for n in values:
+            assert curve._legendre(n) == (1 if pow(n, (p - 1) // 2, p) == 1 else -1), n
 
 
 @pytest.mark.parametrize("p, q", [(TOY_P, TOY_Q), (DEMO_P, DEMO_Q)], ids=["toy", "demo"])

@@ -440,7 +440,7 @@ class TestDemoProfile:
         params, master = demo_setup
         p, curve = params.p, params.curve
         key = ibe.extract(params, master, "node-001")
-        for U in ((0, 1), (0, p - 1)):
+        for U in ((0, 1), (0, p - 1), (p - 1, 0)):
             assert curve.pairing(key.point, U) == GT_ONE
         ct = ibe.encrypt(params, "node-001", b"attest", random.Random(5))
         uncleared = curve.point_from_y(5)

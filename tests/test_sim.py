@@ -666,7 +666,7 @@ class TestAdversaryRefusals:
         assert report.final_phases["a"] == protocol.TRUSTED  # the new ack still lands
         # the node knows the ack by its bytes: against the same run
         # without the replay, its ledger gains the rx bytes alone, no
-        # world switch, and no pairing is computed
+        # world switch, and no pairing
         honest = sim.Simulation(trio(events))
         honest.run()
         a, a0 = replayed.nodes["a"], honest.nodes["a"]
